@@ -20,7 +20,11 @@ The inputs are built again after every operation, so that ``setup_s``
 (import time plus the median build) is sampled across the whole run, as
 ``op_s`` is. On a shared machine the speed drifts over tens of
 seconds, and set-ups timed back to back at the start would catch only one
-moment of it.
+moment of it. For the same reason ``op_s`` and ``setup_s`` are on the
+scale of ``reference.py``, a fixed computation timed right before and
+after each operation and each set-up: wall time × ``NOMINAL_S`` / the
+mean of the two reference times. The raw wall times are on the ``#``
+lines.
 
 With ``--trace 0`` the JSON holds the end-to-end metrics. With
 ``--trace 1`` it holds the per-layer metrics: traced and untraced
@@ -52,6 +56,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 sys.path.insert(0, str(BENCH_DIR))
 
+import reference  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -347,31 +352,46 @@ def resolved_jobs(ds, inputs, workload):
     return default_jobs(ds.build_cube_tree(bundle))
 
 
-def end_to_end(ops, seconds, import_s, build_s, build):
+def end_to_end(ops, seconds, calib, import_s, build_s, build):
     """Closed loop: operations back to back until the time is up, at least one.
 
-    build() rebuilds the inputs after each operation; build_s is the first
-    build's time.
+    build() rebuilds the inputs after each operation. import_s and build_s
+    are the first set-up's times, already scaled. Each operation and
+    each build is scaled by the references measured on either side of it.
     """
     samples = []
+    scaled_ops = []
+    refs = []
     builds = [build_s]
+    raw_builds = []
+    ref_before = calib.measure()
     deadline = time.perf_counter() + seconds
     while not samples or time.perf_counter() < deadline:
         samples.append(ops.run())
-        builds.append(build()[1])
+        ref_after = calib.measure()
+        scaled_ops.append(reference.scaled(samples[-1][0], ref_before, ref_after))
+        raw_builds.append(build()[1])
+        ref_before = calib.measure()
+        builds.append(reference.scaled(raw_builds[-1], ref_after, ref_before))
+        refs += [ref_after, ref_before]
     walls = [s[0] for s in samples]
     # peak resident memory of the whole process, set-up included
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     metrics = {
-        "op_s": statistics.median(walls),
+        "op_s": statistics.median(scaled_ops),
         "setup_s": import_s + statistics.median(builds),
         "out_steps": statistics.median(s[1] for s in samples),
         "out_lits": statistics.median(s[2] for s in samples),
         "peak_rss_mb": rss_mb,
     }
     print(
-        "# ops=%d op_s median=%.4f min=%.4f max=%.4f; builds=%d median=%.4f import_s=%.4f"
-        % (len(walls), metrics["op_s"], min(walls), max(walls), len(builds), statistics.median(builds), import_s)
+        "# ops=%d op_s median=%.4f min=%.4f max=%.4f; builds=%d median=%.4f import_s=%.4f (scaled)"
+        % (len(walls), metrics["op_s"], min(scaled_ops), max(scaled_ops), len(builds), statistics.median(builds), import_s)
+    )
+    print(
+        "# raw wall: op median=%.4f min=%.4f max=%.4f; build median=%.4f; reference median=%.4f min=%.4f max=%.4f"
+        % (statistics.median(walls), min(walls), max(walls), statistics.median(raw_builds),
+           statistics.median(refs), min(refs), max(refs))
     )
     for name, times in sorted(ops.commands.items()):
         print("# %s_s median=%.4f n=%d" % (name, statistics.median(times), len(times)))
@@ -432,9 +452,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     workload = workloads.WORKLOADS[args.workload]
 
+    calib = reference.Reference()
+    calib.measure()  # warm-up
+    ref_before = calib.measure()
     start = time.perf_counter()
     ds, modules = import_package()
     import_s = time.perf_counter() - start
+    ref_after = calib.measure()
+    import_s = reference.scaled(import_s, ref_before, ref_after)
 
     directory = BENCH_DIR / ".work" / ("%s-%d-%d" % (args.workload, args.seed, os.getpid()))
     try:
@@ -453,6 +478,7 @@ def main(argv=None):
         finally:
             if tracer is not None:
                 tracer.uninstall()
+        build_s = reference.scaled(build_s, ref_after, calib.measure())
         print(
             "# env python=%s nproc=%s default_jobs=%s"
             % (platform.python_version(), os.cpu_count(), resolved_jobs(ds, inputs, workload))
@@ -467,7 +493,7 @@ def main(argv=None):
             metrics = per_layer(ops, tracer, args.seconds)
             units = PER_LAYER
         else:
-            metrics = end_to_end(ops, args.seconds, import_s, build_s, build)
+            metrics = end_to_end(ops, args.seconds, calib, import_s, build_s, build)
             units = END_TO_END
     finally:
         shutil.rmtree(directory, ignore_errors=True)
