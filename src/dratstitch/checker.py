@@ -1,12 +1,19 @@
 """Unit propagation, redundancy checks, and proof replay.
 
-The replay engine keeps the clause database in an occurrence index and
-maintains the root unit-propagation closure incrementally: clause
-additions extend it, deletions rebuild it only when they can actually
-shrink it (the deleted clause was empty, a unit, or a propagation
-reason). Redundancy checks push assumption literals on top of the root
-closure and undo them afterwards, so one check costs propagation work
-proportional to what it derives, not to the database size.
+The replay engine keeps the clause database under integer ids with two
+watched literals per clause and maintains the root unit-propagation
+closure incrementally: clause additions extend it, deletions rebuild it
+only when they can actually shrink it (the deleted clause was empty, a
+unit, or a propagation reason). Redundancy checks push assumption
+literals on top of the root closure and undo them afterwards, so one
+check costs propagation work proportional to what it derives, not to
+the database size.
+
+Deletions are applied as written, unit clauses included: this is
+"specified DRAT". drat-trim by default ignores unit deletions
+("operational DRAT"; Rebola-Pardo and Biere, "Two flavors of DRAT",
+POS 2018), so a proof that relies on a deleted unit staying in force
+is valid there and invalid here.
 """
 
 import logging
@@ -105,51 +112,12 @@ def propagate_fixpoint(formula: Formula, order_seed: Optional[int] = None) -> Pr
     the processing order so tests can exercise exactly that.
     """
     values = list(formula.distinct())
-    rng = random.Random(order_seed) if order_seed is not None else None
-    if rng is not None:
-        rng.shuffle(values)
-
-    occ = {}
-    pending = []
-    for c in values:
-        if len(c) == 0:
-            return PropagationOutcome(True)
-        if len(c) == 1:
-            pending.append(c.literals[0])
-        for l in c.literals:
-            occ.setdefault(l, []).append(c)
-    if rng is not None:
-        rng.shuffle(pending)
-
-    true = set()
-    qi = 0
-    while qi < len(pending):
-        lit = pending[qi]
-        qi += 1
-        if lit in true:
-            continue
-        if -lit in true:
-            return PropagationOutcome(True)
-        true.add(lit)
-        for clause in occ.get(-lit, ()):
-            unassigned = None
-            skip = False
-            for m in clause.literals:
-                if m in true:
-                    skip = True
-                    break
-                if -m in true:
-                    continue
-                if unassigned is None:
-                    unassigned = m
-                else:
-                    skip = True
-                    break
-            if skip:
-                continue
-            if unassigned is None:
-                return PropagationOutcome(True)
-            pending.append(unassigned)
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(values)
+    db = _ClauseDb(Formula.from_counts((c, 1) for c in values))
+    if db.root_conflict:
+        return PropagationOutcome(True)
+    true = db.true_lits
 
     out = Counter()
     for c, k in formula.counts():
@@ -165,31 +133,53 @@ def propagate_fixpoint(formula: Formula, order_seed: Optional[int] = None) -> Pr
 
 
 class _ClauseDb:
-    """Occurrence-indexed clause multiset with an incremental root closure."""
+    """Clause multiset over integer ids, two watched literals per clause,
+    and an incremental root closure.
+
+    A distinct clause value gets the next id when it enters the multiset,
+    and a fresh one if it is fully deleted and added again, so id order is
+    the insertion order of ``mult``. Positions 0 and 1 of a clause's
+    literal list are watched; a unit clause is watched on its only
+    literal. Watch entries of deleted clauses are dropped lazily.
+
+    Invariant between propagations: a false watched literal has a true
+    partner. Undoing to the root keeps it, and a closure rebuild clears
+    every assignment, so watches never need re-initialising.
+    """
 
     def __init__(self, formula: Formula, record: bool = False):
         self.record = record
         self.mult = dict(formula.counts())
-        self.occ = {}  # literal -> {Clause: None}, an ordered set
+        self.ids = {}  # alive clause value -> id, in id order
+        self.clauses = []  # id -> Clause, literals in serialization order
+        self.lits = []  # id -> literal list in watch order; None once deleted
+        self.watches = {}  # literal -> ids of clauses watching it
         self.true_lits = {}  # true literal -> None, ordered
-        self.reason = {}  # true literal -> Clause | None (None: assumption)
+        self.reason = {}  # true literal -> clause id | None (None: assumption)
         self.trail = []
-        self.reason_refs = {}  # Clause -> number of root literals it justifies
+        self.reason_refs = {}  # clause id -> number of root literals it justifies
         self.root_len = 0
         self.root_conflict = False
         self.root_used = ()
         self.propagations = 0
         for clause in self.mult:
-            self._index(clause)
+            self._watch(clause, list(clause.literals))
         self._rebuild_closure()
 
-    def _index(self, clause):
-        for l in clause.literals:
-            self.occ.setdefault(l, {})[clause] = None
-
-    def _unindex(self, clause):
-        for l in clause.literals:
-            del self.occ[l][clause]
+    def _watch(self, clause, lits):
+        """Give a new clause value the next id and watch lits[0] and lits[1]."""
+        cid = len(self.clauses)
+        self.ids[clause] = cid
+        self.clauses.append(clause)
+        self.lits.append(lits)
+        watches = self.watches
+        for l in lits[:2]:
+            ws = watches.get(l)
+            if ws is None:
+                watches[l] = [cid]
+            else:
+                ws.append(cid)
+        return cid
 
     def _rebuild_closure(self):
         self.true_lits.clear()
@@ -200,12 +190,14 @@ class _ClauseDb:
         self.root_used = ()
         empty = None
         pending = []
-        for clause in self.mult:
-            n = len(clause)
+        all_lits = self.lits
+        for cid in self.ids.values():
+            lits = all_lits[cid]
+            n = len(lits)
             if n == 0 and empty is None:
-                empty = clause
+                empty = self.clauses[cid]
             elif n == 1:
-                pending.append((clause.literals[0], clause))
+                pending.append((lits[0], cid))
         if empty is not None:
             self.root_conflict = True
             self.root_used = (empty,)
@@ -216,56 +208,86 @@ class _ClauseDb:
                 self.root_used = tuple(used or ())
         self.root_len = len(self.trail)
 
-    def _propagate(self, pending):
-        """Assign the pending (literal, reason) pairs and their consequences.
+    def _propagate(self, queue):
+        """Assign the queued (literal, reason id) pairs and their consequences.
 
         Returns (conflict, used) where used lists the clause values behind
-        the conflict when recording is on.
+        the conflict when recording is on. The clauses a new assignment
+        turns unit or false are handled in id order, the order of a scan
+        over every clause containing the falsified literal, so the queue,
+        the conflict found and the propagation count do not depend on
+        where the watches happen to sit. Consequences are appended to the
+        queue while it is walked.
         """
-        queue = list(pending)
-        qi = 0
         tl = self.true_lits
-        while qi < len(queue):
-            lit, reason = queue[qi]
-            qi += 1
+        reason = self.reason
+        trail = self.trail
+        refs = self.reason_refs
+        watches = self.watches
+        all_lits = self.lits
+        for lit, why in queue:
             if lit in tl:
                 continue
             if -lit in tl:
                 if not self.record:
                     return True, None
-                if reason is not None:
-                    return True, self._explain(reason, reason.literals)
+                if why is not None:
+                    return True, self._explain(why, self.clauses[why].literals)
                 return True, self._explain(None, (lit,))
             tl[lit] = None
-            self.reason[lit] = reason
-            self.trail.append(lit)
+            reason[lit] = why
+            trail.append(lit)
             self.propagations += 1
-            if reason is not None:
-                self.reason_refs[reason] = self.reason_refs.get(reason, 0) + 1
-            watchers = self.occ.get(-lit)
-            if not watchers:
+            if why is not None:
+                refs[why] = refs.get(why, 0) + 1
+            false_lit = -lit
+            ws = watches.get(false_lit)
+            if not ws:
                 continue
-            for clause in list(watchers):
-                unassigned = None
-                skip = False
-                for m in clause.literals:
-                    if m in tl:
-                        skip = True
-                        break
-                    if -m in tl:
-                        continue
-                    if unassigned is None:
-                        unassigned = m
-                    else:
-                        skip = True
-                        break
-                if skip:
+            units = []
+            falsified = None
+            j = 0
+            for cid in ws:
+                c = all_lits[cid]
+                if c is None:
+                    continue  # deleted clause: drop the entry
+                other = c[0]  # stays false_lit for a unit clause
+                if other == false_lit and len(c) > 1:
+                    other = c[1]
+                    c[0] = other
+                    c[1] = false_lit
+                if other in tl:
+                    ws[j] = cid
+                    j += 1
                     continue
-                if unassigned is None:
-                    if not self.record:
-                        return True, None
-                    return True, self._explain(clause, clause.literals)
-                queue.append((unassigned, clause))
+                for k in range(2, len(c)):
+                    m = c[k]
+                    if -m not in tl:
+                        c[1] = m
+                        c[k] = false_lit
+                        w = watches.get(m)
+                        if w is None:
+                            watches[m] = [cid]
+                        else:
+                            w.append(cid)
+                        break
+                else:
+                    ws[j] = cid
+                    j += 1
+                    if -other in tl:
+                        if falsified is None or cid < falsified:
+                            falsified = cid
+                    else:
+                        units.append(cid)
+            del ws[j:]
+            if falsified is not None:
+                if not self.record:
+                    return True, None
+                return True, self._explain(falsified, self.clauses[falsified].literals)
+            if units:
+                units.sort()
+                for cid in units:
+                    queue.append((all_lits[cid][0], cid))
         return False, None
 
     def _explain(self, falsified, seed_lits):
@@ -275,29 +297,33 @@ class _ClauseDb:
             used[falsified] = None
         stack = list(seed_lits)
         seen = set(stack)
+        clauses = self.clauses
         while stack:
             m = stack.pop()  # m is false, so -m is on the trail
             r = self.reason.get(-m)
             if r is None or r in used:
                 continue
             used[r] = None
-            for q in r.literals:
+            for q in clauses[r].literals:
                 if q != -m and q not in seen:
                     seen.add(q)
                     stack.append(q)
-        return list(used)
+        return [clauses[r] for r in used]
 
     def _undo_to(self, mark):
-        while len(self.trail) > mark:
-            lit = self.trail.pop()
-            del self.true_lits[lit]
-            r = self.reason.pop(lit)
+        tl = self.true_lits
+        reason = self.reason
+        refs = self.reason_refs
+        for lit in self.trail[mark:]:
+            del tl[lit]
+            r = reason.pop(lit)
             if r is not None:
-                left = self.reason_refs[r] - 1
+                left = refs[r] - 1
                 if left:
-                    self.reason_refs[r] = left
+                    refs[r] = left
                 else:
-                    del self.reason_refs[r]
+                    del refs[r]
+        del self.trail[mark:]
 
     def at_check(self, clause):
         """Does propagating the negated clause literals yield a conflict?"""
@@ -313,7 +339,7 @@ class _ClauseDb:
         Callers run the plain at_check fast path first. Returns
         (ok, used, neighbors).
         """
-        neighbors = tuple(self.occ.get(-pivot, ()))
+        neighbors = tuple(c for c in self.mult if -pivot in c)
         used_all = {} if self.record else None
         for other in neighbors:
             assumptions = {}
@@ -336,33 +362,30 @@ class _ClauseDb:
         self.mult[clause] = count + 1
         if count:
             return
-        self._index(clause)
-        if self.root_conflict:
-            return
-        if len(clause) == 0:
-            self.root_conflict = True
-            self.root_used = (clause,)
-            return
-        unassigned = None
-        extra = False
+        # watch true literals first, then open ones, so a false watch
+        # only ever sits next to a true one
+        tl = self.true_lits
+        true = []
+        open_ = []
+        false = []
         for m in clause.literals:
-            if m in self.true_lits:
-                return  # satisfied at root, nothing propagates
-            if -m in self.true_lits:
-                continue
-            if unassigned is None:
-                unassigned = m
+            if m in tl:
+                true.append(m)
+            elif -m in tl:
+                false.append(m)
             else:
-                extra = True
-                break
-        if extra:
-            return
-        if unassigned is None:
+                open_.append(m)
+        cid = self._watch(clause, true + open_ + false)
+        if self.root_conflict or true or len(open_) > 1:
+            return  # nothing new to derive, or nothing propagates
+        if not open_:
             self.root_conflict = True
-            if self.record:
-                self.root_used = tuple(self._explain(clause, clause.literals))
+            if len(clause) == 0:
+                self.root_used = (clause,)
+            elif self.record:
+                self.root_used = tuple(self._explain(cid, clause.literals))
             return
-        conflict, used = self._propagate([(unassigned, clause)])
+        conflict, used = self._propagate([(open_[0], cid)])
         if conflict:
             self.root_conflict = True
             self.root_used = tuple(used or ())
@@ -377,9 +400,10 @@ class _ClauseDb:
             self.mult[clause] = count - 1
             return True
         del self.mult[clause]
-        self._unindex(clause)
+        cid = self.ids.pop(clause)
+        self.lits[cid] = None
         # only these removals can invalidate the root closure
-        if self.root_conflict or len(clause) <= 1 or clause in self.reason_refs:
+        if self.root_conflict or len(clause) <= 1 or cid in self.reason_refs:
             self._rebuild_closure()
         return True
 
@@ -402,8 +426,9 @@ def has_rat(formula: Formula, clause: Clause, pivot: int) -> bool:
     return ok
 
 
-def is_preserving(refutation: Refutation) -> bool:
-    """No clause is deleted more often than it is added, over the whole proof."""
+def first_violation(refutation: Refutation) -> Optional[Clause]:
+    """The first deleted clause, in order of first deletion, that the proof
+    deletes more often than it adds; None when there is none."""
     added = Counter()
     deleted = Counter()
     for step in refutation:
@@ -411,7 +436,15 @@ def is_preserving(refutation: Refutation) -> bool:
             added[step.clause] += 1
         else:
             deleted[step.clause] += 1
-    return all(deleted[c] <= added[c] for c in deleted)
+    for clause, k in deleted.items():
+        if k > added[clause]:
+            return clause
+    return None
+
+
+def is_preserving(refutation: Refutation) -> bool:
+    """No clause is deleted more often than it is added, over the whole proof."""
+    return first_violation(refutation) is None
 
 
 def _replay(formula, refutation, mode, record):

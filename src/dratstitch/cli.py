@@ -35,11 +35,19 @@ _SEMANTIC_ERRORS = (
 
 
 def _read_cnf(path):
-    return formats.parse_dimacs(Path(path).read_bytes()).formula
+    data = Path(path).read_bytes()
+    try:
+        return formats.parse_dimacs(data).formula
+    except UnicodeDecodeError as exc:
+        raise formats.FormatError("cannot decode %s: %s" % (path, exc)) from exc
 
 
 def _read_drat(path):
-    return formats.parse_drat(Path(path).read_bytes())
+    data = Path(path).read_bytes()
+    try:
+        return formats.parse_drat(data)
+    except UnicodeDecodeError as exc:
+        raise formats.UnreadableProofError("cannot decode %s: %s" % (path, exc)) from exc
 
 
 def _mode(args):

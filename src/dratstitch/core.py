@@ -196,6 +196,10 @@ class ProofStep(tuple):
             raise ValueError("op must be ADD or DELETE, got %r" % (op,))
         return tuple.__new__(cls, (op, clause))
 
+    def __getnewargs__(self):
+        # pickle rebuilds tuple subclasses through __new__, which needs both fields
+        return (self[0], self[1])
+
     @property
     def op(self) -> str:
         return self[0]

@@ -251,7 +251,10 @@ def load_bundle(cnf_path, proof_source) -> ProofBundle:
     """
     cnf_path = Path(cnf_path)
     src = Path(proof_source)
-    cnf = parse_dimacs(cnf_path.read_bytes())
+    try:
+        cnf = parse_dimacs(cnf_path.read_bytes())
+    except UnicodeDecodeError as exc:
+        raise FormatError("cannot decode %s: %s" % (cnf_path, exc)) from exc
     if src.is_dir():
         entries = _entries_from_dir(src)
     else:
@@ -273,7 +276,7 @@ def _read_proof(path: Path) -> Refutation:
         return parse_drat(path.read_bytes())
     except OSError as exc:
         raise UnreadableProofError("cannot read %s: %s" % (path, exc)) from exc
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         raise UnreadableProofError("cannot parse %s: %s" % (path, exc)) from exc
 
 
@@ -287,7 +290,11 @@ def _entries_from_dir(directory: Path):
 def _entries_from_manifest(path: Path):
     entries = []
     base = path.parent
-    for lineno, line in enumerate(_text(path.read_bytes()).splitlines(), 1):
+    try:
+        text = _text(path.read_bytes())
+    except UnicodeDecodeError as exc:
+        raise FormatError("cannot decode %s: %s" % (path, exc)) from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c") or line.startswith("p"):
             continue

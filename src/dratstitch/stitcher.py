@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from .checker import STRICT, annotate_refutation, check_refutation
+from .checker import STRICT, annotate_refutation, check_refutation, first_violation
 from .core import ADD, Clause, EMPTY_CLAUSE, Formula, ProofStep, Refutation
 from .formats import Cube, ProofBundle, parse_drat, write_drat
 from .trimmer import trim
@@ -99,26 +99,13 @@ def _build(items, prefix):
     return Inner(var, _build(pos, prefix + (var,)), _build(neg, prefix + (-var,)))
 
 
-def _first_violation(refutation):
-    added = {}
-    deleted = {}
-    for step in refutation:
-        (added if step.is_add else deleted)[step.clause] = (
-            (added if step.is_add else deleted).get(step.clause, 0) + 1
-        )
-    for clause, k in deleted.items():
-        if k > added.get(clause, 0):
-            return clause
-    return None
-
-
-def _require_sub_proof(formula, branch_lit, proof, label, mode):
-    offender = _first_violation(proof)
+def _require_sub_proof(instance, proof, label, mode):
+    offender = first_violation(proof)
     if offender is not None:
         raise NonPreservingInputError(
             "%s: %r is deleted more often than added" % (label, offender)
         )
-    report = check_refutation(formula.add(Clause((branch_lit,))), proof, mode=mode)
+    report = check_refutation(instance, proof, mode=mode)
     if not report.valid:
         raise InvalidSubProofError(
             "%s: invalid at step %s (%s)" % (label, report.failing_step, report.reason)
@@ -142,8 +129,8 @@ def stitch(
     if decision == 0:
         raise ValueError("0 is not a decision literal")
     if validate:
-        _require_sub_proof(formula, decision, pos_proof, "branch %d" % decision, mode)
-        _require_sub_proof(formula, -decision, neg_proof, "branch %d" % -decision, mode)
+        _require_sub_proof(_instance_at(formula, (decision,)), pos_proof, "branch %d" % decision, mode)
+        _require_sub_proof(_instance_at(formula, (-decision,)), neg_proof, "branch %d" % -decision, mode)
     steps = []
     for step in pos_proof:
         steps.append(ProofStep(step.op, step.clause.with_literal(-decision)))
@@ -283,19 +270,9 @@ def combine_all(
 
     if validate:
         for leaf, path in _leaves(tree):
-            instance = _instance_at(formula, path)
-            offender = _first_violation(leaf.refutation)
-            if offender is not None:
-                raise NonPreservingInputError(
-                    "cube %s: %r is deleted more often than added"
-                    % (leaf.cube.filename(), offender)
-                )
-            report = check_refutation(instance, leaf.refutation, mode=mode)
-            if not report.valid:
-                raise InvalidSubProofError(
-                    "cube %s: invalid at step %s (%s)"
-                    % (leaf.cube.filename(), report.failing_step, report.reason)
-                )
+            _require_sub_proof(
+                _instance_at(formula, path), leaf.refutation, "cube %s" % leaf.cube.filename(), mode
+            )
 
     if isinstance(tree, Leaf):
         return tree.refutation

@@ -300,6 +300,19 @@ def test_check_refutation_deletion_changes_later_steps():
     assert rep.reason == NOT_RAT
 
 
+def test_check_refutation_applies_unit_deletions():
+    # specified DRAT: deleting {1} takes its consequences with it, so the
+    # empty clause is no longer AT. Operational DRAT (drat-trim's default)
+    # ignores unit deletions and would accept this proof.
+    f = F((1,), (-1, 2), (-1, -2))
+    assert check_refutation(f, parse_drat("0\n"), mode=STRICT).valid
+    for mode in (STRICT, PERMISSIVE):
+        rep = check_refutation(f, parse_drat("d 1 0\n0\n"), mode=mode)
+        assert not rep.valid
+        assert rep.failing_step == 2
+        assert rep.reason == NOT_AT
+
+
 def test_check_refutation_deletion_removes_one_instance():
     f = Formula([Clause((1,)), Clause((1,)), Clause((-1,))])
     # one copy of {1} survives the first deletion, so the conflict remains

@@ -91,6 +91,29 @@ def test_check_malformed_cnf_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("bad", ["cnf", "proof"])
+def test_undecodable_bytes_name_the_file(tmp_path, capsys, bad):
+    garbage = b"\xff\xfe 1 0\n"
+    cnf = tmp_path / "i.cnf"
+    cnf.write_bytes(garbage if bad == "cnf" else CONTRADICTION_CNF.encode())
+    proof = tmp_path / "p.proof"
+    proof.write_bytes(garbage if bad == "proof" else b"0\n")
+    target = str(cnf if bad == "cnf" else proof)
+    assert main(["check", str(cnf), str(proof)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and target in err
+
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    (proof_dir / "1.proof").write_bytes(proof.read_bytes())
+    (proof_dir / "-1.proof").write_bytes(b"0\n")
+    target = str(cnf if bad == "cnf" else proof_dir / "1.proof")
+    rc = main(["stitch", "--cnf", str(cnf), "--proofs", str(proof_dir), "-o", str(tmp_path / "o.drat")])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and target in err
+
+
 def test_check_deletion_mode_flags(tmp_path, capsys):
     # Deleting an absent clause is an error only under --strict.
     cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)

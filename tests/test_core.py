@@ -1,5 +1,6 @@
 """Clause, Formula, ProofStep, and Refutation behavior."""
 
+import pickle
 import random
 from collections import Counter
 
@@ -217,3 +218,19 @@ def test_refutation():
     assert list(r.adds()) == [Clause((1,)), EMPTY_CLAUSE]
     assert r == Refutation(list(steps))
     assert r != Refutation(steps[:2])
+
+
+def test_pickle_round_trip():
+    clause = Clause((3, -1, 2))
+    step = ProofStep(DELETE, clause)
+    formula = Formula([clause, clause, Clause((1,))])
+    refutation = Refutation((ProofStep(ADD, Clause((1,))), step, ProofStep(ADD, EMPTY_CLAUSE)))
+
+    back = pickle.loads(pickle.dumps(clause))
+    assert back == clause and back.literals == (3, -1, 2)
+    back = pickle.loads(pickle.dumps(step))
+    assert isinstance(back, ProofStep) and back == step and back.clause.literals == (3, -1, 2)
+    back = pickle.loads(pickle.dumps(formula))
+    assert back == formula and back.multiplicity(clause) == 2
+    back = pickle.loads(pickle.dumps(refutation))
+    assert back == refutation and all(isinstance(s, ProofStep) for s in back)

@@ -249,6 +249,18 @@ def test_load_bundle_unparseable_proof(tmp_path):
         load_bundle(cnf, proofs)
 
 
+def test_load_bundle_undecodable_files_name_the_file(tmp_path):
+    cnf = _write_instance(tmp_path)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff 1 0\n")
+    manifest = tmp_path / "m.icnf"
+    manifest.write_text("a 2 0 bad.bin\n")
+    # undecodable CNF, manifest and proof, in that order
+    for args in ((bad, manifest), (cnf, bad), (cnf, manifest)):
+        with pytest.raises(FormatError, match="bad.bin"):
+            load_bundle(*args)
+
+
 def test_load_bundle_from_manifest(tmp_path):
     cnf = _write_instance(tmp_path)
     sub = tmp_path / "runs"
