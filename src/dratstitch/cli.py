@@ -36,18 +36,14 @@ _SEMANTIC_ERRORS = (
 
 def _read_cnf(path):
     data = Path(path).read_bytes()
-    try:
+    with formats._in_file(path):
         return formats.parse_dimacs(data).formula
-    except UnicodeDecodeError as exc:
-        raise formats.FormatError("cannot decode %s: %s" % (path, exc)) from exc
 
 
 def _read_drat(path):
     data = Path(path).read_bytes()
-    try:
+    with formats._in_file(path, formats.UnreadableProofError):
         return formats.parse_drat(data)
-    except UnicodeDecodeError as exc:
-        raise formats.UnreadableProofError("cannot decode %s: %s" % (path, exc)) from exc
 
 
 def _mode(args):
@@ -103,7 +99,6 @@ def cmd_stitch(args):
         bundle = formats.ProofBundle(bundle.instance, tuple(entries))
 
     tree = stitcher.build_cube_tree(bundle)
-    jobs = args.jobs if args.jobs is not None else stitcher.default_jobs(tree)
     spill = None
     if args.spill_dir:
         spill = stitcher.SpillStore(args.spill_dir, args.spill_threshold)
@@ -113,7 +108,6 @@ def cmd_stitch(args):
         bundle.instance,
         tree,
         cl_avg=args.cl_avg,
-        jobs=jobs,
         validate=not args.trust_subproofs,
         mode=mode,
         on_record=records.append,
@@ -179,8 +173,7 @@ def cmd_trim(args):
     )
     print("output=%s" % args.output)
     if args.emit_core:
-        core = trimmer.unsat_core(formula, proof, mode=_mode(args))
-        Path(args.emit_core).write_text(formats.write_dimacs(core))
+        Path(args.emit_core).write_text(formats.write_dimacs(report.core))
         print("core=%s" % args.emit_core)
     return EXIT_OK
 
@@ -253,12 +246,6 @@ def build_parser():
         default=-1,
         help="trim when a merge's average addition length exceeds this; "
         "-1 never trims, 0 trims every merge (default: -1)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="parallel merges per level (default: processors, capped at level width)",
     )
     p.add_argument(
         "--no-verify",

@@ -1,6 +1,7 @@
 """Reading and writing DIMACS CNF, ASCII proof files, cube filenames, and cube manifests."""
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,20 @@ class DuplicateCubeError(FormatError):
 
 class UnreadableProofError(FormatError):
     pass
+
+
+@contextmanager
+def _in_file(path, decode_error=FormatError):
+    """Re-raise a parse error of the file at path with the path in its message.
+
+    A FormatError keeps its class; undecodable bytes become decode_error.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise decode_error("cannot decode %s: %s" % (path, exc)) from exc
+    except FormatError as exc:
+        raise type(exc)("%s: %s" % (path, exc)) from exc
 
 
 # The root of a cube tree has no decision literals, so its proof cannot be
@@ -251,10 +266,9 @@ def load_bundle(cnf_path, proof_source) -> ProofBundle:
     """
     cnf_path = Path(cnf_path)
     src = Path(proof_source)
-    try:
-        cnf = parse_dimacs(cnf_path.read_bytes())
-    except UnicodeDecodeError as exc:
-        raise FormatError("cannot decode %s: %s" % (cnf_path, exc)) from exc
+    data = cnf_path.read_bytes()
+    with _in_file(cnf_path):
+        cnf = parse_dimacs(data)
     if src.is_dir():
         entries = _entries_from_dir(src)
     else:

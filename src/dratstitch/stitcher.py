@@ -5,13 +5,10 @@ of formula by widening every clause of the first with -x, every clause of
 the second with x, and closing with the empty clause. The widened literal
 is appended last so each clause's first literal, the resolution pivot,
 survives the merge. Over a full cube set this is applied bottom-up,
-deepest tree level first; nodes on the same level are independent and can
-run in parallel without affecting the output.
+deepest tree level first, one merge at a time in a fixed order.
 """
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -140,15 +137,20 @@ def stitch(
     return Refutation(steps)
 
 
-def average_clause_length(refutation: Refutation) -> float:
-    """Mean literal count over addition steps; 0.0 for no additions."""
+def _addition_lengths(refutation):
+    """(total literals, count, mean) over the addition steps; the mean is 0.0 for none."""
     total = 0
     count = 0
     for step in refutation:
         if step.is_add:
             total += len(step.clause)
             count += 1
-    return total / count if count else 0.0
+    return total, count, total / count if count else 0.0
+
+
+def average_clause_length(refutation: Refutation) -> float:
+    """Mean literal count over addition steps; 0.0 for no additions."""
+    return _addition_lengths(refutation)[2]
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,6 @@ def combine_all(
     formula: Formula,
     tree: CubeNode,
     cl_avg: int = -1,
-    jobs: int = 1,
     validate: bool = True,
     mode: str = STRICT,
     on_record: Optional[Callable] = None,
@@ -260,13 +261,11 @@ def combine_all(
 
     cl_avg gates the per-merge trimming pass: -1 never trims, 0 trims
     after every merge, k > 0 trims when the merged proof's average
-    addition length exceeds k. jobs > 1 runs same-level merges in a
-    thread pool; the output is identical regardless of jobs.
+    addition length exceeds k. Merges run one at a time, deepest level
+    first; spilling intermediates to disk does not change the output.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
 
     if validate:
         for leaf, path in _leaves(tree):
@@ -293,12 +292,7 @@ def combine_all(
         t0 = time.perf_counter()
         merged = stitch(instance, job.var, pos_ref, neg_ref, validate=False)
         merge_seconds = time.perf_counter() - t0
-        total = 0
-        count = 0
-        for step in merged:
-            if step.is_add:
-                total += len(step.clause)
-                count += 1
+        total, count, average = _addition_lengths(merged)
         # integer comparison; cl_avg = 0 fires on anything with a literal
         wants_trim = cl_avg >= 0 and total > cl_avg * count
         trim_seconds = 0.0
@@ -313,7 +307,7 @@ def combine_all(
             var=job.var,
             add_count=count,
             add_literal_total=total,
-            average_clause_length=total / count if count else 0.0,
+            average_clause_length=average,
             trimmed=wants_trim,
             steps_before=len(merged),
             steps_after=len(out),
@@ -322,31 +316,15 @@ def combine_all(
         )
         return out, record
 
-    plan = build_plan(tree)
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for level in plan.levels:
-            if pool is not None:
-                outcomes = list(pool.map(run_job, level))
-            else:
-                outcomes = [run_job(job) for job in level]
-            for job, (out, record) in zip(level, outcomes):
-                del results[job.path + (job.var,)]
-                del results[job.path + (-job.var,)]
-                results[job.path] = out if spill is None else spill.put(job.path, out)
-                if on_record is not None:
-                    on_record(record)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for level in build_plan(tree).levels:
+        for job in level:
+            out, record = run_job(job)
+            del results[job.path + (job.var,)]
+            del results[job.path + (-job.var,)]
+            results[job.path] = out if spill is None else spill.put(job.path, out)
+            if on_record is not None:
+                on_record(record)
     return fetch(())
-
-
-def default_jobs(tree: CubeNode) -> int:
-    """Processor count capped at the widest tree level."""
-    plan = build_plan(tree)
-    widest = max((len(level) for level in plan.levels), default=1)
-    return max(1, min(os.cpu_count() or 1, widest))
 
 
 def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:

@@ -303,16 +303,20 @@ def _cli_stitch(workdir, bundle_dir, out_name, *extra):
     return out
 
 
-def test_criterion_7_parallel_determinism(workdir, capsys):
+def test_criterion_7_spill_determinism(workdir, capsys):
     identical = 0
     for i in range(20):
         bundle_dir = _cli_bundle(workdir, i)
-        one = _cli_stitch(workdir, bundle_dir, "c7_%02d_j1.drat" % i, "--jobs", "1")
-        eight = _cli_stitch(workdir, bundle_dir, "c7_%02d_j8.drat" % i, "--jobs", "8")
-        identical += one.read_bytes() == eight.read_bytes()
+        spill_dir = workdir / ("c7_%02d_spill" % i)
+        memory = _cli_stitch(workdir, bundle_dir, "c7_%02d_memory.drat" % i)
+        spilled = _cli_stitch(
+            workdir, bundle_dir, "c7_%02d_spilled.drat" % i,
+            "--spill-dir", str(spill_dir), "--spill-threshold", "0",
+        )
+        identical += memory.read_bytes() == spilled.read_bytes()
     _verdict(
         capsys, 7, identical == 20,
-        "jobs=1 vs jobs=8 outputs byte-identical on %d/20 seeded bundles" % identical,
+        "in-memory vs fully spilled outputs byte-identical on %d/20 seeded bundles" % identical,
     )
     assert identical == 20
 

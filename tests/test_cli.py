@@ -114,6 +114,34 @@ def test_undecodable_bytes_name_the_file(tmp_path, capsys, bad):
     assert err.startswith("error:") and target in err
 
 
+@pytest.mark.parametrize("command", ["check", "trim", "stitch"])
+@pytest.mark.parametrize(
+    "bad, text, message",
+    [
+        pytest.param("cnf", b"p cnf x 2\n1 0\n-1 0\n", "non-numeric header counts: p cnf x 2", id="cnf"),
+        pytest.param("proof", b"1 x 0\n0\n", "bad token 'x' in proof data", id="proof"),
+    ],
+)
+def test_parse_errors_name_the_file(tmp_path, capsys, command, bad, text, message):
+    cnf = tmp_path / "i.cnf"
+    cnf.write_bytes(text if bad == "cnf" else CONTRADICTION_CNF.encode())
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    proof = proof_dir / "1.proof"
+    proof.write_bytes(text if bad == "proof" else b"0\n")
+    (proof_dir / "-1.proof").write_bytes(b"0\n")
+    argv = {
+        "check": ["check", str(cnf), str(proof)],
+        "trim": ["trim", str(cnf), str(proof), "-o", str(tmp_path / "t.drat")],
+        "stitch": ["stitch", "--cnf", str(cnf), "--proofs", str(proof_dir), "-o", str(tmp_path / "o.drat")],
+    }[command]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(cnf if bad == "cnf" else proof) in err
+    assert message in err
+
+
 def test_check_deletion_mode_flags(tmp_path, capsys):
     # Deleting an absent clause is an error only under --strict.
     cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)
@@ -298,16 +326,6 @@ def test_stitch_no_verify_skips_check(tmp_path, capsys):
     assert out.is_file()
 
 
-def test_stitch_jobs_byte_identical(tmp_path, capsys):
-    fixture_dir = make_fixture(tmp_path)
-    one = tmp_path / "one.drat"
-    eight = tmp_path / "eight.drat"
-    assert main(stitch_args(fixture_dir, one, "--jobs", "1")) == EXIT_OK
-    assert main(stitch_args(fixture_dir, eight, "--jobs", "8")) == EXIT_OK
-    capsys.readouterr()
-    assert one.read_bytes() == eight.read_bytes()
-
-
 def test_stitch_manifest_input(tmp_path, capsys):
     fixture_dir = make_fixture(tmp_path, depth=1)
     capsys.readouterr()
@@ -479,6 +497,26 @@ def test_trim_emit_core(tmp_path, capsys):
     trimmed = parse_drat(out.read_bytes())
     core = parse_dimacs(core_path.read_bytes()).formula
     assert core == unsat_core(formula, parse_drat(Path(drat).read_bytes()))
+    assert check_refutation(core, trimmed, mode=STRICT).valid
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-deletions",)], ids=["deletions", "no-deletions"])
+def test_trim_core_pairs_with_the_written_proof(tmp_path, capsys, flags):
+    fixture_dir = make_fixture(tmp_path, num_vars=9, depth=3, seed=7)
+    cnf = str(fixture_dir / "instance.cnf")
+    combined = tmp_path / "combined.drat"
+    assert main(stitch_args(fixture_dir, combined, "--no-verify")) == EXIT_OK
+    out = tmp_path / "trimmed.drat"
+    core_path = tmp_path / "core.cnf"
+    argv = ["trim", cnf, str(combined), "-o", str(out), "--emit-core", str(core_path), *flags]
+    assert main(argv) == EXIT_OK
+    stats = dict(
+        field.split("=", 1) for field in capsys.readouterr().out.splitlines()[-3].split()
+    )
+    core = parse_dimacs(core_path.read_bytes()).formula
+    assert len(core) == int(stats["core_clauses"])
+    trimmed = parse_drat(out.read_bytes())
+    assert any(not s.is_add for s in trimmed) == (not flags)
     assert check_refutation(core, trimmed, mode=STRICT).valid
 
 

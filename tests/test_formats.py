@@ -261,6 +261,17 @@ def test_load_bundle_undecodable_files_name_the_file(tmp_path):
             load_bundle(*args)
 
 
+def test_load_bundle_cnf_parse_error_keeps_its_class_and_names_the_file(tmp_path):
+    cnf = tmp_path / "broken.cnf"
+    cnf.write_text("p cnf x 2\n1 0\n")
+    proofs = tmp_path / "proofs"
+    proofs.mkdir()
+    (proofs / "2.proof").write_text("0\n")
+    with pytest.raises(MalformedHeaderError) as info:
+        load_bundle(cnf, proofs)
+    assert str(info.value) == "%s: non-numeric header counts: p cnf x 2" % cnf
+
+
 def test_load_bundle_from_manifest(tmp_path):
     cnf = _write_instance(tmp_path)
     sub = tmp_path / "runs"

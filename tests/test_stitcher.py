@@ -29,13 +29,11 @@ from dratstitch import (
     build_plan,
     check_refutation,
     combine_all,
-    default_jobs,
     gen_random_unsat,
     is_preserving,
     parse_drat,
     stitch,
     strip_deletions,
-    write_drat,
 )
 from dratstitch.checker import PERMISSIVE, STRICT
 
@@ -268,15 +266,6 @@ def test_combine_all_step_count_law_without_trimming():
     assert is_preserving(out)
 
 
-def test_combine_all_jobs_do_not_change_the_output():
-    formula = gen_random_unsat(9, 5.0, seed=11)
-    tree = build_cube_tree(bundle_for(formula, 3, seed=11))
-    base = combine_all(formula, tree, cl_avg=0, jobs=1)
-    for jobs in (2, 4, 8):
-        assert combine_all(formula, tree, cl_avg=0, jobs=jobs) == base
-    assert write_drat(combine_all(formula, tree, cl_avg=0, jobs=8)) == write_drat(base)
-
-
 def test_combine_all_trimming_keeps_validity_and_never_grows():
     formula = gen_random_unsat(8, 5.0, seed=21)
     tree = build_cube_tree(bundle_for(formula, 2, seed=21))
@@ -328,8 +317,6 @@ def test_combine_all_rejects_bad_knobs():
     tree = build_cube_tree(bundle(SQUARE, entry((1,)), entry((-1,))))
     with pytest.raises(ValueError):
         combine_all(SQUARE, tree, cl_avg=-2)
-    with pytest.raises(ValueError):
-        combine_all(SQUARE, tree, jobs=0)
 
 
 def test_combine_all_rejects_non_preserving_leaf():
@@ -372,15 +359,6 @@ def test_combine_all_spill_threshold_keeps_small_proofs_in_memory(tmp_path):
     out = combine_all(SQUARE, tree, spill=spill)
     assert check_refutation(SQUARE, out, mode=STRICT).valid
     assert not list(tmp_path.glob("*.drat"))
-
-
-def test_default_jobs_bounded_by_widest_level():
-    tree = build_cube_tree(bundle(SQUARE, entry((1,)), entry((-1,))))
-    got = default_jobs(tree)
-    assert 1 <= got <= 1  # one merge at the only level
-    formula = gen_random_unsat(8, 5.0, seed=61)
-    wide = build_cube_tree(bundle_for(formula, 3, seed=61))
-    assert 1 <= default_jobs(wide) <= 4
 
 
 # ------------------------------------------------------------ strip_deletions

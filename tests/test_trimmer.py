@@ -5,19 +5,26 @@ import random
 import pytest
 
 from dratstitch import (
+    ADD,
     Clause,
+    EMPTY_CLAUSE,
     Formula,
     InvalidProofError,
+    ProofStep,
     Refutation,
+    TrimInternalError,
     check_refutation,
     gen_random_unsat,
     is_preserving,
     parse_drat,
     trim,
     unsat_core,
+    write_dimacs,
     write_drat,
 )
+from dratstitch import checker, trimmer
 from dratstitch.checker import STRICT
+from dratstitch.cli import EXIT_OK, main
 
 from helpers import stitched_instance
 
@@ -192,3 +199,68 @@ def test_trim_handles_deletions_in_input():
     assert len(trimmed) < len(proof)
     # nothing forces the input deletion to stay
     assert all(s.is_add for s in trimmed)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Count full proof replays made through the checker's public entry points.
+
+    trimmer binds the names it imports, so its bindings are patched too.
+    """
+    calls = []
+    for module in (checker, trimmer):
+        for name in ("annotate_refutation", "check_refutation"):
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# {1} feeds only the final conflict, so there is no deletion to resynthesize
+NEEDS_ONE = F((1, 2), (1, -2), (-1, 3), (-1, -3))
+
+
+def test_trim_replays_input_and_fixpoint_only(replays):
+    trimmed, report = trim(NEEDS_ONE, parse_drat("5 0\n1 0\n0\n"))
+    assert trimmed == parse_drat("1 0\n0\n")
+    # the input, then the fixpoint candidate, which is also the strict re-check
+    assert replays == ["annotate_refutation"] * 2
+    assert report.core == NEEDS_ONE
+
+
+def test_emit_core_adds_no_replay(tmp_path, capsys, replays):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(write_dimacs(NEEDS_ONE))
+    proof = tmp_path / "p.drat"
+    proof.write_text("5 0\n1 0\n0\n")
+    argv = ["trim", str(cnf), str(proof), "-o", str(tmp_path / "t.drat")]
+    assert main(argv) == EXIT_OK
+    plain = len(replays)
+    replays.clear()
+    assert main(argv + ["--emit-core", str(tmp_path / "core.cnf")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(replays) == plain == 2
+
+
+def test_unsat_core_is_the_trim_report_core():
+    formula, combined = stitched_instance(7, num_vars=9, depth=3)
+    _, report = trim(formula, combined)
+    assert unsat_core(formula, combined) == report.core
+    assert len(report.core) == report.core_clauses
+
+
+def test_broken_candidate_raises_internal_error(monkeypatch):
+    # a candidate without the needed lemma {1} must not come back as output
+    monkeypatch.setattr(
+        trimmer._Analysis,
+        "marked_adds",
+        lambda self: [ProofStep(ADD, EMPTY_CLAUSE)],
+    )
+    with pytest.raises(TrimInternalError):
+        trim(NEEDS_ONE, parse_drat("1 0\n0\n"))
