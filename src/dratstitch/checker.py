@@ -21,6 +21,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .core import ADD, DELETE, Clause, Formula, Refutation
@@ -447,12 +448,42 @@ def is_preserving(refutation: Refutation) -> bool:
     return first_violation(refutation) is None
 
 
-def _replay(formula, refutation, mode, record):
+def _apply_repeated_prefix(db, refutation, resume, annotations):
+    """Apply, unjudged, the leading steps that repeat an earlier valid replay.
+
+    The database before a step depends only on the formula and the steps
+    before it; the checks leave nothing behind but watch positions, which
+    change no verdict. So each repeated step is applied with add/remove
+    and its earlier verdict kept. Returns the number of steps applied.
+    """
+    earlier_report, earlier = resume
+    if not earlier_report.valid:
+        return 0
+    n = 0
+    for step, verdict in zip(refutation, earlier):
+        clause = step.clause
+        if step.op != verdict.op or clause.literals != verdict.clause.literals:
+            break
+        if len(clause) == 0:
+            break  # the verdict of the whole proof is always judged again
+        if step.is_add:
+            db.add(clause)
+        elif not verdict.applied:
+            break  # a strict replay fails here, so judge it again
+        elif not db.remove(clause):
+            raise ValueError("resume is not a replay of this formula")
+        annotations.append(verdict)
+        n += 1
+    return n
+
+
+def _replay(formula, refutation, mode, record, resume=None):
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     start = time.perf_counter()
     db = _ClauseDb(formula, record=record)
     annotations = [] if record else None
+    done = 0 if resume is None else _apply_repeated_prefix(db, refutation, resume, annotations)
 
     def report(valid, step=None, reason=None, checked=0):
         return CheckReport(
@@ -465,7 +496,7 @@ def _replay(formula, refutation, mode, record):
         )
 
     total = len(refutation)
-    for i, step in enumerate(refutation, 1):
+    for i, step in enumerate(islice(refutation, done, None), done + 1):
         clause = step.clause
         if step.is_add:
             ok, used = db.at_check(clause)
@@ -510,7 +541,22 @@ def check_refutation(formula: Formula, refutation: Refutation, mode: str = PERMI
     return rep
 
 
-def annotate_refutation(formula: Formula, refutation: Refutation, mode: str = PERMISSIVE):
-    """Like check_refutation, but also return per-step replay annotations."""
-    rep, annotations = _replay(formula, refutation, mode, record=True)
+def annotate_refutation(
+    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, resume=None
+):
+    """Like check_refutation, but also return per-step replay annotations.
+
+    resume may be the (report, annotations) pair an earlier call returned
+    for the same formula. The leading steps of refutation that repeat the
+    earlier steps are then applied to the clause database without being
+    judged, and keep their earlier annotations; every later step is judged
+    as usual. Reuse stops at the first step whose op or literal order
+    differs, before the empty clause, which is always judged, and before a
+    deletion that the earlier replay found absent. An earlier report that
+    is not valid is not reused at all. A repeated deletion that finds
+    nothing to remove shows that resume came from another formula, and
+    raises ValueError. With resume, the report's propagations count only
+    the propagations this call performed.
+    """
+    rep, annotations = _replay(formula, refutation, mode, record=True, resume=resume)
     return rep, tuple(annotations)

@@ -142,6 +142,8 @@ def parse_dimacs(data) -> DimacsCnf:
     The header counts are advisory and kept for diagnostics; the clause
     list is what the token stream actually contains. Duplicate literals
     inside a clause are dropped (and counted), tautologies are kept.
+    Clause data ends at a line that is exactly "%", the trailer of the
+    SATLIB benchmark files, which is followed by a stray "0".
     """
     text = _text(data)
     header = None
@@ -156,6 +158,8 @@ def parse_dimacs(data) -> DimacsCnf:
             except ValueError:
                 raise MalformedHeaderError("non-numeric header counts: %s" % line) from None
             continue
+        if line == "%":
+            break
         tokens.extend(line.split())
     if header is None:
         raise MalformedHeaderError("no 'p cnf' header found")

@@ -13,7 +13,11 @@ that case every applied deletion, and every addition of a deleted
 clause, is kept.
 
 Every candidate after the input is replayed in strict mode, so the last
-analysis of the fixpoint is also the strict re-check of the output.
+analysis of the fixpoint is also the strict re-check of the output. A
+candidate's replay resumes from the analysis it was derived from: the
+leading steps it shares with that analysis's proof keep the verdicts
+given to them there, in the same database state, and every later step is
+judged strictly.
 """
 
 import time
@@ -47,12 +51,13 @@ class TrimReport:
 class _Analysis:
     """One replay of a valid proof with per-step dependency attribution."""
 
-    def __init__(self, formula, refutation, mode):
-        report, ann = annotate_refutation(formula, refutation, mode)
+    def __init__(self, formula, refutation, mode, resume=None):
+        report, ann = annotate_refutation(formula, refutation, mode, resume=resume)
         if not report.valid:
             raise InvalidProofError(
                 "input proof is invalid at step %s (%s)" % (report.failing_step, report.reason)
             )
+        self.replay = (report, ann)  # what a later replay can resume from
         self.ann = ann
 
         # Replay the clause multiset structurally, giving every clause
@@ -185,9 +190,9 @@ class _Analysis:
         return Formula.from_counts(counts.items())
 
 
-def _reanalyze(formula, steps):
+def _reanalyze(formula, steps, previous):
     try:
-        return _Analysis(formula, Refutation(steps), STRICT)
+        return _Analysis(formula, Refutation(steps), STRICT, previous.replay)
     except InvalidProofError as exc:
         raise TrimInternalError("internal trim candidate failed to check: %s" % exc) from exc
 
@@ -198,6 +203,7 @@ def _converge(formula, refutation, mode, resynthesize, input_bytes):
     Only the input is replayed in the caller's mode. Every candidate is
     replayed strictly, so the returned analysis is a strict check of
     exactly the returned steps and the reported core pairs with them.
+    Each candidate's replay resumes from the analysis it was derived from.
     """
     input_steps = len(refutation)
 
@@ -205,7 +211,7 @@ def _converge(formula, refutation, mode, resynthesize, input_bytes):
     emit = _Analysis.kept_steps if analysis.any_rat else _Analysis.marked_adds
     steps = emit(analysis)
     while True:
-        analysis = _reanalyze(formula, steps)
+        analysis = _reanalyze(formula, steps, analysis)
         again = emit(analysis)
         if again == steps:
             break
@@ -221,7 +227,7 @@ def _converge(formula, refutation, mode, resynthesize, input_bytes):
             # accept the deletions only if they leave the marking alone,
             # which keeps repeated trimming stable
             try:
-                verify = _Analysis(formula, Refutation(candidate), STRICT)
+                verify = _Analysis(formula, Refutation(candidate), STRICT, analysis.replay)
             except InvalidProofError:
                 verify = None
             if (

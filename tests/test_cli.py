@@ -69,6 +69,13 @@ def test_check_invalid(tmp_path, capsys):
     assert "reason=not-at" in out
 
 
+def test_check_accepts_a_satlib_trailer(tmp_path, capsys):
+    cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF + "%\n0\n\n")
+    drat = write(tmp_path / "p.drat", "0\n")
+    assert main(["check", cnf, drat]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("verdict=valid ")
+
+
 def test_check_missing_empty_clause(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)
     drat = write(tmp_path / "p.drat", "")

@@ -90,6 +90,15 @@ def test_parse_dimacs_token_errors():
         parse_dimacs("p cnf 2 1\n1 2\n")
 
 
+def test_parse_dimacs_stops_at_the_satlib_trailer():
+    plain = "p cnf 2 2\n1 2 0\n-1 0\n"
+    assert parse_dimacs(plain + "%\n0\n") == parse_dimacs(plain)
+    assert parse_dimacs(plain + " % \n0\n\n").formula == parse_dimacs(plain).formula
+    # only a line of its own ends the clause data
+    with pytest.raises(NonIntegerTokenError):
+        parse_dimacs("p cnf 2 1\n1 % 0\n")
+
+
 def test_write_dimacs_round_trip():
     rng = random.Random(5)
     for _ in range(50):

@@ -264,3 +264,21 @@ def test_broken_candidate_raises_internal_error(monkeypatch):
     )
     with pytest.raises(TrimInternalError):
         trim(NEEDS_ONE, parse_drat("1 0\n0\n"))
+
+
+# a chain: {1} gives {3}, {3} gives {5}, and only {5} gives the empty clause
+CHAIN = F(
+    (1, 2), (1, -2), (-1, 3, 4), (-1, 3, -4), (-3, 5, 6), (-3, 5, -6), (-5, 7), (-5, -7)
+)
+
+
+def test_broken_candidate_after_a_shared_prefix_raises_internal_error(monkeypatch):
+    # the candidate starts like the input, so its replay resumes after {1},
+    # and must still judge the {5} that lost {3}
+    monkeypatch.setattr(
+        trimmer._Analysis,
+        "marked_adds",
+        lambda self: [ProofStep(ADD, sv.clause) for sv in self.ann if sv.clause != Clause((3,))],
+    )
+    with pytest.raises(TrimInternalError, match="step 2 \\(not-rat\\)"):
+        trim(CHAIN, parse_drat("1 0\n3 0\n5 0\n0\n"))
