@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 from . import checker, formats, harness, stitcher, trimmer
-from .core import Clause
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -64,12 +63,6 @@ def _add_mode_flags(parser):
     )
 
 
-def _with_cube(formula, cube):
-    for lit in cube:
-        formula = formula.add(Clause((lit,)))
-    return formula
-
-
 def _print_check(report, label="verdict"):
     if report.valid:
         print(
@@ -91,7 +84,7 @@ def cmd_stitch(args):
         entries = []
         for entry in bundle.entries:
             if any(not s.is_add for s in entry.refutation):
-                instance = _with_cube(bundle.instance, entry.cube)
+                instance = stitcher._instance_at(bundle.instance, entry.cube)
                 repaired = stitcher.strip_deletions(instance, entry.refutation)
                 entries.append(formats.BundleEntry(entry.cube, repaired, entry.source))
             else:
@@ -99,10 +92,6 @@ def cmd_stitch(args):
         bundle = formats.ProofBundle(bundle.instance, tuple(entries))
 
     tree = stitcher.build_cube_tree(bundle)
-    spill = None
-    if args.spill_dir:
-        spill = stitcher.SpillStore(args.spill_dir, args.spill_threshold)
-
     records = []
     combined = stitcher.combine_all(
         bundle.instance,
@@ -111,7 +100,6 @@ def cmd_stitch(args):
         validate=not args.trust_subproofs,
         mode=mode,
         on_record=records.append,
-        spill=spill,
     )
     Path(args.output).write_text(formats.write_drat(combined))
 
@@ -217,7 +205,7 @@ def cmd_fixture(args):
     cnf_path = out_dir / "instance.cnf"
     cnf_path.write_text(formats.write_dimacs(formula))
     for i, cube in enumerate(cubes):
-        sub = _with_cube(formula, cube)
+        sub = stitcher._instance_at(formula, cube)
         outcome = harness.solve_drup(sub, seed=args.seed + i + 1)
         assert not outcome.sat, "cube of an unsatisfiable instance cannot be satisfiable"
         (out_dir / cube.filename()).write_text(formats.write_drat(outcome.refutation))
@@ -261,13 +249,6 @@ def build_parser():
         "--strip-deletions",
         action="store_true",
         help="drop deletion steps from input proofs when they still check without them",
-    )
-    p.add_argument("--spill-dir", default=None, help="hold intermediate proofs on disk here")
-    p.add_argument(
-        "--spill-threshold",
-        type=int,
-        default=0,
-        help="spill only intermediates with at least this many steps (default: 0)",
     )
     _add_mode_flags(p)
     p.set_defaults(func=cmd_stitch)

@@ -291,11 +291,11 @@ def load_bundle(cnf_path, proof_source) -> ProofBundle:
 
 def _read_proof(path: Path) -> Refutation:
     try:
-        return parse_drat(path.read_bytes())
+        data = path.read_bytes()
     except OSError as exc:
         raise UnreadableProofError("cannot read %s: %s" % (path, exc)) from exc
-    except (FormatError, UnicodeDecodeError) as exc:
-        raise UnreadableProofError("cannot parse %s: %s" % (path, exc)) from exc
+    with _in_file(path, UnreadableProofError):
+        return parse_drat(data)
 
 
 def _entries_from_dir(directory: Path):
@@ -308,10 +308,9 @@ def _entries_from_dir(directory: Path):
 def _entries_from_manifest(path: Path):
     entries = []
     base = path.parent
-    try:
-        text = _text(path.read_bytes())
-    except UnicodeDecodeError as exc:
-        raise FormatError("cannot decode %s: %s" % (path, exc)) from exc
+    data = path.read_bytes()
+    with _in_file(path):
+        text = _text(data)
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c") or line.startswith("p"):

@@ -4,18 +4,18 @@ Two refutations of formula+{x} and formula+{-x} merge into one refutation
 of formula by widening every clause of the first with -x, every clause of
 the second with x, and closing with the empty clause. The widened literal
 is appended last so each clause's first literal, the resolution pivot,
-survives the merge. Over a full cube set this is applied bottom-up,
-deepest tree level first, one merge at a time in a fixed order.
+survives the merge. Over a full cube set this is applied bottom-up in
+one post-order pass: each inner node merges right after both of its
+children, positive child first.
 """
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Union
 
-from .checker import STRICT, annotate_refutation, check_refutation, first_violation
+from .checker import KIND_RAT, STRICT, annotate_refutation, check_refutation, first_violation
 from .core import ADD, Clause, EMPTY_CLAUSE, Formula, ProofStep, Refutation
-from .formats import Cube, ProofBundle, parse_drat, write_drat
+from .formats import Cube, ProofBundle
 from .trimmer import trim
 
 
@@ -154,44 +154,6 @@ def average_clause_length(refutation: Refutation) -> float:
 
 
 @dataclass(frozen=True)
-class StitchJob:
-    depth: int
-    path: tuple  # decision literals from the root down to this node
-    var: int
-
-
-@dataclass(frozen=True)
-class StitchPlan:
-    """Inner nodes grouped by depth, deepest level first."""
-
-    levels: tuple
-
-    @property
-    def merges(self) -> int:
-        return sum(len(level) for level in self.levels)
-
-
-def build_plan(tree: CubeNode) -> StitchPlan:
-    jobs = []
-
-    def walk(node, path):
-        if isinstance(node, Leaf):
-            return
-        jobs.append(StitchJob(len(path), path, node.var))
-        walk(node.pos_child, path + (node.var,))
-        walk(node.neg_child, path + (-node.var,))
-
-    walk(tree, ())
-    by_depth = {}
-    for job in jobs:
-        by_depth.setdefault(job.depth, []).append(job)
-    levels = tuple(
-        tuple(sorted(by_depth[d], key=lambda j: j.path)) for d in sorted(by_depth, reverse=True)
-    )
-    return StitchPlan(levels)
-
-
-@dataclass(frozen=True)
 class StitchRecord:
     """What one merge did; handed to combine_all's observer."""
 
@@ -206,28 +168,6 @@ class StitchRecord:
     steps_after: int
     merge_seconds: float
     trim_seconds: float
-
-
-class SpillStore:
-    """Keeps intermediate refutations on disk instead of in memory."""
-
-    def __init__(self, directory, threshold_steps: int = 0):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.threshold_steps = threshold_steps
-
-    def put(self, path_key, refutation):
-        if len(refutation) < self.threshold_steps:
-            return refutation
-        name = "node%s.drat" % "".join("_%d" % l for l in path_key)
-        target = self.directory / (name if path_key else "node_root.drat")
-        target.write_text(write_drat(refutation))
-        return target
-
-    def get(self, stored):
-        if isinstance(stored, Refutation):
-            return stored
-        return parse_drat(stored.read_text())
 
 
 def _instance_at(formula, path):
@@ -255,14 +195,15 @@ def combine_all(
     validate: bool = True,
     mode: str = STRICT,
     on_record: Optional[Callable] = None,
-    spill: Optional[SpillStore] = None,
 ) -> Refutation:
     """Merge a whole cube tree into one refutation of the formula.
 
     cl_avg gates the per-merge trimming pass: -1 never trims, 0 trims
     after every merge, k > 0 trims when the merged proof's average
-    addition length exceeds k. Merges run one at a time, deepest level
-    first; spilling intermediates to disk does not change the output.
+    addition length exceeds k. With validate on, every leaf is checked
+    before any merge runs. Merges run one at a time in post order: each
+    inner node merges right after both of its children, positive child
+    first, and on_record sees each merge as it finishes.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
@@ -273,24 +214,14 @@ def combine_all(
                 _instance_at(formula, path), leaf.refutation, "cube %s" % leaf.cube.filename(), mode
             )
 
-    if isinstance(tree, Leaf):
-        return tree.refutation
-
-    results = {}
-    for leaf, path in _leaves(tree):
-        stored = leaf.refutation if spill is None else spill.put(path, leaf.refutation)
-        results[path] = stored
-
-    def fetch(path):
-        stored = results[path]
-        return stored if spill is None else spill.get(stored)
-
-    def run_job(job):
-        pos_ref = fetch(job.path + (job.var,))
-        neg_ref = fetch(job.path + (-job.var,))
-        instance = _instance_at(formula, job.path)
+    def merge(node, path):
+        if isinstance(node, Leaf):
+            return node.refutation
+        pos_ref = merge(node.pos_child, path + (node.var,))
+        neg_ref = merge(node.neg_child, path + (-node.var,))
+        instance = _instance_at(formula, path)
         t0 = time.perf_counter()
-        merged = stitch(instance, job.var, pos_ref, neg_ref, validate=False)
+        merged = stitch(instance, node.var, pos_ref, neg_ref, validate=False)
         merge_seconds = time.perf_counter() - t0
         total, count, average = _addition_lengths(merged)
         # integer comparison; cl_avg = 0 fires on anything with a literal
@@ -302,9 +233,9 @@ def combine_all(
             out, _ = trim(instance, merged)
             trim_seconds = time.perf_counter() - t1
         record = StitchRecord(
-            depth=job.depth,
-            path=job.path,
-            var=job.var,
+            depth=len(path),
+            path=path,
+            var=node.var,
             add_count=count,
             add_literal_total=total,
             average_clause_length=average,
@@ -314,17 +245,11 @@ def combine_all(
             merge_seconds=merge_seconds,
             trim_seconds=trim_seconds,
         )
-        return out, record
+        if on_record is not None:
+            on_record(record)
+        return out
 
-    for level in build_plan(tree).levels:
-        for job in level:
-            out, record = run_job(job)
-            del results[job.path + (job.var,)]
-            del results[job.path + (-job.var,)]
-            results[job.path] = out if spill is None else spill.put(job.path, out)
-            if on_record is not None:
-                on_record(record)
-    return fetch(())
+    return merge(tree, ())
 
 
 def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:
@@ -342,7 +267,7 @@ def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:
             % (report.failing_step, report.reason)
         )
     for sv in ann:
-        if sv.kind == "rat":
+        if sv.kind == KIND_RAT:
             raise RepairError(
                 "step %d needs a resolution check once deletions are dropped" % sv.index
             )

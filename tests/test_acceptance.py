@@ -28,6 +28,7 @@ from dratstitch import (
     build_cube_tree,
     check_refutation,
     combine_all,
+    cube_from_filename,
     gen_random_unsat,
     has_at,
     is_preserving,
@@ -287,36 +288,37 @@ def _cli_bundle(workdir, i):
     return out_dir
 
 
-def _cli_stitch(workdir, bundle_dir, out_name, *extra):
+def _cli_stitch(workdir, bundle_dir, out_name, proofs=None):
     out = workdir / out_name
     rc = cli_main(
         [
             "stitch",
             "--cnf", str(bundle_dir / "instance.cnf"),
-            "--proofs", str(bundle_dir),
+            "--proofs", str(proofs or bundle_dir),
             "-o", str(out),
             "--no-verify",
-            *extra,
         ]
     )
     assert rc == EXIT_OK
     return out
 
 
-def test_criterion_7_spill_determinism(workdir, capsys):
+def test_criterion_7_input_order_determinism(workdir, capsys):
     identical = 0
     for i in range(20):
         bundle_dir = _cli_bundle(workdir, i)
-        spill_dir = workdir / ("c7_%02d_spill" % i)
-        memory = _cli_stitch(workdir, bundle_dir, "c7_%02d_memory.drat" % i)
-        spilled = _cli_stitch(
-            workdir, bundle_dir, "c7_%02d_spilled.drat" % i,
-            "--spill-dir", str(spill_dir), "--spill-threshold", "0",
-        )
-        identical += memory.read_bytes() == spilled.read_bytes()
+        manifest = workdir / ("c7_%02d_reversed.icnf" % i)
+        lines = []
+        for proof in sorted(bundle_dir.glob("*.proof"), reverse=True):
+            lits = " ".join(str(l) for l in cube_from_filename(proof.name))
+            lines.append("a %s 0 %s/%s" % (lits, bundle_dir.name, proof.name))
+        manifest.write_text("\n".join(lines) + "\n")
+        from_dir = _cli_stitch(workdir, bundle_dir, "c7_%02d_dir.drat" % i)
+        from_manifest = _cli_stitch(workdir, bundle_dir, "c7_%02d_manifest.drat" % i, manifest)
+        identical += from_dir.read_bytes() == from_manifest.read_bytes()
     _verdict(
         capsys, 7, identical == 20,
-        "in-memory vs fully spilled outputs byte-identical on %d/20 seeded bundles" % identical,
+        "directory vs reversed-manifest outputs byte-identical on %d/20 seeded bundles" % identical,
     )
     assert identical == 20
 

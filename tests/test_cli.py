@@ -4,6 +4,7 @@ Every test drives main() directly with an argv list and inspects exit
 codes, stdout/stderr text, and the files left behind.
 """
 
+import shlex
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from dratstitch import (
     parse_drat,
     unsat_core,
 )
-from dratstitch.cli import EXIT_IO, EXIT_OK, EXIT_SEMANTIC, main
+from dratstitch.cli import EXIT_IO, EXIT_OK, EXIT_SEMANTIC, build_parser, main
 
 
 SQUARE_CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -172,6 +173,20 @@ def test_check_mode_flags_exclusive(tmp_path):
 def test_no_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_readme_command_lines_parse():
+    # documented flags must not drift from the parser
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = [line for line in block.splitlines() if line.startswith("dratstitch ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail("README command does not parse: %s" % line)
 
 
 # solve
@@ -441,22 +456,6 @@ def test_stitch_strip_deletions(tmp_path, capsys):
     assert "d " not in stripped.read_text()
     formula = parse_dimacs(Path(cnf).read_bytes()).formula
     assert check_refutation(formula, parse_drat(stripped.read_bytes()), mode=STRICT).valid
-
-
-def test_stitch_spill_dir_matches_memory(tmp_path, capsys):
-    fixture_dir = make_fixture(tmp_path)
-    plain = tmp_path / "plain.drat"
-    spilled = tmp_path / "spilled.drat"
-    spill_dir = tmp_path / "spill"
-    assert main(stitch_args(fixture_dir, plain)) == EXIT_OK
-    rc = main(
-        stitch_args(fixture_dir, spilled, "--spill-dir", str(spill_dir),
-                    "--spill-threshold", "0")
-    )
-    assert rc == EXIT_OK
-    capsys.readouterr()
-    assert plain.read_bytes() == spilled.read_bytes()
-    assert spill_dir.is_dir()
 
 
 def test_stitch_strict_mode_forwarded(tmp_path, capsys):

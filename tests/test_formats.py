@@ -254,8 +254,9 @@ def test_load_bundle_unparseable_proof(tmp_path):
     proofs = tmp_path / "proofs"
     proofs.mkdir()
     (proofs / "2.proof").write_text("1 ner 0\n")
-    with pytest.raises(UnreadableProofError):
+    with pytest.raises(NonIntegerTokenError) as info:
         load_bundle(cnf, proofs)
+    assert str(info.value) == "%s: bad token 'ner' in proof data" % (proofs / "2.proof")
 
 
 def test_load_bundle_undecodable_files_name_the_file(tmp_path):

@@ -23,17 +23,17 @@ from dratstitch import (
     ProofStep,
     Refutation,
     RepairError,
-    SpillStore,
     average_clause_length,
     build_cube_tree,
-    build_plan,
     check_refutation,
     combine_all,
     gen_random_unsat,
     is_preserving,
     parse_drat,
+    solve_drup,
     stitch,
     strip_deletions,
+    trim,
 )
 from dratstitch.checker import PERMISSIVE, STRICT
 
@@ -112,17 +112,6 @@ def test_build_cube_tree_inconsistent_decision_order():
 def test_build_cube_tree_empty_bundle():
     with pytest.raises(ValueError):
         build_cube_tree(bundle(SQUARE))
-
-
-def test_build_plan_levels_deepest_first():
-    tree = build_cube_tree(
-        bundle(SQUARE, entry((1,)), entry((-1, 2)), entry((-1, -2)))
-    )
-    plan = build_plan(tree)
-    assert plan.merges == 2
-    assert [lvl[0].depth for lvl in plan.levels] == [1, 0]
-    assert plan.levels[0][0].path == (-1,)
-    assert plan.levels[1][0].path == ()
 
 
 # --------------------------------------------------------------------- stitch
@@ -232,6 +221,63 @@ def test_average_clause_length_examples():
 # ---------------------------------------------------------------- combine_all
 
 
+def assert_post_order(tree, records):
+    """Each inner node is recorded once, after both children, positive child first."""
+    inner = []
+
+    def walk(node, path):
+        if isinstance(node, Inner):
+            inner.append((path, node.var))
+            walk(node.pos_child, path + (node.var,))
+            walk(node.neg_child, path + (-node.var,))
+
+    walk(tree, ())
+    assert sorted((r.path, r.var) for r in records) == sorted(inner)
+    order = {r.path: i for i, r in enumerate(records)}
+    for i, r in enumerate(records):
+        # the node's subtree is one block of records that ends at the node
+        below = [j for j, s in enumerate(records) if s.path[: len(r.path)] == r.path]
+        assert below == list(range(i - len(below) + 1, i + 1))
+        pos, neg = order.get(r.path + (r.var,)), order.get(r.path + (-r.var,))
+        if pos is not None and neg is not None:
+            assert pos < neg
+
+
+def test_combine_all_merges_in_post_order():
+    formula = gen_random_unsat(10, 5.0, seed=7)
+    tree = build_cube_tree(bundle_for(formula, 3, seed=7))
+    records = []
+    combine_all(formula, tree, on_record=records.append)
+    assert_post_order(tree, records)
+    assert [r.depth for r in records] == [2, 2, 1, 2, 2, 1, 0]
+
+
+def test_combine_all_unbalanced_tree_matches_hand_composition():
+    formula = gen_random_unsat(8, 5.0, seed=61)
+    cubes = [Cube((1,)), Cube((-1, 2)), Cube((-1, -2))]
+    proofs = []
+    for i, cube in enumerate(cubes):
+        sub = formula
+        for lit in cube:
+            sub = sub.add(Clause((lit,)))
+        proofs.append(solve_drup(sub, seed=i).refutation)
+    tree = build_cube_tree(
+        ProofBundle(formula, tuple(BundleEntry(c, p, c.filename()) for c, p in zip(cubes, proofs)))
+    )
+    p1, p2, p3 = proofs
+    negative = formula.add(Clause((-1,)))
+
+    inner = stitch(negative, 2, p2, p3)
+    assert combine_all(formula, tree, cl_avg=-1) == stitch(formula, 1, p1, inner)
+
+    records = []
+    got = combine_all(formula, tree, cl_avg=0, on_record=records.append)
+    assert [(r.path, r.trimmed) for r in records] == [((-1,), True), ((), True)]
+    inner, _ = trim(negative, inner)
+    root, _ = trim(formula, stitch(formula, 1, p1, inner))
+    assert got == root
+
+
 def test_combine_all_leaf_passthrough():
     proof = parse_drat("-1 0\n1 0\n0\n")
     got = combine_all(SQUARE, build_cube_tree(bundle(SQUARE, entry((), "-1 0\n1 0\n0\n"))))
@@ -282,10 +328,7 @@ def test_combine_all_records_follow_the_gate():
     for cl_avg in (-1, 0, 2, 10**6):
         records = []
         combine_all(formula, tree, cl_avg=cl_avg, on_record=records.append)
-        assert len(records) == 3
-        # deepest level first, sibling paths in sorted order
-        assert [r.depth for r in records] == [1, 1, 0]
-        assert records[0].path < records[1].path
+        assert_post_order(tree, records)
         for r in records:
             assert r.average_clause_length * r.add_count == pytest.approx(r.add_literal_total)
             if cl_avg < 0:
@@ -341,24 +384,6 @@ def test_combine_all_trust_mode_defers_to_final_check():
     tree = build_cube_tree(bundle(sat_side, entry((1,)), entry((-1,))))
     out = combine_all(sat_side, tree, validate=False)
     assert not check_refutation(sat_side, out, mode=STRICT).valid
-
-
-def test_combine_all_spill_store_matches_in_memory(tmp_path):
-    formula = gen_random_unsat(8, 5.0, seed=51)
-    tree = build_cube_tree(bundle_for(formula, 2, seed=51))
-    base = combine_all(formula, tree, cl_avg=0)
-    spill = SpillStore(tmp_path, threshold_steps=0)
-    spilled = combine_all(formula, tree, cl_avg=0, spill=spill)
-    assert spilled == base
-    assert list(tmp_path.glob("*.drat"))
-
-
-def test_combine_all_spill_threshold_keeps_small_proofs_in_memory(tmp_path):
-    spill = SpillStore(tmp_path, threshold_steps=10**6)
-    tree = build_cube_tree(bundle(SQUARE, entry((1,)), entry((-1,))))
-    out = combine_all(SQUARE, tree, spill=spill)
-    assert check_refutation(SQUARE, out, mode=STRICT).valid
-    assert not list(tmp_path.glob("*.drat"))
 
 
 # ------------------------------------------------------------ strip_deletions
