@@ -14,6 +14,15 @@ Deletions are applied as written, unit clauses included: this is
 ("operational DRAT"; Rebola-Pardo and Biere, "Two flavors of DRAT",
 POS 2018), so a proof that relies on a deleted unit staying in force
 is valid there and invalid here.
+
+A replay never builds its database in place. It copies an as-built
+database of the formula, kept from the previous replay of the same
+formula object, and adds one unit clause per cube literal before judging
+anything, so checking many sub-problems of one instance (formula plus a
+cube, as leaf validation does) indexes the instance once. The copy then
+recomputes its root closure from nothing, and every step is judged on
+it exactly as on a fresh build of the formula plus the cube's units:
+same clause ids, same closure, same verdicts and propagation counts.
 """
 
 import logging
@@ -65,6 +74,13 @@ class CheckReport:
     steps_checked: int = 0
     propagations: int = 0
     wall_time: float = 0.0
+
+    def failure_text(self) -> str:
+        """'invalid at step N (reason)', or 'invalid (reason)' when the
+        failure is not tied to a step, as with a missing empty clause."""
+        if self.failing_step is None:
+            return "invalid (%s)" % self.reason
+        return "invalid at step %d (%s)" % (self.failing_step, self.reason)
 
 
 @dataclass(frozen=True)
@@ -166,6 +182,31 @@ class _ClauseDb:
         for clause in self.mult:
             self._watch(clause, list(clause.literals))
         self._rebuild_closure()
+
+    def extended(self, cube, record=False):
+        """A new database over this one's clauses plus a unit per cube literal.
+
+        This database must be as built: no step applied, so its ids run in
+        the order of ``mult``. Its clauses and watches are copied, the
+        units go in as ``__init__`` would put them in (a new value gets the
+        next id, a present one a higher count), and the root closure is
+        computed afresh, so the copy equals a build over the formula plus
+        the units. Watch positions may differ; nothing depends on them.
+        """
+        db = type(self)(Formula(), record)  # empty clauses, closure and counts
+        db.mult = mult = self.mult.copy()
+        db.ids = self.ids.copy()
+        db.clauses = self.clauses.copy()
+        db.lits = [lits.copy() for lits in self.lits]
+        db.watches = {l: ws.copy() for l, ws in self.watches.items()}
+        for lit in cube:
+            unit = Clause((lit,))
+            count = mult.get(unit, 0)
+            mult[unit] = count + 1
+            if not count:
+                db._watch(unit, [lit])
+        db._rebuild_closure()
+        return db
 
     def _watch(self, clause, lits):
         """Give a new clause value the next id and watch lits[0] and lits[1]."""
@@ -477,11 +518,29 @@ def _apply_repeated_prefix(db, refutation, resume, annotations):
     return n
 
 
-def _replay(formula, refutation, mode, record, resume=None):
+_base = (None, None)  # (formula, its as-built database) of the last replay
+
+
+def _database(formula, cube, record):
+    """A fresh database for formula plus cube, copied from a kept base.
+
+    The base is rebuilt when the formula object differs from the last
+    one, or when ``_ClauseDb`` names another engine (tests swap in a
+    reference engine). It is only ever copied, never replayed on.
+    """
+    global _base
+    kept, base = _base
+    if kept is not formula or type(base) is not _ClauseDb:
+        base = _ClauseDb(formula)
+        _base = (formula, base)
+    return base.extended(cube, record)
+
+
+def _replay(formula, refutation, mode, record, resume=None, cube=()):
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     start = time.perf_counter()
-    db = _ClauseDb(formula, record=record)
+    db = _database(formula, cube, record)
     annotations = [] if record else None
     done = 0 if resume is None else _apply_repeated_prefix(db, refutation, resume, annotations)
 
@@ -528,7 +587,9 @@ def _replay(formula, refutation, mode, record, resume=None):
     return report(False, None, MISSING_EMPTY_CLAUSE, total), annotations
 
 
-def check_refutation(formula: Formula, refutation: Refutation, mode: str = PERMISSIVE) -> CheckReport:
+def check_refutation(
+    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, cube=()
+) -> CheckReport:
     """Replay a proof against the formula and judge it.
 
     Every addition must be an asymmetric tautology or, failing that, a
@@ -536,8 +597,15 @@ def check_refutation(formula: Formula, refutation: Refutation, mode: str = PERMI
     valid once an empty clause passes; anything after it is ignored.
     Deleting an absent clause fails in strict mode and is skipped with a
     warning in permissive mode.
+
+    cube is a sequence of literals. The proof is then judged against the
+    formula plus one unit clause per cube literal, the sub-problem a
+    divide-and-conquer solver refuted, with the same report as for that
+    formula built out: the database is a copy of the formula's, kept
+    from the last replay of the same formula object, with the units
+    added.
     """
-    rep, _ = _replay(formula, refutation, mode, record=False)
+    rep, _ = _replay(formula, refutation, mode, record=False, cube=cube)
     return rep
 
 

@@ -59,7 +59,11 @@ class Clause:
             raise ValueError("0 terminates clauses and is not a literal")
         if lit in self._set:
             return self
-        return Clause(self._order + (lit,))
+        # this clause's literals are already nonzero and distinct
+        out = Clause.__new__(Clause)
+        out._order = self._order + (lit,)
+        out._set = self._set | {lit}
+        return out
 
     def without(self, lit: Literal) -> "Clause":
         if lit not in self._set:

@@ -96,17 +96,16 @@ def _build(items, prefix):
     return Inner(var, _build(pos, prefix + (var,)), _build(neg, prefix + (-var,)))
 
 
-def _require_sub_proof(instance, proof, label, mode):
+def _require_sub_proof(formula, cube, proof, label, mode):
+    """The proof must be preserving and refute formula plus cube's units."""
     offender = first_violation(proof)
     if offender is not None:
         raise NonPreservingInputError(
             "%s: %r is deleted more often than added" % (label, offender)
         )
-    report = check_refutation(instance, proof, mode=mode)
+    report = check_refutation(formula, proof, mode=mode, cube=cube)
     if not report.valid:
-        raise InvalidSubProofError(
-            "%s: invalid at step %s (%s)" % (label, report.failing_step, report.reason)
-        )
+        raise InvalidSubProofError("%s: %s" % (label, report.failure_text()))
 
 
 def stitch(
@@ -126,8 +125,8 @@ def stitch(
     if decision == 0:
         raise ValueError("0 is not a decision literal")
     if validate:
-        _require_sub_proof(_instance_at(formula, (decision,)), pos_proof, "branch %d" % decision, mode)
-        _require_sub_proof(_instance_at(formula, (-decision,)), neg_proof, "branch %d" % -decision, mode)
+        _require_sub_proof(formula, (decision,), pos_proof, "branch %d" % decision, mode)
+        _require_sub_proof(formula, (-decision,), neg_proof, "branch %d" % -decision, mode)
     steps = []
     for step in pos_proof:
         steps.append(ProofStep(step.op, step.clause.with_literal(-decision)))
@@ -211,7 +210,7 @@ def combine_all(
     if validate:
         for leaf, path in _leaves(tree):
             _require_sub_proof(
-                _instance_at(formula, path), leaf.refutation, "cube %s" % leaf.cube.filename(), mode
+                formula, path, leaf.refutation, "cube %s" % leaf.cube.filename(), mode
             )
 
     def merge(node, path):
@@ -263,8 +262,7 @@ def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:
     report, ann = annotate_refutation(instance, stripped, mode=STRICT)
     if not report.valid:
         raise RepairError(
-            "proof no longer checks without deletions (step %s, %s)"
-            % (report.failing_step, report.reason)
+            "proof no longer checks without deletions: %s" % report.failure_text()
         )
     for sv in ann:
         if sv.kind == KIND_RAT:

@@ -54,9 +54,7 @@ class _Analysis:
     def __init__(self, formula, refutation, mode, resume=None):
         report, ann = annotate_refutation(formula, refutation, mode, resume=resume)
         if not report.valid:
-            raise InvalidProofError(
-                "input proof is invalid at step %s (%s)" % (report.failing_step, report.reason)
-            )
+            raise InvalidProofError("input proof is %s" % report.failure_text())
         self.replay = (report, ann)  # what a later replay can resume from
         self.ann = ann
 

@@ -155,6 +155,7 @@ class ReferenceClauseDb:
     """
 
     def __init__(self, formula: Formula, record: bool = False):
+        self.formula = formula
         self.record = record
         self.mult = dict(formula.counts())
         self.occ = {}  # literal -> {Clause: None}, an ordered set
@@ -169,6 +170,13 @@ class ReferenceClauseDb:
         for clause in self.mult:
             self._index(clause)
         self._rebuild_closure()
+
+    def extended(self, cube, record=False):
+        """A new engine built from scratch over the formula plus cube's units."""
+        formula = self.formula
+        for lit in cube:
+            formula = formula.add(Clause((lit,)))
+        return ReferenceClauseDb(formula, record)
 
     def _index(self, clause):
         for l in clause.literals:

@@ -361,6 +361,26 @@ def test_check_refutation_counts_propagations():
     assert rep.wall_time >= 0.0
 
 
+def test_failure_text_names_the_step_only_when_there_is_one():
+    missing = check_refutation(F((1,), (-1, 2)), parse_drat("2 0\n"))
+    assert missing.failure_text() == "invalid (missing-empty-clause)"
+    failing = check_refutation(F((1, 2),), parse_drat("0\n"))
+    assert failing.failure_text() == "invalid at step 1 (not-at)"
+
+
+def test_check_refutation_judges_against_the_cube_units():
+    square = F((1, 2), (1, -2), (-1, 2), (-1, -2))
+    half = F((1, 2), (1, -2))
+    # half is satisfiable; half plus {-1} conflicts at the root
+    assert not check_refutation(half, parse_drat("0\n")).valid
+    assert check_refutation(half, parse_drat("0\n"), cube=(-1,)).valid
+    assert not check_refutation(half, parse_drat("0\n"), cube=(1,)).valid
+    # a deletion of a cube unit is a deletion of a present clause
+    rep = check_refutation(square, parse_drat("d 1 0\n0\n"), mode=STRICT, cube=(1,))
+    assert (rep.valid, rep.failing_step, rep.reason) == (False, 2, NOT_AT)
+    assert check_refutation(square, parse_drat("d 1 0\n2 0\n0\n"), mode=STRICT, cube=(1,)).valid
+
+
 def test_check_refutation_from_dimacs_and_drat_text():
     cnf = parse_dimacs("p cnf 2 3\n1 2 0\n1 -2 0\n-1 0\n")
     rep = check_refutation(cnf.formula, parse_drat("1 0\n0\n"), mode=STRICT)

@@ -86,6 +86,33 @@ def test_check_missing_empty_clause(tmp_path, capsys):
     assert "reason=missing-empty-clause" in out
 
 
+def test_stitch_names_no_step_for_a_leaf_without_its_empty_clause(tmp_path, capsys):
+    cnf = write(tmp_path / "f.cnf", SQUARE_CNF)
+    proofs = tmp_path / "proofs"
+    proofs.mkdir()
+    write(proofs / "1.proof", "0\n")
+    write(proofs / "-1.proof", "2 0\n")
+    rc = main(["stitch", "--cnf", cnf, "--proofs", str(proofs), "-o", str(tmp_path / "o.drat")])
+    assert rc == EXIT_SEMANTIC
+    assert capsys.readouterr().err == "error: cube -1.proof: invalid (missing-empty-clause)\n"
+
+
+@pytest.mark.parametrize(
+    "cnf_text, proof_text, message",
+    [
+        (CONTRADICTION_CNF, "", "input proof is invalid (missing-empty-clause)"),
+        (SATISFIABLE_CNF, "0\n", "input proof is invalid at step 1 (not-at)"),
+    ],
+)
+def test_trim_of_an_invalid_proof_names_its_step_if_any(
+    tmp_path, capsys, cnf_text, proof_text, message
+):
+    cnf = write(tmp_path / "f.cnf", cnf_text)
+    drat = write(tmp_path / "p.drat", proof_text)
+    assert main(["trim", cnf, drat, "-o", str(tmp_path / "o.drat")]) == EXIT_SEMANTIC
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_check_missing_file_exits_two(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)
     assert main(["check", cnf, str(tmp_path / "nope.drat")]) == EXIT_IO

@@ -86,6 +86,24 @@ def test_with_literal_can_build_tautology():
     assert c.is_tautology()
 
 
+def test_with_literal_equals_a_clause_built_from_scratch():
+    rng = random.Random(12)
+    for _ in range(300):
+        c = Clause(rng.randint(1, 6) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8)))
+        lit = rng.randint(1, 7) * rng.choice((1, -1))
+        grown = c.with_literal(lit)
+        built = Clause(c.literals + (lit,))
+        assert grown.literals == built.literals
+        assert grown == built and hash(grown) == hash(built)
+        assert lit in grown and len(grown) == len(built)
+        if lit in c:
+            assert grown is c
+        # clauses widened twice stay equal to their from-scratch twins
+        again = grown.with_literal(-lit)
+        assert again.literals == Clause(built.literals + (-lit,)).literals
+        assert again == Clause(built.literals + (-lit,))
+
+
 def test_without():
     c = Clause((5, -2, 7))
     assert c.without(-2).literals == (5, 7)

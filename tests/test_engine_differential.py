@@ -5,8 +5,14 @@ once with tests/helpers.ReferenceClauseDb swapped in, and requires the
 same report (apart from wall time) and the same annotations, down to
 the order of used clauses and RAT neighbours and the literal order of
 every clause object handed out.
+
+Replays work on a copy of a kept database of their formula, extended by
+the units of a cube. The last section requires every such replay, in
+both engines, to equal a replay on a database built from scratch over
+the formula with the cube's units added.
 """
 
+import contextlib
 import dataclasses
 import random
 
@@ -31,6 +37,7 @@ from dratstitch import (
 )
 from dratstitch import checker
 from dratstitch.checker import PERMISSIVE, STRICT
+from dratstitch.stitcher import _instance_at
 
 from helpers import (
     ReferenceClauseDb,
@@ -64,13 +71,29 @@ def _replay(formula, proof, mode):
     )
 
 
+@contextlib.contextmanager
+def reference_engine(monkeypatch):
+    """Swap the reference engine in; yields the list of engines it builds."""
+    built = []
+    init = ReferenceClauseDb.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(checker, "_ClauseDb", ReferenceClauseDb)
+        m.setattr(ReferenceClauseDb, "__init__", counted)
+        yield built
+
+
 def assert_same_replay(monkeypatch, formula, proof):
     """Both engines give equal reports and annotations in both modes."""
     for mode in MODES:
         fast = _replay(formula, proof, mode)
-        with monkeypatch.context() as m:
-            m.setattr(checker, "_ClauseDb", ReferenceClauseDb)
+        with reference_engine(monkeypatch) as built:
             reference = _replay(formula, proof, mode)
+        assert len(built) >= 2, "the reference engine ran neither replay"
         assert fast == reference, (mode, proof)
     return fast[0]
 
@@ -155,9 +178,9 @@ def test_random_formulas_with_random_proofs_match_reference(monkeypatch):
         valid += report.valid
 
         fast = propagate_fixpoint(formula)
-        with monkeypatch.context() as m:
-            m.setattr(checker, "_ClauseDb", ReferenceClauseDb)
+        with reference_engine(monkeypatch) as built:
             reference = propagate_fixpoint(formula)
+        assert built
         assert fast == reference
     assert 0 < valid < 150
 
@@ -404,3 +427,192 @@ def test_resume_rejects_a_replay_of_another_formula():
     assert earlier[0].valid
     with pytest.raises(ValueError):
         annotate_refutation(F((1,), (-1,)), proof, mode=STRICT, resume=earlier)
+
+
+# Replays on copied databases: a replay copies the kept database of its
+# formula and adds the cube's units. Against a database built from
+# scratch over the formula plus those units it must give the same report,
+# propagation count included, and the same annotations, in both engines.
+
+
+def _no_time(report):
+    return dataclasses.replace(report, wall_time=0.0)
+
+
+def _built_from_scratch(formula, cube, record):
+    return checker._ClauseDb(_instance_at(formula, cube), record=record)
+
+
+def _cube_replays(formula, proof, cube, mode):
+    report = check_refutation(formula, proof, mode=mode, cube=cube)
+    annotated, ann = checker._replay(formula, proof, mode, record=True, cube=cube)
+    return _no_time(report), _no_time(annotated), _annotations(ann)
+
+
+def _fresh_cube_replays(monkeypatch, formula, proof, cube, mode):
+    with monkeypatch.context() as m:
+        m.setattr(checker, "_database", _built_from_scratch)
+        return _cube_replays(formula, proof, cube, mode)
+
+
+def assert_cube_replay_matches(monkeypatch, formula, proof, cube):
+    """Through a copy, in both engines and modes, a replay of proof against
+    formula plus the cube's units equals one on a fresh build."""
+    instance = _instance_at(formula, cube)
+    by_engine = []
+    for swap in (False, True):
+        with reference_engine(monkeypatch) if swap else contextlib.nullcontext() as built:
+            for mode in MODES:
+                copied = _cube_replays(formula, proof, cube, mode)
+                fresh = _fresh_cube_replays(monkeypatch, formula, proof, cube, mode)
+                assert copied == fresh, (swap, mode, cube, proof)
+                assert _no_time(check_refutation(instance, proof, mode=mode)) == fresh[0]
+                by_engine.append(copied)
+        assert built is None or built, "the reference engine was never built"
+    assert by_engine[:2] == by_engine[2:]
+    return by_engine[0][0]
+
+
+def _cubes(formula, rng):
+    """The empty cube and cubes that reach each way a unit can go in."""
+    variables = sorted(formula.variables())
+    new = max(variables, default=0) + 1
+    cubes = [(), (new,), (-new, new + 1)]  # variables the formula lacks
+    units = [c.literals[0] for c in formula.distinct() if len(c) == 1]
+    if units:
+        unit = rng.choice(units)
+        cubes.append((unit,))  # already a unit of the formula
+        cubes.append((-unit,))  # against a unit: a root conflict
+    if variables:
+        picked = rng.sample(variables, min(3, len(variables)))
+        cubes.append(tuple(v if rng.random() < 0.5 else -v for v in picked))
+        v = rng.choice(variables)
+        cubes.append((v, new, v))  # a literal twice
+        cubes.append((v, -v))
+    return cubes
+
+
+def _assert_cubes_match(monkeypatch, formula, proof, rng):
+    """Checks every cube of _cubes; returns the set of verdicts seen."""
+    seen = set()
+    for cube in _cubes(formula, rng):
+        report = assert_cube_replay_matches(monkeypatch, formula, proof, cube)
+        seen.add(report.valid)
+    return seen
+
+
+@pytest.mark.parametrize("case", range(len(HAND_CASES)))
+def test_cube_replays_of_hand_cases_match_fresh_builds(monkeypatch, case):
+    formula, proof = HAND_CASES[case]
+    _assert_cubes_match(monkeypatch, formula, proof, random.Random(case))
+
+
+def test_cube_replays_of_random_proofs_match_fresh_builds(monkeypatch):
+    rng = random.Random(41)
+    kinds = set()
+    for _, formula, proof in _random_proofs():
+        units = {c.literals[0] for c in formula.distinct() if len(c) == 1}
+        for cube in _cubes(formula, rng):
+            assert_cube_replay_matches(monkeypatch, formula, proof, cube)
+            if len(cube) == 1 and cube[0] in units:
+                kinds.add("unit present")
+            if len(cube) == 1 and -cube[0] in units:
+                kinds.add("root conflict")
+    assert kinds == {"unit present", "root conflict"}
+
+
+def test_cube_replays_of_fixture_bundles_match_fresh_builds(monkeypatch):
+    rng = random.Random(43)
+    for seed in (3, 7):
+        formula = gen_random_unsat(10, 5.0, seed=seed)
+        for entry in bundle_for(formula, 2, seed=seed).entries:
+            cube = entry.cube.literals
+            assert assert_cube_replay_matches(monkeypatch, formula, entry.refutation, cube).valid
+        entry = bundle_for(formula, 2, seed=seed).entries[0]
+        _assert_cubes_match(monkeypatch, formula, entry.refutation, rng)
+
+
+def test_cube_replays_of_stitched_trimmed_and_mutated_proofs_match_fresh_builds(monkeypatch):
+    rng = random.Random(47)
+    formula, combined = stitched_instance(2, num_vars=11, depth=3)
+    trimmed, _ = trim(formula, combined)
+    for proof in (combined, trimmed):
+        assert True in _assert_cubes_match(monkeypatch, formula, proof, rng)
+        for mutated in _mutations(formula, proof, rng).values():
+            cube = rng.choice(_cubes(formula, rng))
+            assert_cube_replay_matches(monkeypatch, formula, mutated, cube)
+
+
+def test_a_cube_unit_the_formula_has_leaves_with_its_last_deletion(monkeypatch):
+    # the copy holds {1} twice, once from the formula and once from the
+    # cube; after both deletions, {2, 1} is neither AT nor RAT
+    formula = F((1,), (-2, 3))
+    proof = P(("d", 1), ("d", 1), (2, 1), ())
+    for mode in MODES:
+        report = check_refutation(formula, proof, mode=mode, cube=(1,))
+        assert (report.valid, report.failing_step, report.reason) == (False, 3, "not-rat")
+    assert_cube_replay_matches(monkeypatch, formula, proof, (1,))
+
+
+def _database_state(db):
+    return (
+        list(db.mult.items()),
+        list(db.ids.items()),
+        list(db.clauses),
+        [list(lits) for lits in db.lits],
+        {l: list(ws) for l, ws in db.watches.items()},
+        dict(db.true_lits),
+        db.propagations,
+    )
+
+
+def test_copies_leave_the_kept_base_untouched(monkeypatch):
+    formula, combined = stitched_instance(1, num_vars=11, depth=3)
+    trimmed, _ = trim(formula, combined)
+    cube_a, cube_b = (3, -5), (-3,)
+    # deletions of cube units and of an input clause rebuild the copies'
+    # closures; the proof goes on as the stitched one
+    first = next(iter(formula.distinct()))
+    deleted = (Clause((3,)), Clause((-3,)), first)
+    rebuilding = Refutation([ProofStep(DELETE, c) for c in deleted] + list(combined))
+    other, other_proof = HAND_CASES[4]
+    runs = [
+        (formula, trimmed, cube_a),
+        (other, other_proof, ()),
+        (formula, trimmed, cube_b),
+        (formula, rebuilding, cube_a),
+        (other, other_proof, (2,)),
+        (formula, trimmed, cube_a),
+        (formula, combined, ()),
+        (formula, rebuilding, cube_b),
+        (formula, trimmed, cube_b),
+    ]
+    for swap in (False, True):
+        with reference_engine(monkeypatch) if swap else contextlib.nullcontext():
+            for mode in MODES:
+                for f, proof, cube in runs + runs[::-1]:
+                    fresh = _fresh_cube_replays(monkeypatch, f, proof, cube, mode)
+                    assert _cube_replays(f, proof, cube, mode) == fresh, (swap, mode, cube)
+
+    check_refutation(formula, trimmed, cube=cube_a)
+    kept, base = checker._base
+    assert kept is formula
+    before = _database_state(base)
+    for f, proof, cube in runs:
+        if f is formula:
+            for mode in MODES:
+                _cube_replays(f, proof, cube, mode)
+            assert checker._base[1] is base  # the same formula reuses its base
+    assert _database_state(base) == before
+
+
+def test_a_swapped_engine_does_not_reuse_the_kept_base(monkeypatch):
+    formula, proof = HAND_CASES[0]
+    check_refutation(formula, proof)
+    assert type(checker._base[1]) is checker._ClauseDb
+    with reference_engine(monkeypatch) as built:
+        check_refutation(formula, proof)
+        assert type(checker._base[1]) is ReferenceClauseDb
+    assert len(built) == 2  # the base, then its extension
+    check_refutation(formula, proof)
+    assert type(checker._base[1]) is checker._ClauseDb

@@ -35,6 +35,7 @@ from dratstitch import (
     strip_deletions,
     trim,
 )
+from dratstitch import stitcher
 from dratstitch.checker import PERMISSIVE, STRICT
 
 from helpers import bundle_for, random_clause
@@ -379,6 +380,32 @@ def test_combine_all_invalid_leaf_names_its_cube():
     assert "-1.proof" in str(info.value)
 
 
+def _spy_leaf_checks(monkeypatch):
+    calls = []
+    real = stitcher.check_refutation
+
+    def spy(formula, proof, mode=PERMISSIVE, *, cube=()):
+        calls.append((formula, tuple(cube), mode))
+        return real(formula, proof, mode=mode, cube=cube)
+
+    monkeypatch.setattr(stitcher, "check_refutation", spy)
+    return calls
+
+
+def test_leaf_checks_pass_their_cube_against_the_shared_instance(monkeypatch):
+    formula = gen_random_unsat(10, 5.0, seed=3)
+    fixture = bundle_for(formula, 2, seed=3)
+    calls = _spy_leaf_checks(monkeypatch)
+    combine_all(formula, build_cube_tree(fixture), mode=PERMISSIVE)
+    assert all(f is formula and mode == PERMISSIVE for f, _, mode in calls)
+    assert sorted(cube for _, cube, _ in calls) == sorted(e.cube.literals for e in fixture.entries)
+
+    del calls[:]
+    stitch(SQUARE, 2, EMPTY_PROOF, EMPTY_PROOF)
+    assert calls == [(SQUARE, (2,), STRICT), (SQUARE, (-2,), STRICT)]
+    assert all(f is SQUARE for f, _, _ in calls)
+
+
 def test_combine_all_trust_mode_defers_to_final_check():
     sat_side = Formula((Clause((-1,)), Clause((2, 3)), Clause((-2, 3))))
     tree = build_cube_tree(bundle(sat_side, entry((1,)), entry((-1,))))
@@ -409,6 +436,15 @@ def test_strip_deletions_rejects_load_bearing_deletes():
     assert check_refutation(formula, proof, mode=STRICT).valid
     with pytest.raises(RepairError):
         strip_deletions(formula, proof)
+
+
+def test_strip_deletions_names_no_step_when_the_empty_clause_is_missing():
+    proof = parse_drat("-1 0\nd 1 2 0\n")
+    with pytest.raises(RepairError) as info:
+        strip_deletions(SQUARE, proof)
+    assert str(info.value) == (
+        "proof no longer checks without deletions: invalid (missing-empty-clause)"
+    )
 
 
 def test_strip_deletions_rejects_resolution_steps():
