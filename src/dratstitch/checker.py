@@ -94,6 +94,8 @@ class StepVerdict:
     applied: bool  # deletions only: whether a clause instance was removed
     used: tuple  # clause values consumed by the conflict derivations
     rat_neighbors: tuple  # alive values containing the negated pivot
+    clause_id: Optional[int] = None  # applied additions: the value's id after it
+    used_ids: tuple = ()  # the ids of the values in used, in the same order
 
 
 def propagate_step(formula: Formula, lit: int) -> Formula:
@@ -564,9 +566,16 @@ def _replay(formula, refutation, mode, record, resume=None, cube=()):
             if not ok and len(clause) > 0:
                 kind = KIND_RAT
                 ok, used, neighbors = db.rat_check(clause, clause.pivot)
+            added = ok and len(clause) > 0
+            if added:
+                db.add(clause)
             if record:
+                ids = db.ids
+                used = tuple(used or ())
+                cid = ids[clause] if added else None
+                used_ids = tuple(ids[c] for c in used)
                 annotations.append(
-                    StepVerdict(i, ADD, clause, kind, True, tuple(used or ()), neighbors)
+                    StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
                 )
             if not ok:
                 rep = report(False, i, NOT_AT if len(clause) == 0 else NOT_RAT, i)
@@ -575,7 +584,6 @@ def _replay(formula, refutation, mode, record, resume=None, cube=()):
                 if i < total:
                     log.warning("empty clause at step %d; ignoring %d trailing steps", i, total - i)
                 return report(True, checked=i), annotations
-            db.add(clause)
         else:
             applied = db.remove(clause)
             if record:
@@ -625,6 +633,11 @@ def annotate_refutation(
     nothing to remove shows that resume came from another formula, and
     raises ValueError. With resume, the report's propagations count only
     the propagations this call performed.
+
+    Annotations also name clauses by id. A value gets the next id when
+    its count goes from 0 to 1, the formula's in formula order first, so
+    ids below ``len(formula.counts())`` are formula clauses; it keeps the
+    id until its count is 0 again. A resumed replay issues the same ids.
     """
     rep, annotations = _replay(formula, refutation, mode, record=True, resume=resume)
     return rep, tuple(annotations)

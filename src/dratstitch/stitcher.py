@@ -218,9 +218,8 @@ def combine_all(
             return node.refutation
         pos_ref = merge(node.pos_child, path + (node.var,))
         neg_ref = merge(node.neg_child, path + (-node.var,))
-        instance = _instance_at(formula, path)
         t0 = time.perf_counter()
-        merged = stitch(instance, node.var, pos_ref, neg_ref, validate=False)
+        merged = stitch(formula, node.var, pos_ref, neg_ref, validate=False)
         merge_seconds = time.perf_counter() - t0
         total, count, average = _addition_lengths(merged)
         # integer comparison; cl_avg = 0 fires on anything with a literal
@@ -228,6 +227,7 @@ def combine_all(
         trim_seconds = 0.0
         out = merged
         if wants_trim:
+            instance = _instance_at(formula, path)
             t1 = time.perf_counter()
             out, _ = trim(instance, merged)
             trim_seconds = time.perf_counter() - t1

@@ -3,14 +3,27 @@
 A forward replay records which clauses each conflict derivation consumed;
 a backward sweep from the final empty clause then marks the additions
 actually needed, and everything unmarked is dropped. Marking is iterated
-until the kept additions are a fixpoint (the add multiset shrinks
-monotonically, so this terminates), which is what makes trimming
+until the output is a fixpoint (each candidate is a subsequence of the
+proof it came from, so this terminates), which is what makes trimming
 idempotent rather than merely shrinking.
 
+Uses are charged to the checker's clause ids. A value holds one id from
+the moment its count leaves 0 until it is 0 again, and deletions remove
+the youngest instance first, so the id names the oldest live instance:
+the one a use keeps alive. An id below the formula's distinct clause
+count is a formula clause, and any other id was issued by the first
+addition that carries it, which is the addition a use of it marks. The
+core is the formula clauses that marked steps used, in formula order.
+
 Steps that passed only the resolution check are handled conservatively:
-deleting clauses can enlarge the set of resolution obligations, so in
-that case every applied deletion, and every addition of a deleted
-clause, is kept.
+deleting clauses can enlarge the set of resolution obligations, so when
+an analysis has such a step, every applied deletion, and every addition
+of a deleted clause, is kept, and every formula copy of a deleted clause
+counts in the core. A marked RAT step used every live copy of each
+neighbour, so it marks every earlier addition of a neighbour value and
+puts every formula copy of it in the core. Each analysis decides for
+itself: when the fixpoint drops the last RAT step, the next candidate
+keeps only marked additions, so trimming a RAT proof is idempotent too.
 
 Every candidate after the input is replayed in strict mode, so the last
 analysis of the fixpoint is also the strict re-check of the output. A
@@ -21,7 +34,6 @@ judged strictly.
 """
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
@@ -49,7 +61,7 @@ class TrimReport:
 
 
 class _Analysis:
-    """One replay of a valid proof with per-step dependency attribution."""
+    """One replay of a valid proof, its uses charged to the engine's clause ids."""
 
     def __init__(self, formula, refutation, mode, resume=None):
         report, ann = annotate_refutation(formula, refutation, mode, resume=resume)
@@ -57,85 +69,45 @@ class _Analysis:
             raise InvalidProofError("input proof is %s" % report.failure_text())
         self.replay = (report, ann)  # what a later replay can resume from
         self.ann = ann
-
-        # Replay the clause multiset structurally, giving every clause
-        # instance an id so dependencies can be attributed to the oldest
-        # alive instance of each value.
-        alive = {}  # clause value -> [instance ids], oldest first
-        inst_clause = {}
-        next_id = 0
-        self.phi_ids = {}  # clause value -> ids of original instances
-        for clause, k in formula.counts():
-            for _ in range(k):
-                alive.setdefault(clause, []).append(next_id)
-                inst_clause[next_id] = clause
-                self.phi_ids.setdefault(clause, []).append(next_id)
-                next_id += 1
-        self.n_phi = next_id
-
-        self.deps = {}  # add step index -> instance ids its checks consumed
-        self.uses = {}  # instance id -> [add step indices that consumed it]
-        self.birth = {}  # instance id (added) -> add step index
-        self.any_rat = False
-        self.applied_delete_values = set()
-
-        for sv in ann:
-            if sv.op == ADD:
-                dep_ids = []
-                for value in sv.used:
-                    ids = alive.get(value)
-                    assert ids, "checker used a dead clause value"
-                    dep_ids.append(ids[0])
-                if sv.kind == KIND_RAT:
-                    self.any_rat = True
-                    for value in sv.rat_neighbors:
-                        dep_ids.extend(alive.get(value, ()))
-                deps = []
-                seen = set()
-                for iid in dep_ids:
-                    if iid not in seen:
-                        seen.add(iid)
-                        deps.append(iid)
-                        self.uses.setdefault(iid, []).append(sv.index)
-                self.deps[sv.index] = deps
-                alive.setdefault(sv.clause, []).append(next_id)
-                inst_clause[next_id] = sv.clause
-                self.birth[next_id] = sv.index
-                next_id += 1
-            elif sv.applied:
-                alive[sv.clause].pop()  # youngest instance dies first
-                self.applied_delete_values.add(sv.clause)
-
-        self.inst_clause = inst_clause
-        self._mark()
-
-    def _mark(self):
-        final = self.ann[-1]
+        self.formula = formula
+        self.n_formula = len(formula.counts())  # ids below this are formula clauses
+        final = ann[-1]
         assert final.op == ADD and len(final.clause) == 0
         self.final_index = final.index
-        marked_steps = {final.index}
-        marked_instances = set()
 
+        self.born = born = {}  # clause id -> the first addition carrying it
+        adds = {}  # clause value -> indices of its additions
+        deleted = set()  # values with an applied deletion
+        for sv in ann:
+            if sv.op == ADD:
+                born.setdefault(sv.clause_id, sv)
+                adds.setdefault(sv.clause, []).append(sv.index)
+            elif sv.applied:
+                deleted.add(sv.clause)
+        self.any_rat = any(sv.kind == KIND_RAT for sv in ann)
+
+        self.marked_steps = marked = {final.index}
+        self.last_use = last_use = {}  # marked clause id -> its last marked use
+        self.whole = whole = set()  # values with every formula copy in the core
         if self.any_rat:
             # deletions stay, so additions of deleted values must stay too
-            for sv in self.ann:
-                if sv.op == ADD and sv.clause in self.applied_delete_values:
-                    marked_steps.add(sv.index)
-            for value in self.applied_delete_values:
-                marked_instances.update(self.phi_ids.get(value, ()))
+            for value in deleted:
+                marked.update(adds.get(value, ()))
+            whole |= deleted
 
-        for sv in reversed(self.ann):
-            if sv.op != ADD or sv.index not in marked_steps:
+        for sv in reversed(ann):
+            if sv.op != ADD or sv.index not in marked:
                 continue
-            for iid in self.deps[sv.index]:
-                if iid in marked_instances:
-                    continue
-                marked_instances.add(iid)
-                if iid >= self.n_phi:
-                    marked_steps.add(self.birth[iid])
-
-        self.marked_steps = marked_steps
-        self.marked_instances = marked_instances
+            for cid in sv.used_ids:
+                if cid not in last_use:
+                    last_use[cid] = sv.index
+                    if cid >= self.n_formula:
+                        marked.add(born[cid].index)
+            if sv.kind == KIND_RAT:
+                # the check used every live copy of each neighbour
+                for value in sv.rat_neighbors:
+                    whole.add(value)
+                    marked.update(i for i in adds.get(value, ()) if i < sv.index)
 
     def marked_adds(self):
         return [
@@ -155,37 +127,37 @@ class _Analysis:
                 out.append(ProofStep(DELETE, sv.clause))
         return out
 
+    def emit(self):
+        """The next fixpoint candidate: kept_steps with RAT steps, else marked_adds."""
+        return self.kept_steps() if self.any_rat else self.marked_adds()
+
     def with_deletions(self):
         """Marked adds interleaved with one deletion per kept non-original
         clause, placed right after its last marked use; None when there is
         nothing to delete."""
-        events = []
-        for sv in self.ann:
-            if sv.op == ADD and sv.index in self.marked_steps:
-                events.append((sv.index, 0, 0, ProofStep(ADD, sv.clause)))
-        count = 0
-        for iid in sorted(self.marked_instances):
-            if iid < self.n_phi:
-                continue
-            last = max(
-                (u for u in self.uses.get(iid, ()) if u in self.marked_steps),
-                default=None,
-            )
-            if last is None or last >= self.final_index:
-                continue  # deleting after the final empty clause is dead weight
-            events.append((last, 1, iid, ProofStep(DELETE, self.inst_clause[iid])))
-            count += 1
-        if not count:
+        deletions = [
+            (last, 1, cid, ProofStep(DELETE, self.born[cid].clause))
+            for cid, last in self.last_use.items()
+            # deleting after the final empty clause is dead weight
+            if cid >= self.n_formula and last < self.final_index
+        ]
+        if not deletions:
             return None
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
+        events = deletions + [
+            (sv.index, 0, 0, ProofStep(ADD, sv.clause))
+            for sv in self.ann
+            if sv.op == ADD and sv.index in self.marked_steps
+        ]
+        events.sort(key=lambda e: e[:3])
         return [step for *_, step in events]
 
     def core(self) -> Formula:
-        counts = Counter()
-        for iid in self.marked_instances:
-            if iid < self.n_phi:
-                counts[self.inst_clause[iid]] += 1
-        return Formula.from_counts(counts.items())
+        """The formula clauses the marked steps used, in formula order."""
+        return Formula.from_counts(
+            (clause, k if clause in self.whole else 1)
+            for cid, (clause, k) in enumerate(self.formula.counts())
+            if clause in self.whole or cid in self.last_use
+        )
 
 
 def _reanalyze(formula, steps, previous):
@@ -206,11 +178,10 @@ def _converge(formula, refutation, mode, resynthesize, input_bytes):
     input_steps = len(refutation)
 
     analysis = _Analysis(formula, refutation, mode)
-    emit = _Analysis.kept_steps if analysis.any_rat else _Analysis.marked_adds
-    steps = emit(analysis)
+    steps = analysis.emit()
     while True:
         analysis = _reanalyze(formula, steps, analysis)
-        again = emit(analysis)
+        again = analysis.emit()
         if again == steps:
             break
         steps = again

@@ -7,20 +7,31 @@ have slow, obviously-correct references that the fast library code can
 be compared against.
 """
 
+import functools
 import itertools
+import random
 from collections import Counter
 
 from dratstitch import (
+    ADD,
+    DELETE,
     BundleEntry,
     Clause,
+    EMPTY_CLAUSE,
     Formula,
     ProofBundle,
+    ProofStep,
+    Refutation,
     build_cube_tree,
     combine_all,
     gen_random_unsat,
+    has_at,
+    has_rat,
     solve_drup,
     split,
 )
+from dratstitch.checker import KIND_RAT, annotate_refutation
+from dratstitch.trimmer import InvalidProofError
 
 
 def all_assignments(variables):
@@ -124,6 +135,27 @@ def random_formula(rng, num_vars, num_clauses, max_width=3):
     return Formula(clauses)
 
 
+def random_proofs():
+    """150 random formulas, each with a random proof and the rng that drew it.
+
+    The proofs are mostly invalid: random lemmas and deletions."""
+    for i in range(150):
+        rng = random.Random(7000 + i)
+        num_vars = rng.randint(3, 9)
+        formula = random_formula(rng, num_vars, rng.randint(2, 4 * num_vars))
+        alive = list(formula.distinct())
+        steps = []
+        for _ in range(rng.randint(0, 12)):
+            if alive and rng.random() < 0.3:
+                steps.append(ProofStep(DELETE, rng.choice(alive)))
+            else:
+                lemma = random_clause(rng, num_vars, rng.randint(1, 3))
+                steps.append(ProofStep(ADD, lemma))
+                alive.append(lemma)
+        steps.append(ProofStep(ADD, EMPTY_CLAUSE))
+        yield rng, formula, Refutation(steps)
+
+
 def bundle_for(formula, depth, seed=0):
     """Split the formula and refute every cube with the bundled solver."""
     entries = []
@@ -158,6 +190,8 @@ class ReferenceClauseDb:
         self.formula = formula
         self.record = record
         self.mult = dict(formula.counts())
+        self.ids = {}  # alive clause value -> id, issued when its count leaves 0
+        self.issued = 0
         self.occ = {}  # literal -> {Clause: None}, an ordered set
         self.true_lits = {}  # true literal -> None, ordered
         self.reason = {}  # true literal -> Clause | None (None: assumption)
@@ -179,10 +213,13 @@ class ReferenceClauseDb:
         return ReferenceClauseDb(formula, record)
 
     def _index(self, clause):
+        self.ids[clause] = self.issued
+        self.issued += 1
         for l in clause.literals:
             self.occ.setdefault(l, {})[clause] = None
 
     def _unindex(self, clause):
+        del self.ids[clause]
         for l in clause.literals:
             del self.occ[l][clause]
 
@@ -377,3 +414,207 @@ class ReferenceClauseDb:
         if self.root_conflict or len(clause) <= 1 or clause in self.reason_refs:
             self._rebuild_closure()
         return True
+
+
+class ReferenceAnalysis:
+    """The trimmer's analysis as it was before it charged uses to engine ids.
+
+    It replays the clause multiset a second time, numbering every clause
+    instance, and charges each use to the oldest alive instance of its
+    value, deleting the youngest first. Kept as the reference for the
+    trim differential tests: they swap it in for trimmer._Analysis and
+    require the same trimmed bytes and the same core multiset.
+    """
+
+    def __init__(self, formula, refutation, mode, resume=None):
+        report, ann = annotate_refutation(formula, refutation, mode, resume=resume)
+        if not report.valid:
+            raise InvalidProofError("input proof is %s" % report.failure_text())
+        self.replay = (report, ann)  # what a later replay can resume from
+        self.ann = ann
+
+        # Replay the clause multiset structurally, giving every clause
+        # instance an id so dependencies can be attributed to the oldest
+        # alive instance of each value.
+        alive = {}  # clause value -> [instance ids], oldest first
+        inst_clause = {}
+        next_id = 0
+        self.phi_ids = {}  # clause value -> ids of original instances
+        for clause, k in formula.counts():
+            for _ in range(k):
+                alive.setdefault(clause, []).append(next_id)
+                inst_clause[next_id] = clause
+                self.phi_ids.setdefault(clause, []).append(next_id)
+                next_id += 1
+        self.n_phi = next_id
+
+        self.deps = {}  # add step index -> instance ids its checks consumed
+        self.uses = {}  # instance id -> [add step indices that consumed it]
+        self.birth = {}  # instance id (added) -> add step index
+        self.any_rat = False
+        self.applied_delete_values = set()
+
+        for sv in ann:
+            if sv.op == ADD:
+                dep_ids = []
+                for value in sv.used:
+                    ids = alive.get(value)
+                    assert ids, "checker used a dead clause value"
+                    dep_ids.append(ids[0])
+                if sv.kind == KIND_RAT:
+                    self.any_rat = True
+                    for value in sv.rat_neighbors:
+                        dep_ids.extend(alive.get(value, ()))
+                deps = []
+                seen = set()
+                for iid in dep_ids:
+                    if iid not in seen:
+                        seen.add(iid)
+                        deps.append(iid)
+                        self.uses.setdefault(iid, []).append(sv.index)
+                self.deps[sv.index] = deps
+                alive.setdefault(sv.clause, []).append(next_id)
+                inst_clause[next_id] = sv.clause
+                self.birth[next_id] = sv.index
+                next_id += 1
+            elif sv.applied:
+                alive[sv.clause].pop()  # youngest instance dies first
+                self.applied_delete_values.add(sv.clause)
+
+        self.inst_clause = inst_clause
+        self._mark()
+
+    def _mark(self):
+        final = self.ann[-1]
+        assert final.op == ADD and len(final.clause) == 0
+        self.final_index = final.index
+        marked_steps = {final.index}
+        marked_instances = set()
+
+        if self.any_rat:
+            # deletions stay, so additions of deleted values must stay too
+            for sv in self.ann:
+                if sv.op == ADD and sv.clause in self.applied_delete_values:
+                    marked_steps.add(sv.index)
+            for value in self.applied_delete_values:
+                marked_instances.update(self.phi_ids.get(value, ()))
+
+        for sv in reversed(self.ann):
+            if sv.op != ADD or sv.index not in marked_steps:
+                continue
+            for iid in self.deps[sv.index]:
+                if iid in marked_instances:
+                    continue
+                marked_instances.add(iid)
+                if iid >= self.n_phi:
+                    marked_steps.add(self.birth[iid])
+
+        self.marked_steps = marked_steps
+        self.marked_instances = marked_instances
+
+    def marked_adds(self):
+        return [
+            ProofStep(ADD, sv.clause)
+            for sv in self.ann
+            if sv.op == ADD and sv.index in self.marked_steps
+        ]
+
+    def kept_steps(self):
+        """RAT-conservative output: marked adds plus all applied deletions."""
+        out = []
+        for sv in self.ann:
+            if sv.op == ADD:
+                if sv.index in self.marked_steps:
+                    out.append(ProofStep(ADD, sv.clause))
+            elif sv.applied:
+                out.append(ProofStep(DELETE, sv.clause))
+        return out
+
+    def emit(self):
+        """The next fixpoint candidate: kept_steps with RAT steps, else marked_adds."""
+        return self.kept_steps() if self.any_rat else self.marked_adds()
+
+    def with_deletions(self):
+        """Marked adds interleaved with one deletion per kept non-original
+        clause, placed right after its last marked use; None when there is
+        nothing to delete."""
+        events = []
+        for sv in self.ann:
+            if sv.op == ADD and sv.index in self.marked_steps:
+                events.append((sv.index, 0, 0, ProofStep(ADD, sv.clause)))
+        count = 0
+        for iid in sorted(self.marked_instances):
+            if iid < self.n_phi:
+                continue
+            last = max(
+                (u for u in self.uses.get(iid, ()) if u in self.marked_steps),
+                default=None,
+            )
+            if last is None or last >= self.final_index:
+                continue  # deleting after the final empty clause is dead weight
+            events.append((last, 1, iid, ProofStep(DELETE, self.inst_clause[iid])))
+            count += 1
+        if not count:
+            return None
+        events.sort(key=lambda e: (e[0], e[1], e[2]))
+        return [step for *_, step in events]
+
+    def core(self) -> Formula:
+        counts = Counter()
+        for iid in self.marked_instances:
+            if iid < self.n_phi:
+                counts[self.inst_clause[iid]] += 1
+        return Formula.from_counts(counts.items())
+
+
+def rat_proof(seed):
+    """A seeded unsat formula with duplicate clauses and a valid refutation
+    of it that has RAT lemmas, re-added lemmas and deletions.
+
+    The formula is a gen_random_unsat instance with a few clauses doubled.
+    The proof opens with random lemmas over its variables and two extra
+    ones, each kept only if it is AT or RAT on its first literal, mixed
+    with re-additions of live lemmas and with deletions, each kept only
+    if solve_drup still refutes what is left. A solve_drup refutation of
+    the final database closes it. Returns (formula, refutation).
+    """
+    rng = random.Random(seed)
+    num_vars = rng.randint(4, 7)
+    base = gen_random_unsat(num_vars, 5.0, seed=seed)
+    distinct = list(base.distinct())
+    formula = Formula(list(base) + rng.sample(distinct, rng.randint(1, 3)))
+    db = formula
+    lemmas = []  # alive lemma values, one entry per instance
+    steps = []
+    for _ in range(rng.randint(4, 12)):
+        r = rng.random()
+        if r < 0.5:
+            lemma = random_clause(rng, num_vars + 2, rng.randint(1, 3))
+            if rng.random() < 0.5:
+                extra = rng.choice((num_vars + 1, num_vars + 2))
+                lemma = Clause((rng.choice((extra, -extra)),) + lemma.literals)
+            if not (has_at(db, lemma) or has_rat(db, lemma, lemma.pivot)):
+                continue
+        elif r < 0.65 and lemmas:
+            lemma = rng.choice(lemmas)
+        else:
+            victim = rng.choice(list(db))
+            rest = db.remove(victim)
+            if solve_drup(rest, seed=seed).sat:
+                continue
+            steps.append(ProofStep(DELETE, victim))
+            if victim in lemmas:
+                lemmas.remove(victim)
+            db = rest
+            continue
+        steps.append(ProofStep(ADD, lemma))
+        lemmas.append(lemma)
+        db = db.add(lemma)
+    steps.extend(solve_drup(db, seed=seed).refutation)
+    return formula, Refutation(steps)
+
+
+@functools.lru_cache(maxsize=None)
+def rat_corpus():
+    """rat_proof for seeds 0 to 399, built once and shared by the tests."""
+    return tuple(rat_proof(seed) for seed in range(400))

@@ -564,6 +564,17 @@ def test_trim_no_deletions_flag(tmp_path, capsys):
     assert check_refutation(formula, parse_drat(out.read_bytes()), mode=STRICT).valid
 
 
+def test_trim_of_a_rat_proof_whose_deleted_lemma_goes_unused(tmp_path, capsys):
+    # {5, 6} is the only RAT step; once it is gone, so are {2, 3} and its deletion
+    cnf = write(tmp_path / "f.cnf", "p cnf 3 4\n1 2 0\n1 -2 0\n-1 3 0\n-1 -3 0\n")
+    drat = write(tmp_path / "p.drat", "5 6 0\n2 3 0\nd 2 3 0\n1 0\n0\n")
+    out = tmp_path / "trimmed.drat"
+    assert main(["trim", cnf, drat, "-o", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("input_steps=5 output_steps=2 ")
+    formula = parse_dimacs(Path(cnf).read_bytes()).formula
+    assert check_refutation(formula, parse_drat(out.read_bytes()), mode=STRICT).valid
+
+
 def test_trim_invalid_proof_exits_one(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", SATISFIABLE_CNF)
     drat = write(tmp_path / "p.drat", "0\n")

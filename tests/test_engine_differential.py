@@ -22,7 +22,6 @@ from dratstitch import (
     ADD,
     DELETE,
     Clause,
-    EMPTY_CLAUSE,
     Formula,
     ProofStep,
     Refutation,
@@ -42,8 +41,8 @@ from dratstitch.stitcher import _instance_at
 from helpers import (
     ReferenceClauseDb,
     bundle_for,
-    random_clause,
-    random_formula,
+    random_proofs,
+    rat_corpus,
     stitched_instance,
 )
 
@@ -56,7 +55,17 @@ def _lits(clauses):
 
 def _annotations(ann):
     return tuple(
-        (sv.index, sv.op, sv.clause.literals, sv.kind, sv.applied, _lits(sv.used), _lits(sv.rat_neighbors))
+        (
+            sv.index,
+            sv.op,
+            sv.clause.literals,
+            sv.kind,
+            sv.applied,
+            _lits(sv.used),
+            _lits(sv.rat_neighbors),
+            sv.clause_id,
+            sv.used_ids,
+        )
         for sv in ann
     )
 
@@ -150,30 +159,9 @@ def test_cli_fixture_bundles_match_reference(monkeypatch):
             assert assert_same_replay(monkeypatch, sub, entry.refutation).valid
 
 
-def _random_proofs():
-    """150 random formulas, each with a random proof and the rng that drew it.
-
-    The proofs are mostly invalid: random lemmas and deletions."""
-    for i in range(150):
-        rng = random.Random(7000 + i)
-        num_vars = rng.randint(3, 9)
-        formula = random_formula(rng, num_vars, rng.randint(2, 4 * num_vars))
-        alive = list(formula.distinct())
-        steps = []
-        for _ in range(rng.randint(0, 12)):
-            if alive and rng.random() < 0.3:
-                steps.append(ProofStep(DELETE, rng.choice(alive)))
-            else:
-                lemma = random_clause(rng, num_vars, rng.randint(1, 3))
-                steps.append(ProofStep(ADD, lemma))
-                alive.append(lemma)
-        steps.append(ProofStep(ADD, EMPTY_CLAUSE))
-        yield rng, formula, Refutation(steps)
-
-
 def test_random_formulas_with_random_proofs_match_reference(monkeypatch):
     valid = 0
-    for _, formula, proof in _random_proofs():
+    for _, formula, proof in random_proofs():
         report = assert_same_replay(monkeypatch, formula, proof)
         valid += report.valid
 
@@ -190,8 +178,22 @@ def test_stitched_and_trimmed_proofs_match_reference(monkeypatch, cl_avg):
     for seed in (1, 2):
         formula, combined = stitched_instance(seed, num_vars=11, depth=3, cl_avg=cl_avg)
         assert assert_same_replay(monkeypatch, formula, combined).valid
-        trimmed, _ = trim(formula, combined)  # trimmed proofs carry deletions
+        # these trims carry no deletions; test_rat_proofs_match_reference
+        # drives the delete path
+        trimmed, _ = trim(formula, combined)
         assert assert_same_replay(monkeypatch, formula, trimmed).valid
+
+
+def test_rat_proofs_match_reference(monkeypatch):
+    # RAT lemmas, duplicate clauses, re-added lemmas and deletions, and
+    # the trims of them
+    kinds = set()
+    for formula, proof in rat_corpus():
+        trimmed, _ = trim(formula, proof)
+        for p in (proof, trimmed):
+            assert assert_same_replay(monkeypatch, formula, p).valid
+            kinds.update(s.op for s in p)
+    assert kinds == {ADD, DELETE}
 
 
 def _mutations(formula, proof, rng):
@@ -367,7 +369,7 @@ def test_resumed_fixture_bundles_match_fresh():
 
 
 def test_resumed_random_proofs_match_fresh():
-    for rng, formula, proof in _random_proofs():
+    for rng, formula, proof in random_proofs():
         assert_resumed_edits_match(formula, proof, rng)
 
 
@@ -510,7 +512,7 @@ def test_cube_replays_of_hand_cases_match_fresh_builds(monkeypatch, case):
 def test_cube_replays_of_random_proofs_match_fresh_builds(monkeypatch):
     rng = random.Random(41)
     kinds = set()
-    for _, formula, proof in _random_proofs():
+    for _, formula, proof in random_proofs():
         units = {c.literals[0] for c in formula.distinct() if len(c) == 1}
         for cube in _cubes(formula, rng):
             assert_cube_replay_matches(monkeypatch, formula, proof, cube)

@@ -1,5 +1,6 @@
 """Unsat-core trimming: shrink proofs, keep them valid, extract cores."""
 
+import contextlib
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from dratstitch import (
     Refutation,
     TrimInternalError,
     check_refutation,
-    gen_random_unsat,
     is_preserving,
     parse_drat,
     trim,
@@ -23,10 +23,10 @@ from dratstitch import (
     write_drat,
 )
 from dratstitch import checker, trimmer
-from dratstitch.checker import STRICT
+from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
 from dratstitch.cli import EXIT_OK, main
 
-from helpers import stitched_instance
+from helpers import ReferenceAnalysis, random_proofs, rat_corpus, stitched_instance
 
 SQUARE = Formula(
     (Clause((1, 2)), Clause((1, -2)), Clause((-1, 2)), Clause((-1, -2)))
@@ -120,11 +120,21 @@ def test_trim_keeps_deletion_that_enables_a_resolution_step():
     assert again == trimmed
 
 
-def test_trim_never_expands_and_stays_valid():
+def _varied_instances():
     rng = random.Random(101)
-    for case in range(15):
+    for _ in range(15):
         seed = rng.randint(0, 10**6)
-        formula, combined = stitched_instance(seed, num_vars=rng.randint(6, 9), depth=rng.randint(1, 3))
+        yield stitched_instance(seed, num_vars=rng.randint(6, 9), depth=rng.randint(1, 3))
+
+
+def _small_instances(rng_seed):
+    rng = random.Random(rng_seed)
+    for _ in range(10):
+        yield stitched_instance(rng.randint(0, 10**6), num_vars=8, depth=2)
+
+
+def test_trim_never_expands_and_stays_valid():
+    for case, (formula, combined) in enumerate(_varied_instances()):
         trimmed, report = trim(formula, combined)
         assert report.output_steps <= report.input_steps, "case %d" % case
         assert report.output_bytes <= report.input_bytes
@@ -134,13 +144,12 @@ def test_trim_never_expands_and_stays_valid():
 
 
 def test_trim_is_idempotent():
-    rng = random.Random(103)
-    for _ in range(10):
-        seed = rng.randint(0, 10**6)
-        formula, combined = stitched_instance(seed, num_vars=8, depth=2)
-        once, _ = trim(formula, combined)
-        twice, _ = trim(formula, once)
-        assert twice == once
+    for formula, proof in list(_small_instances(103)) + list(rat_corpus()):
+        for mode in (STRICT, PERMISSIVE):
+            for resynthesize in (True, False):
+                once, _ = trim(formula, proof, mode, resynthesize)
+                twice, _ = trim(formula, once, mode, resynthesize)
+                assert twice == once, (formula, proof, mode, resynthesize)
 
 
 def test_trim_without_resynthesized_deletions():
@@ -166,20 +175,14 @@ def test_unsat_core_minimal_example():
 
 
 def test_unsat_core_is_a_sub_multiset():
-    rng = random.Random(107)
-    for _ in range(10):
-        seed = rng.randint(0, 10**6)
-        formula, combined = stitched_instance(seed, num_vars=8, depth=2)
+    for formula, combined in _small_instances(107):
         core = unsat_core(formula, combined)
         for clause, k in core.counts():
             assert k <= formula.multiplicity(clause)
 
 
 def test_unsat_core_supports_the_trimmed_proof():
-    rng = random.Random(109)
-    for _ in range(10):
-        seed = rng.randint(0, 10**6)
-        formula, combined = stitched_instance(seed, num_vars=8, depth=2)
+    for formula, combined in _small_instances(109):
         trimmed, _ = trim(formula, combined)
         core = unsat_core(formula, combined)
         assert check_refutation(core, trimmed, mode=STRICT).valid
@@ -224,6 +227,20 @@ def replays(monkeypatch):
 
 # {1} feeds only the final conflict, so there is no deletion to resynthesize
 NEEDS_ONE = F((1, 2), (1, -2), (-1, 3), (-1, -3))
+
+
+# {5, 6} is the only RAT step and nothing uses it; once it is gone, the
+# unused {2, 3} must go together with its deletion
+RAT_THEN_DELETION = "5 6 0\n2 3 0\nd 2 3 0\n1 0\n0\n"
+
+
+def test_trim_drops_a_deletion_once_the_rat_steps_are_gone():
+    proof = parse_drat(RAT_THEN_DELETION)
+    assert check_refutation(NEEDS_ONE, proof, mode=STRICT).valid
+    trimmed, report = trim(NEEDS_ONE, proof)
+    assert trimmed == parse_drat("1 0\n0\n")
+    assert report.core == NEEDS_ONE
+    assert trim(NEEDS_ONE, trimmed)[0] == trimmed
 
 
 def test_trim_replays_input_and_fixpoint_only(replays):
@@ -282,3 +299,97 @@ def test_broken_candidate_after_a_shared_prefix_raises_internal_error(monkeypatc
     )
     with pytest.raises(TrimInternalError, match="step 2 \\(not-rat\\)"):
         trim(CHAIN, parse_drat("1 0\n3 0\n5 0\n0\n"))
+
+
+# The analysis charges each use to the engine's clause id. The reference
+# analysis numbers every clause instance in a second replay of the
+# multiset; trims through either must agree.
+
+# every hand-written trim input above
+HAND_TRIMS = [
+    (F((1,), (-1,)), "2 0\n0\n"),
+    (F((1,), (-1, 2), (-2,)), "2 0\n0\n"),
+    (NEEDS_ONE, "1 0\n0\n"),
+    (SQUARE, "-1 0\n1 0\n0\n"),
+    (F((1,), (-1,)), "0\n5 0\nd 5 0\n"),
+    (SQUARE, "9 0\n-1 0\n1 0\n0\n"),
+    (F((-1, -2), (-2, 5), (1, -2), *[c.literals for c in GATED]), "1 2 0\n1 0\n6 0\n0\n"),
+    (
+        F((-1, -2), (-2, 5), (1, -2), (-1, 8), *[c.literals for c in GATED]),
+        "d -1 8 0\n1 2 0\n1 0\n6 0\n0\n",
+    ),
+    (F((1,), (-1,), (5, 6)), "0\n"),
+    (SQUARE, "-1 0\nd -1 2 0\n1 0\n0\n"),
+    (NEEDS_ONE, "5 0\n1 0\n0\n"),
+    (NEEDS_ONE, RAT_THEN_DELETION),
+    (CHAIN, "1 0\n3 0\n5 0\n0\n"),
+]
+
+
+@contextlib.contextmanager
+def reference_analysis(monkeypatch):
+    """Swap the reference analysis in; yields the list of analyses it makes."""
+    made = []
+    init = ReferenceAnalysis.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(trimmer, "_Analysis", ReferenceAnalysis)
+        m.setattr(ReferenceAnalysis, "__init__", counted)
+        yield made
+
+
+def _trims(formula, proof):
+    """Trimmed bytes and core, or the error, for each mode and flag."""
+    out = []
+    for mode in (STRICT, PERMISSIVE):
+        for resynthesize in (True, False):
+            try:
+                trimmed, report = trim(formula, proof, mode, resynthesize)
+            except InvalidProofError as exc:
+                out.append(str(exc))
+            else:
+                out.append((write_drat(trimmed), report.core))
+    return out
+
+
+def assert_trims_match_reference(monkeypatch, cases):
+    for formula, proof in cases:
+        fast = _trims(formula, proof)
+        with reference_analysis(monkeypatch) as made:
+            reference = _trims(formula, proof)
+        assert made, "the reference analysis never ran"
+        assert fast == reference, proof
+
+
+def test_hand_trims_match_the_reference_analysis(monkeypatch):
+    cases = [(formula, parse_drat(text)) for formula, text in HAND_TRIMS]
+    assert_trims_match_reference(monkeypatch, cases)
+
+
+def test_stitched_trims_match_the_reference_analysis(monkeypatch):
+    cases = list(_varied_instances())
+    for rng_seed in (103, 107, 109):
+        cases += _small_instances(rng_seed)
+    cases += [stitched_instance(7, num_vars=9, depth=3)]
+    for cl_avg in (-1, 0):
+        cases += [stitched_instance(seed, num_vars=11, depth=3, cl_avg=cl_avg) for seed in (1, 2)]
+    assert_trims_match_reference(monkeypatch, cases)
+
+
+def test_random_proof_trims_match_the_reference_analysis(monkeypatch):
+    cases = [(f, p) for _, f, p in random_proofs() if check_refutation(f, p).valid]
+    assert len(cases) > 10
+    assert_trims_match_reference(monkeypatch, cases)
+
+
+def test_rat_proof_trims_match_the_reference_analysis(monkeypatch):
+    cases = rat_corpus()
+    with_rat = sum(
+        any(sv.kind == KIND_RAT for sv in annotate_refutation(f, p)[1]) for f, p in cases
+    )
+    assert with_rat > len(cases) // 2
+    assert_trims_match_reference(monkeypatch, cases)
