@@ -21,7 +21,6 @@ from dratstitch import (
     solve_drup,
     split,
     trim,
-    unsat_core,
     write_drat,
 )
 
@@ -47,7 +46,7 @@ assert check_refutation(formula, trimmed, mode=STRICT).valid
 assert len(trimmed) <= len(raw)
 
 # The same marking pass tells which original clauses the proof needs.
-core = unsat_core(formula, raw)
+core = report.core
 print("core: %d of %d clauses" % (len(core), len(formula)))
 assert check_refutation(core, trimmed, mode=STRICT).valid
 

@@ -2,10 +2,28 @@
 
 A forward replay records which clauses each conflict derivation consumed;
 a backward sweep from the final empty clause then marks the additions
-actually needed, and everything unmarked is dropped. Marking is iterated
-until the output is a fixpoint (each candidate is a subsequence of the
-proof it came from, so this terminates), which is what makes trimming
+actually needed, and everything unmarked is dropped. Each analysis
+proposes one candidate: its kept steps when it has RAT steps (below);
+otherwise, while resynthesis is on, its marked additions with each kept
+lemma deleted right after its last marked use, if that deletes anything
+and fits in the input's steps and bytes; otherwise its marked additions.
+The first resynthesized candidate that does not fit turns resynthesis
+off. Every candidate is replayed strictly, resuming from the analysis it
+came from (shared leading steps keep their verdicts and every later step
+is judged), and one that fails is an internal error. The loop ends when
+an analysis proposes its own proof again, so its last analysis is the
+strict re-check of the output, deletions included, and trimming is
 idempotent rather than merely shrinking.
+
+The loop terminates. Additions only shrink, because each candidate's
+additions are a subsequence of the previous one's. While resynthesis is
+on, a deleted lemma cannot be used after its deletion, so its next
+deletion sits no later, and a lemma can only gain a deletion, never lose
+one. Once resynthesis is off, the loop is the plain fixpoint of marked
+additions. The off-switch is needed: a candidate that fits could have a
+successor that gains deletions and no longer fits; that successor's
+marked additions could lead back to the candidate, and the loop would
+alternate between the two forever.
 
 Uses are charged to the checker's clause ids. A value holds one id from
 the moment its count leaves 0 until it is 0 again, and deletions remove
@@ -24,13 +42,6 @@ neighbour, so it marks every earlier addition of a neighbour value and
 puts every formula copy of it in the core. Each analysis decides for
 itself: when the fixpoint drops the last RAT step, the next candidate
 keeps only marked additions, so trimming a RAT proof is idempotent too.
-
-Every candidate after the input is replayed in strict mode, so the last
-analysis of the fixpoint is also the strict re-check of the output. A
-candidate's replay resumes from the analysis it was derived from: the
-leading steps it shares with that analysis's proof keep the verdicts
-given to them there, in the same database state, and every later step is
-judged strictly.
 """
 
 import time
@@ -128,7 +139,7 @@ class _Analysis:
         return out
 
     def emit(self):
-        """The next fixpoint candidate: kept_steps with RAT steps, else marked_adds."""
+        """The candidate without resynthesis: kept_steps with RAT steps, else marked_adds."""
         return self.kept_steps() if self.any_rat else self.marked_adds()
 
     def with_deletions(self):
@@ -160,52 +171,32 @@ class _Analysis:
         )
 
 
-def _reanalyze(formula, steps, previous):
-    try:
-        return _Analysis(formula, Refutation(steps), STRICT, previous.replay)
-    except InvalidProofError as exc:
-        raise TrimInternalError("internal trim candidate failed to check: %s" % exc) from exc
-
-
 def _converge(formula, refutation, mode, resynthesize, input_bytes):
     """Iterate marking until stable; returns (steps, analysis of them).
 
-    Only the input is replayed in the caller's mode. Every candidate is
-    replayed strictly, so the returned analysis is a strict check of
-    exactly the returned steps and the reported core pairs with them.
-    Each candidate's replay resumes from the analysis it was derived from.
+    The candidate rule is the module's. Only the input is replayed in the
+    caller's mode and every candidate strictly, so the returned analysis
+    checks exactly the returned steps, and its core pairs with them.
     """
     input_steps = len(refutation)
 
     analysis = _Analysis(formula, refutation, mode)
-    steps = analysis.emit()
+    steps = None  # the input itself still needs its strict replay
     while True:
-        analysis = _reanalyze(formula, steps, analysis)
-        again = analysis.emit()
-        if again == steps:
-            break
-        steps = again
-
-    if not analysis.any_rat and resynthesize:
-        candidate = analysis.with_deletions()
-        if (
-            candidate is not None
-            and len(candidate) <= input_steps
-            and len(write_drat(Refutation(candidate))) <= input_bytes
+        again = analysis.with_deletions() if resynthesize and not analysis.any_rat else None
+        if again is not None and (
+            len(again) > input_steps or len(write_drat(Refutation(again))) > input_bytes
         ):
-            # accept the deletions only if they leave the marking alone,
-            # which keeps repeated trimming stable
-            try:
-                verify = _Analysis(formula, Refutation(candidate), STRICT, analysis.replay)
-            except InvalidProofError:
-                verify = None
-            if (
-                verify is not None
-                and not verify.any_rat
-                and verify.marked_adds() == steps
-            ):
-                return candidate, verify
-    return steps, analysis
+            resynthesize, again = False, None
+        if again is None:
+            again = analysis.emit()
+        if again == steps:
+            return steps, analysis
+        steps = again
+        try:
+            analysis = _Analysis(formula, Refutation(steps), STRICT, analysis.replay)
+        except InvalidProofError as exc:
+            raise TrimInternalError("internal trim candidate failed to check: %s" % exc) from exc
 
 
 def trim(
@@ -217,8 +208,11 @@ def trim(
     """Shrink a valid refutation; returns (trimmed, report).
 
     The output is never longer than the input, in steps or serialized
-    bytes, and has passed a strict check before being returned. The
-    report's core is the part of the formula that check relied on.
+    bytes, and has passed a strict check before being returned: the last
+    analysis of the fixpoint, which replays exactly the output, its
+    resynthesized deletions included. The report's core is the part of
+    the formula that check relied on. A candidate that fails its check
+    raises TrimInternalError.
     """
     start = time.perf_counter()
     input_steps = len(refutation)

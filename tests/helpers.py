@@ -618,3 +618,42 @@ def rat_proof(seed):
 def rat_corpus():
     """rat_proof for seeds 0 to 399, built once and shared by the tests."""
     return tuple(rat_proof(seed) for seed in range(400))
+
+
+def last_use_deletion_proof(seed):
+    """A solve_drup refutation of a seeded gen_random_unsat instance, with
+    each lemma deleted right after the last step whose check used it.
+
+    Uses come from annotate_refutation's ``used``; a lemma nothing uses is
+    deleted right after its addition, and nothing follows the final empty
+    clause. Deleting after the last use leaves every check's derivation
+    intact, so the proof stays valid in strict mode too. It has no RAT
+    steps. Returns (formula, refutation).
+    """
+    rng = random.Random(seed)
+    formula = gen_random_unsat(rng.randint(12, 20), 5.0, seed=seed)
+    proof = solve_drup(formula, seed=seed).refutation
+    _, annotations = annotate_refutation(formula, proof)
+    inputs = set(formula.distinct())
+    last = {}  # lemma value -> index of its last use (or of its addition)
+    for sv in annotations:
+        if sv.op == ADD and sv.clause not in inputs:
+            last.setdefault(sv.clause, sv.index)
+        for value in sv.used:
+            if value in last:
+                last[value] = sv.index
+    after = {}  # step index -> the lemmas deleted right after it
+    for value, index in last.items():
+        if index < len(proof):
+            after.setdefault(index, []).append(value)
+    steps = []
+    for index, step in enumerate(proof, 1):
+        steps.append(step)
+        steps.extend(ProofStep(DELETE, value) for value in after.get(index, ()))
+    return formula, Refutation(steps)
+
+
+@functools.lru_cache(maxsize=None)
+def last_use_corpus():
+    """last_use_deletion_proof for seeds 0 to 99, built once and shared."""
+    return tuple(last_use_deletion_proof(seed) for seed in range(100))

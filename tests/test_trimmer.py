@@ -26,7 +26,13 @@ from dratstitch import checker, trimmer
 from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
 from dratstitch.cli import EXIT_OK, main
 
-from helpers import ReferenceAnalysis, random_proofs, rat_corpus, stitched_instance
+from helpers import (
+    ReferenceAnalysis,
+    last_use_corpus,
+    random_proofs,
+    rat_corpus,
+    stitched_instance,
+)
 
 SQUARE = Formula(
     (Clause((1, 2)), Clause((1, -2)), Clause((-1, 2)), Clause((-1, -2)))
@@ -134,7 +140,8 @@ def _small_instances(rng_seed):
 
 
 def test_trim_never_expands_and_stays_valid():
-    for case, (formula, combined) in enumerate(_varied_instances()):
+    cases = list(_varied_instances()) + list(last_use_corpus())
+    for case, (formula, combined) in enumerate(cases):
         trimmed, report = trim(formula, combined)
         assert report.output_steps <= report.input_steps, "case %d" % case
         assert report.output_bytes <= report.input_bytes
@@ -144,7 +151,8 @@ def test_trim_never_expands_and_stays_valid():
 
 
 def test_trim_is_idempotent():
-    for formula, proof in list(_small_instances(103)) + list(rat_corpus()):
+    cases = list(_small_instances(103)) + list(rat_corpus()) + list(last_use_corpus())
+    for formula, proof in cases:
         for mode in (STRICT, PERMISSIVE):
             for resynthesize in (True, False):
                 once, _ = trim(formula, proof, mode, resynthesize)
@@ -301,6 +309,32 @@ def test_broken_candidate_after_a_shared_prefix_raises_internal_error(monkeypatc
         trim(CHAIN, parse_drat("1 0\n3 0\n5 0\n0\n"))
 
 
+# CHAIN's proof with each lemma deleted right after its last use
+CHAIN_LAST_USE = "1 0\n3 0\nd 1 0\n5 0\nd 3 0\n0\n"
+
+
+def test_trim_checks_resynthesized_deletions_inside_the_fixpoint(replays):
+    proof = parse_drat(CHAIN_LAST_USE)
+    trimmed, _ = trim(CHAIN, proof)
+    assert trimmed == proof
+    # the input, then its with-deletions candidate, which proposes itself
+    assert replays == ["annotate_refutation"] * 2
+    replays.clear()
+    assert trim(CHAIN, trimmed)[0] == trimmed
+    assert replays == ["annotate_refutation"] * 2
+
+
+def test_broken_resynthesized_candidate_raises_internal_error(monkeypatch):
+    # {1} is deleted before {3} needs it: the candidate fits, but fails
+    monkeypatch.setattr(
+        trimmer._Analysis,
+        "with_deletions",
+        lambda self: list(parse_drat("1 0\nd 1 0\n3 0\n5 0\n0\n")),
+    )
+    with pytest.raises(TrimInternalError, match="step 3 \\(not-rat\\)"):
+        trim(CHAIN, parse_drat(CHAIN_LAST_USE))
+
+
 # The analysis charges each use to the engine's clause id. The reference
 # analysis numbers every clause instance in a second replay of the
 # multiset; trims through either must agree.
@@ -323,6 +357,7 @@ HAND_TRIMS = [
     (NEEDS_ONE, "5 0\n1 0\n0\n"),
     (NEEDS_ONE, RAT_THEN_DELETION),
     (CHAIN, "1 0\n3 0\n5 0\n0\n"),
+    (CHAIN, CHAIN_LAST_USE),
 ]
 
 
@@ -392,4 +427,12 @@ def test_rat_proof_trims_match_the_reference_analysis(monkeypatch):
         any(sv.kind == KIND_RAT for sv in annotate_refutation(f, p)[1]) for f, p in cases
     )
     assert with_rat > len(cases) // 2
+    assert_trims_match_reference(monkeypatch, cases)
+
+
+def test_last_use_deletion_trims_match_the_reference_analysis(monkeypatch):
+    cases = last_use_corpus()
+    # the corpus is for the resynthesis path: most trims keep deletions
+    with_deletions = sum(not all(s.is_add for s in trim(f, p)[0]) for f, p in cases)
+    assert with_deletions > len(cases) // 2
     assert_trims_match_reference(monkeypatch, cases)
