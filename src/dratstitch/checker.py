@@ -4,10 +4,18 @@ The replay engine keeps the clause database under integer ids with two
 watched literals per clause and maintains the root unit-propagation
 closure incrementally: clause additions extend it, deletions rebuild it
 only when they can actually shrink it (the deleted clause was empty, a
-unit, or a propagation reason). Redundancy checks push assumption
-literals on top of the root closure and undo them afterwards, so one
-check costs propagation work proportional to what it derives, not to
-the database size.
+unit, or the reason of a root literal; those reasons are marked as the
+closure grows). Redundancy checks push assumption literals on top of the
+root closure and undo them afterwards, so one check costs propagation
+work proportional to what it derives, not to the database size.
+
+Inside the engine a literal is a dense code, ``2 * index + (lit < 0)``,
+where each variable gets the next index the first time the database
+sees it; ``code ^ 1`` negates. Assignments, reasons and watch lists are
+lists indexed by code, so propagation does no hashing and memory follows
+the number of distinct variables, not the largest one. Clauses, verdicts
+and annotations are in literals as read; the encoding changes nothing
+a caller can observe.
 
 Deletions are applied as written, unit clauses included: this is
 "specified DRAT". drat-trim by default ignores unit deletions
@@ -136,7 +144,7 @@ def propagate_fixpoint(formula: Formula, order_seed: Optional[int] = None) -> Pr
     db = _ClauseDb(Formula.from_counts((c, 1) for c in values))
     if db.root_conflict:
         return PropagationOutcome(True)
-    true = db.true_lits
+    true = dict.fromkeys(db.true_lits)
 
     out = Counter()
     for c, k in formula.counts():
@@ -153,13 +161,28 @@ def propagate_fixpoint(formula: Formula, order_seed: Optional[int] = None) -> Pr
 
 class _ClauseDb:
     """Clause multiset over integer ids, two watched literals per clause,
-    and an incremental root closure.
+    and an incremental root closure, all run over dense literal codes.
+
+    Each variable gets a dense index the first time the database sees it,
+    in a formula clause, a cube unit, a lemma or a check assumption, and a
+    literal is coded as ``2 * index + (lit < 0)``, so ``code ^ 1`` is its
+    negation. Assignments, reasons and watch lists are lists indexed by
+    code, so they grow with the number of distinct variables, not with the
+    largest variable number. Clause literal lists, check assumptions and
+    the trail hold codes; clause values and everything handed out stay in
+    literals, and ``_explain`` walks each reason's ``Clause.literals`` in
+    serialization order.
 
     A distinct clause value gets the next id when it enters the multiset,
     and a fresh one if it is fully deleted and added again, so id order is
     the insertion order of ``mult``. Positions 0 and 1 of a clause's
     literal list are watched; a unit clause is watched on its only
     literal. Watch entries of deleted clauses are dropped lazily.
+
+    The ids of the clauses that are the reason of a root literal are
+    marked whenever the root closure grows: on a rebuild and on an
+    addition's root propagation. A deletion rebuilds the closure only
+    when the deleted clause was empty, a unit, or marked.
 
     Invariant between propagations: a false watched literal has a true
     partner. Undoing to the root keeps it, and a closure rebuild clears
@@ -171,65 +194,98 @@ class _ClauseDb:
         self.mult = dict(formula.counts())
         self.ids = {}  # alive clause value -> id, in id order
         self.clauses = []  # id -> Clause, literals in serialization order
-        self.lits = []  # id -> literal list in watch order; None once deleted
-        self.watches = {}  # literal -> ids of clauses watching it
-        self.true_lits = {}  # true literal -> None, ordered
-        self.reason = {}  # true literal -> clause id | None (None: assumption)
-        self.trail = []
-        self.reason_refs = {}  # clause id -> number of root literals it justifies
+        self.codes = []  # id -> literal codes in serialization order
+        self.lits = []  # id -> literal codes in watch order; None once deleted
+        self.index = {}  # variable -> dense index
+        self.variables = []  # dense index -> variable
+        self.value = []  # code -> whether that literal is true
+        self.reason = []  # code -> clause id | None (an assumption), while true
+        self.watches = []  # code -> ids of clauses watching it
+        self.trail = []  # true codes in assignment order
+        self.root_reasons = set()  # ids of clauses that are reasons of root literals
         self.root_len = 0
         self.root_conflict = False
         self.root_used = ()
         self.propagations = 0
         for clause in self.mult:
-            self._watch(clause, list(clause.literals))
+            codes = self._codes(clause.literals)
+            self._watch(clause, codes, codes.copy())
         self._rebuild_closure()
+
+    @property
+    def true_lits(self):
+        """The true literals in assignment order, decoded from the trail."""
+        variables = self.variables
+        return [-variables[c >> 1] if c & 1 else variables[c >> 1] for c in self.trail]
 
     def extended(self, cube, record=False):
         """A new database over this one's clauses plus a unit per cube literal.
 
         This database must be as built: no step applied, so its ids run in
-        the order of ``mult``. Its clauses and watches are copied, the
-        units go in as ``__init__`` would put them in (a new value gets the
-        next id, a present one a higher count), and the root closure is
-        computed afresh, so the copy equals a build over the formula plus
-        the units. Watch positions may differ; nothing depends on them.
+        the order of ``mult``. Its clauses, watches and variable index are
+        copied, the units go in as ``__init__`` would put them in (a new
+        value gets the next id, a present one a higher count), and the root
+        closure is computed afresh, so the copy equals a build over the
+        formula plus the units. Watch positions may differ; nothing
+        depends on them.
         """
         db = type(self)(Formula(), record)  # empty clauses, closure and counts
         db.mult = mult = self.mult.copy()
         db.ids = self.ids.copy()
         db.clauses = self.clauses.copy()
+        db.codes = self.codes.copy()  # never written to, so shared
         db.lits = [lits.copy() for lits in self.lits]
-        db.watches = {l: ws.copy() for l, ws in self.watches.items()}
+        db.index = self.index.copy()
+        db.variables = self.variables.copy()
+        db.value = [False] * len(self.value)
+        db.reason = [None] * len(self.reason)
+        db.watches = [ws.copy() for ws in self.watches]
         for lit in cube:
             unit = Clause((lit,))
             count = mult.get(unit, 0)
             mult[unit] = count + 1
             if not count:
-                db._watch(unit, [lit])
+                codes = db._codes(unit.literals)
+                db._watch(unit, codes, codes.copy())
         db._rebuild_closure()
         return db
 
-    def _watch(self, clause, lits):
-        """Give a new clause value the next id and watch lits[0] and lits[1]."""
+    def _codes(self, literals):
+        """The codes of literals, indexing each variable not seen before."""
+        index = self.index
+        out = []
+        for lit in literals:
+            var = lit if lit > 0 else -lit
+            i = index.get(var)
+            if i is None:
+                i = index[var] = len(self.variables)
+                self.variables.append(var)
+                self.value += (False, False)
+                self.reason += (None, None)
+                self.watches += ([], [])
+            out.append(i + i + (lit < 0))
+        return out
+
+    def _watch(self, clause, codes, lits):
+        """Give a new clause value the next id and watch lits[0] and lits[1].
+
+        codes are its literal codes in serialization order, lits the same
+        codes in watch order.
+        """
         cid = len(self.clauses)
         self.ids[clause] = cid
         self.clauses.append(clause)
+        self.codes.append(codes)
         self.lits.append(lits)
         watches = self.watches
-        for l in lits[:2]:
-            ws = watches.get(l)
-            if ws is None:
-                watches[l] = [cid]
-            else:
-                ws.append(cid)
+        for c in lits[:2]:
+            watches[c].append(cid)
         return cid
 
     def _rebuild_closure(self):
-        self.true_lits.clear()
-        self.reason.clear()
-        self.trail.clear()
-        self.reason_refs.clear()
+        self._undo_to(0)
+        self.root_reasons.clear()
+        self.root_len = 0
         self.root_conflict = False
         self.root_used = ()
         empty = None
@@ -250,10 +306,18 @@ class _ClauseDb:
             if conflict:
                 self.root_conflict = True
                 self.root_used = tuple(used or ())
+            self._extend_root()
+
+    def _extend_root(self):
+        """Make the trail the root closure, marking the reasons it gained."""
+        reason = self.reason
+        marked = self.root_reasons
+        for c in islice(self.trail, self.root_len, None):
+            marked.add(reason[c])  # root literals all have a reason
         self.root_len = len(self.trail)
 
     def _propagate(self, queue):
-        """Assign the queued (literal, reason id) pairs and their consequences.
+        """Assign the queued (code, reason id) pairs and their consequences.
 
         Returns (conflict, used) where used lists the clause values behind
         the conflict when recording is on. The clauses a new assignment
@@ -261,31 +325,30 @@ class _ClauseDb:
         over every clause containing the falsified literal, so the queue,
         the conflict found and the propagation count do not depend on
         where the watches happen to sit. Consequences are appended to the
-        queue while it is walked.
+        queue while it is walked. Propagations are counted by how much the
+        trail grew.
         """
-        tl = self.true_lits
+        value = self.value
         reason = self.reason
         trail = self.trail
-        refs = self.reason_refs
         watches = self.watches
         all_lits = self.lits
+        start = len(trail)
         for lit, why in queue:
-            if lit in tl:
+            if value[lit]:
                 continue
-            if -lit in tl:
+            if value[lit ^ 1]:
+                self.propagations += len(trail) - start
                 if not self.record:
                     return True, None
                 if why is not None:
-                    return True, self._explain(why, self.clauses[why].literals)
-                return True, self._explain(None, (lit,))
-            tl[lit] = None
+                    return True, self._explain(why)
+                return True, self._explain(None, lit)
+            value[lit] = True
             reason[lit] = why
             trail.append(lit)
-            self.propagations += 1
-            if why is not None:
-                refs[why] = refs.get(why, 0) + 1
-            false_lit = -lit
-            ws = watches.get(false_lit)
+            false_lit = lit ^ 1
+            ws = watches[false_lit]
             if not ws:
                 continue
             units = []
@@ -300,80 +363,79 @@ class _ClauseDb:
                     other = c[1]
                     c[0] = other
                     c[1] = false_lit
-                if other in tl:
+                if value[other]:
                     ws[j] = cid
                     j += 1
                     continue
                 for k in range(2, len(c)):
                     m = c[k]
-                    if -m not in tl:
+                    if not value[m ^ 1]:
                         c[1] = m
                         c[k] = false_lit
-                        w = watches.get(m)
-                        if w is None:
-                            watches[m] = [cid]
-                        else:
-                            w.append(cid)
+                        watches[m].append(cid)
                         break
                 else:
                     ws[j] = cid
                     j += 1
-                    if -other in tl:
+                    if value[other ^ 1]:
                         if falsified is None or cid < falsified:
                             falsified = cid
                     else:
                         units.append(cid)
             del ws[j:]
             if falsified is not None:
+                self.propagations += len(trail) - start
                 if not self.record:
                     return True, None
-                return True, self._explain(falsified, self.clauses[falsified].literals)
+                return True, self._explain(falsified)
             if units:
                 units.sort()
                 for cid in units:
                     queue.append((all_lits[cid][0], cid))
+        self.propagations += len(trail) - start
         return False, None
 
-    def _explain(self, falsified, seed_lits):
-        """Walk reasons backwards from false literals, collecting used clauses."""
+    def _explain(self, falsified, lit=None):
+        """Walk reasons backwards from false literals, collecting used clauses.
+
+        The walk starts from the literals of the falsified clause, or from
+        the code lit when no clause is falsified, and visits each clause's
+        literals in serialization order.
+        """
         used = {}
-        if falsified is not None:
+        codes = self.codes
+        if falsified is None:
+            stack = [lit]
+        else:
             used[falsified] = None
-        stack = list(seed_lits)
+            stack = list(codes[falsified])
         seen = set(stack)
-        clauses = self.clauses
+        reason = self.reason
         while stack:
-            m = stack.pop()  # m is false, so -m is on the trail
-            r = self.reason.get(-m)
+            m = stack.pop() ^ 1  # the literal popped is false, so m is on the trail
+            r = reason[m]
             if r is None or r in used:
                 continue
             used[r] = None
-            for q in clauses[r].literals:
-                if q != -m and q not in seen:
+            for q in codes[r]:
+                if q != m and q not in seen:
                     seen.add(q)
                     stack.append(q)
+        clauses = self.clauses
         return [clauses[r] for r in used]
 
     def _undo_to(self, mark):
-        tl = self.true_lits
-        reason = self.reason
-        refs = self.reason_refs
-        for lit in self.trail[mark:]:
-            del tl[lit]
-            r = reason.pop(lit)
-            if r is not None:
-                left = refs[r] - 1
-                if left:
-                    refs[r] = left
-                else:
-                    del refs[r]
-        del self.trail[mark:]
+        value = self.value
+        trail = self.trail
+        for c in islice(trail, mark, None):
+            value[c] = False
+        del trail[mark:]
 
     def at_check(self, clause):
         """Does propagating the negated clause literals yield a conflict?"""
         if self.root_conflict:
             return True, (list(self.root_used) if self.record else None)
-        conflict, used = self._propagate([(-l, None) for l in clause.literals])
+        conflict, used = self._propagate([(c ^ 1, None) for c in self._codes(clause.literals)])
         self._undo_to(self.root_len)
         return conflict, used
 
@@ -385,13 +447,13 @@ class _ClauseDb:
         """
         neighbors = tuple(c for c in self.mult if -pivot in c)
         used_all = {} if self.record else None
+        negated = [c ^ 1 for c in self._codes(clause.literals)]
+        (resolved,) = self._codes((-pivot,))
         for other in neighbors:
-            assumptions = {}
-            for l in clause.literals:
-                assumptions[-l] = None
-            for m in other.literals:
-                if m != -pivot:
-                    assumptions[-m] = None
+            assumptions = dict.fromkeys(negated)
+            for c in self._codes(other.literals):
+                if c != resolved:
+                    assumptions[c ^ 1] = None
             conflict, used = self._propagate([(a, None) for a in assumptions])
             self._undo_to(self.root_len)
             if not conflict:
@@ -408,18 +470,19 @@ class _ClauseDb:
             return
         # watch true literals first, then open ones, so a false watch
         # only ever sits next to a true one
-        tl = self.true_lits
+        value = self.value
+        codes = self._codes(clause.literals)
         true = []
         open_ = []
         false = []
-        for m in clause.literals:
-            if m in tl:
-                true.append(m)
-            elif -m in tl:
-                false.append(m)
+        for c in codes:
+            if value[c]:
+                true.append(c)
+            elif value[c ^ 1]:
+                false.append(c)
             else:
-                open_.append(m)
-        cid = self._watch(clause, true + open_ + false)
+                open_.append(c)
+        cid = self._watch(clause, codes, true + open_ + false)
         if self.root_conflict or true or len(open_) > 1:
             return  # nothing new to derive, or nothing propagates
         if not open_:
@@ -427,13 +490,13 @@ class _ClauseDb:
             if len(clause) == 0:
                 self.root_used = (clause,)
             elif self.record:
-                self.root_used = tuple(self._explain(cid, clause.literals))
+                self.root_used = tuple(self._explain(cid))
             return
         conflict, used = self._propagate([(open_[0], cid)])
         if conflict:
             self.root_conflict = True
             self.root_used = tuple(used or ())
-        self.root_len = len(self.trail)
+        self._extend_root()
 
     def remove(self, clause):
         """Drop one instance; returns False when no instance is present."""
@@ -447,7 +510,7 @@ class _ClauseDb:
         cid = self.ids.pop(clause)
         self.lits[cid] = None
         # only these removals can invalidate the root closure
-        if self.root_conflict or len(clause) <= 1 or cid in self.reason_refs:
+        if self.root_conflict or len(clause) <= 1 or cid in self.root_reasons:
             self._rebuild_closure()
         return True
 

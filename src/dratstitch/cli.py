@@ -303,7 +303,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    # warnings go to this call's stderr; the handler leaves with the call
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    package_log = logging.getLogger("dratstitch")
+    package_log.addHandler(handler)
     try:
         return args.func(args)
     except formats.DuplicateCubeError as exc:
@@ -318,6 +322,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
+    finally:
+        package_log.removeHandler(handler)
 
 
 def console_main():

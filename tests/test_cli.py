@@ -4,6 +4,9 @@ Every test drives main() directly with an argv list and inspects exit
 codes, stdout/stderr text, and the files left behind.
 """
 
+import contextlib
+import io
+import logging
 import shlex
 from pathlib import Path
 
@@ -188,6 +191,22 @@ def test_check_deletion_mode_flags(tmp_path, capsys):
     assert "reason=deletion-absent" in out
     assert main(["check", "--permissive", cnf, drat]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_warnings_go_to_the_stderr_of_each_call(tmp_path):
+    cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)
+    drat = write(tmp_path / "p.drat", "d 5 0\n0\n")
+    package_log = logging.getLogger("dratstitch")
+    handlers = list(package_log.handlers)
+    buffers = []
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["check", cnf, drat]) == EXIT_OK
+        buffers.append(err.getvalue())
+        assert package_log.handlers == handlers
+    warning = "WARNING step 1: deletion of absent clause Clause(5) skipped\n"
+    assert buffers == [warning, warning]
 
 
 def test_check_mode_flags_exclusive(tmp_path):

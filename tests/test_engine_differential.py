@@ -15,6 +15,7 @@ the formula with the cube's units added.
 import contextlib
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -140,6 +141,17 @@ HAND_CASES = [
     # a failing lemma in the middle
     (F((1, 2, 3), (-1, 2), (-2, 3)), P((3,), (1,), ())),
 ]
+
+# (-1, 2) is the reason of the root literal 2; deleting it takes 2, 3 and 4
+# out of the root closure, after which (3) is neither AT nor RAT
+ROOT_REASON_DELETED = (F((1,), (-1, 2), (-2, 3), (-3, 4)), P(("d", -1, 2), (3,), ()))
+# (-2, 3) is a reason only inside the AT check of (1, 5), so deleting it
+# leaves the root closure {6, 7} standing; a rebuild would count it again
+CHECK_REASON_DELETED = (
+    F((1, 2), (-2, 3), (-3, -2), (6,), (-6, 7), (10, 11), (10, -11), (-10, 11), (-10, -11)),
+    P((1, 5), ("d", -2, 3), (10,), ()),
+)
+HAND_CASES += [ROOT_REASON_DELETED, CHECK_REASON_DELETED]
 
 
 @pytest.mark.parametrize("case", range(len(HAND_CASES)))
@@ -556,14 +568,72 @@ def test_a_cube_unit_the_formula_has_leaves_with_its_last_deletion(monkeypatch):
     assert_cube_replay_matches(monkeypatch, formula, proof, (1,))
 
 
+def test_only_deleting_the_reason_of_a_root_literal_rebuilds_the_closure():
+    formula, proof = ROOT_REASON_DELETED
+    for mode in MODES:
+        report = check_refutation(formula, proof, mode=mode, cube=())
+        assert (report.valid, report.failing_step, report.reason) == (False, 2, "not-rat")
+    formula, proof = CHECK_REASON_DELETED
+    undeleted = Refutation(s for s in proof if s.is_add)
+    for mode in MODES:
+        for cube in ((), (-20,)):
+            report = check_refutation(formula, proof, mode=mode, cube=cube)
+            assert report.valid
+            assert report.propagations == check_refutation(formula, undeleted, cube=cube).propagations
+
+
+def _sparse_formula():
+    big = 10**9
+    return F((1, big), (1, -big), (-1, big), (-1, -big))
+
+
+def test_sparse_huge_variables_match_reference_in_little_memory(monkeypatch):
+    # x <-> (a and b) on variables from 2**40 up: two vacuous RAT lemmas,
+    # then one whose resolvents with both are tautologies
+    x, a, b = 2**40, 2**40 + 1, 2**40 + 2
+    proof = P((-x, a), (-x, b), (x, -a, -b), (10**9,), ())
+    failing = P((-x, b), (x, a), (10**9,), ())  # the resolvent (a, b) is not AT
+    formula = _sparse_formula()
+    assert assert_same_replay(monkeypatch, formula, proof).valid
+    report = assert_same_replay(monkeypatch, formula, failing)
+    assert (report.valid, report.failing_step, report.reason) == (False, 2, "not-rat")
+    for p in (proof, failing):
+        for cube in ((), (-(2**41),), (2**41, -1)):
+            assert_cube_replay_matches(monkeypatch, formula, p, cube)
+    _, ann = annotate_refutation(formula, proof)
+    assert [sv.kind for sv in ann] == ["rat", "rat", "rat", "at", "at"]
+
+    for mode in MODES:
+        for cube in ((), (-(2**41),)):
+            formula = _sparse_formula()  # a new object, so its base is built anew
+            tracemalloc.start()
+            try:
+                report = check_refutation(formula, proof, mode=mode, cube=cube)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.valid
+            assert peak < 2**20, (mode, cube, peak)
+
+
 def _database_state(db):
+    """What a copy could touch, with literal codes decoded to literals."""
+
+    def literal(code):
+        var = db.variables[code >> 1]
+        return -var if code & 1 else var
+
     return (
         list(db.mult.items()),
         list(db.ids.items()),
         list(db.clauses),
-        [list(lits) for lits in db.lits],
-        {l: list(ws) for l, ws in db.watches.items()},
-        dict(db.true_lits),
+        list(db.index.items()),
+        [[literal(c) for c in codes] for codes in db.codes],
+        [[literal(c) for c in lits] for lits in db.lits],
+        {literal(code): list(ws) for code, ws in enumerate(db.watches)},
+        [(literal(c), db.reason[c]) for c in db.trail],
+        list(db.value),
+        sorted(db.root_reasons),
         db.propagations,
     )
 
