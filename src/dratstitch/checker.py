@@ -1,21 +1,28 @@
 """Unit propagation, redundancy checks, and proof replay.
 
-The replay engine keeps the clause database under integer ids with two
-watched literals per clause and maintains the root unit-propagation
-closure incrementally: clause additions extend it, deletions rebuild it
-only when they can actually shrink it (the deleted clause was empty, a
-unit, or the reason of a root literal; those reasons are marked as the
-closure grows). Redundancy checks push assumption literals on top of the
-root closure and undo them afterwards, so one check costs propagation
-work proportional to what it derives, not to the database size.
+The replay engine keeps the clause database under integer ids and
+maintains the root unit-propagation closure incrementally: clause
+additions extend it, deletions rebuild it only when they can actually
+shrink it (the deleted clause was empty, a unit, or the reason of a root
+literal; those reasons are marked as the closure grows). Redundancy
+checks push assumption literals on top of the root closure and undo them
+afterwards, so one check costs propagation work proportional to what it
+derives, not to the database size.
+
+Clauses of three literals sit on an occurrence list per literal and are
+checked in full whenever one of their literals is falsified: for a
+ternary clause that check is no more work than moving a watch. Every
+other clause has two watched literals. Either way the clauses a new
+assignment turns unit or false are handled in id order, so verdicts,
+annotations and propagation counts are those of a plain occurrence scan.
 
 Inside the engine a literal is a dense code, ``2 * index + (lit < 0)``,
 where each variable gets the next index the first time the database
-sees it; ``code ^ 1`` negates. Assignments, reasons and watch lists are
-lists indexed by code, so propagation does no hashing and memory follows
-the number of distinct variables, not the largest one. Clauses, verdicts
-and annotations are in literals as read; the encoding changes nothing
-a caller can observe.
+sees it; ``code ^ 1`` negates. Assignments, reasons, watch lists and
+occurrence lists are lists indexed by code, so propagation does no
+hashing and memory follows the number of distinct variables, not the
+largest one. Clauses, verdicts and annotations are in literals as read;
+the encoding changes nothing a caller can observe.
 
 Deletions are applied as written, unit clauses included: this is
 "specified DRAT". drat-trim by default ignores unit deletions
@@ -27,10 +34,11 @@ A replay never builds its database in place. It copies an as-built
 database of the formula, kept from the previous replay of the same
 formula object, and adds one unit clause per cube literal before judging
 anything, so checking many sub-problems of one instance (formula plus a
-cube, as leaf validation does) indexes the instance once. The copy then
-recomputes its root closure from nothing, and every step is judged on
-it exactly as on a fresh build of the formula plus the cube's units:
-same clause ids, same closure, same verdicts and propagation counts.
+cube, as leaf validation and the per-merge trims do) indexes the
+instance once. The copy then recomputes its root closure from nothing,
+and every step is judged on it exactly as on a fresh build of the
+formula plus the cube's units: same clause ids, same closure, same
+verdicts and propagation counts.
 """
 
 import logging
@@ -160,33 +168,41 @@ def propagate_fixpoint(formula: Formula, order_seed: Optional[int] = None) -> Pr
 
 
 class _ClauseDb:
-    """Clause multiset over integer ids, two watched literals per clause,
-    and an incremental root closure, all run over dense literal codes.
+    """Clause multiset over integer ids, occurrence lists for ternary
+    clauses, two watched literals for every other clause, and an
+    incremental root closure, all run over dense literal codes.
 
     Each variable gets a dense index the first time the database sees it,
     in a formula clause, a cube unit, a lemma or a check assumption, and a
     literal is coded as ``2 * index + (lit < 0)``, so ``code ^ 1`` is its
-    negation. Assignments, reasons and watch lists are lists indexed by
-    code, so they grow with the number of distinct variables, not with the
-    largest variable number. Clause literal lists, check assumptions and
-    the trail hold codes; clause values and everything handed out stay in
-    literals, and ``_explain`` walks each reason's ``Clause.literals`` in
-    serialization order.
+    negation. Assignments, reasons, watch lists and occurrence lists are
+    lists indexed by code, so they grow with the number of distinct
+    variables, not with the largest variable number. Clause literal
+    lists, check assumptions and the trail hold codes; clause values stay
+    in literals, and ``_explain`` walks each reason's ``Clause.literals``
+    in serialization order. Conflict derivations are handed out as
+    clause ids.
 
     A distinct clause value gets the next id when it enters the multiset,
     and a fresh one if it is fully deleted and added again, so id order is
-    the insertion order of ``mult``. Positions 0 and 1 of a clause's
-    literal list are watched; a unit clause is watched on its only
-    literal. Watch entries of deleted clauses are dropped lazily.
+    the insertion order of ``mult``. A ternary clause is entered on the
+    occurrence list of each of its three codes as ``(id, other code,
+    other code)``; it is never watched and its literal list is never
+    reordered. Entries of deleted ternary clauses stay and are skipped.
+    Of any other clause, positions 0 and 1 of its literal list are
+    watched; a unit clause is watched on its only literal. Watch entries
+    of deleted clauses are dropped lazily.
 
     The ids of the clauses that are the reason of a root literal are
     marked whenever the root closure grows: on a rebuild and on an
     addition's root propagation. A deletion rebuilds the closure only
     when the deleted clause was empty, a unit, or marked.
 
-    Invariant between propagations: a false watched literal has a true
-    partner. Undoing to the root keeps it, and a closure rebuild clears
-    every assignment, so watches never need re-initialising.
+    Invariant between propagations, for every clause that is not
+    ternary: a false watched literal has a true partner. Undoing to the
+    root keeps it, and a closure rebuild clears every assignment, so
+    watches never need re-initialising. Ternary clauses need no
+    invariant: every falsification of one of their literals visits them.
     """
 
     def __init__(self, formula: Formula, record: bool = False):
@@ -200,7 +216,8 @@ class _ClauseDb:
         self.variables = []  # dense index -> variable
         self.value = []  # code -> whether that literal is true
         self.reason = []  # code -> clause id | None (an assumption), while true
-        self.watches = []  # code -> ids of clauses watching it
+        self.watches = []  # code -> ids of watched clauses watching it
+        self.occurs = []  # code -> (id, other code, other code) per ternary clause
         self.trail = []  # true codes in assignment order
         self.root_reasons = set()  # ids of clauses that are reasons of root literals
         self.root_len = 0
@@ -208,8 +225,7 @@ class _ClauseDb:
         self.root_used = ()
         self.propagations = 0
         for clause in self.mult:
-            codes = self._codes(clause.literals)
-            self._watch(clause, codes, codes.copy())
+            self._watch(clause, self._codes(clause.literals))
         self._rebuild_closure()
 
     @property
@@ -222,31 +238,32 @@ class _ClauseDb:
         """A new database over this one's clauses plus a unit per cube literal.
 
         This database must be as built: no step applied, so its ids run in
-        the order of ``mult``. Its clauses, watches and variable index are
-        copied, the units go in as ``__init__`` would put them in (a new
-        value gets the next id, a present one a higher count), and the root
-        closure is computed afresh, so the copy equals a build over the
-        formula plus the units. Watch positions may differ; nothing
-        depends on them.
+        the order of ``mult``. Its clauses, watches, occurrence lists and
+        variable index are copied, the units go in as ``__init__`` would
+        put them in (a new value gets the next id, a present one a higher
+        count), and the root closure is computed afresh, so the copy equals
+        a build over the formula plus the units. Watch positions may
+        differ; nothing depends on them. Only the literal lists of watched
+        clauses are copied, since no replay reorders any other.
         """
         db = type(self)(Formula(), record)  # empty clauses, closure and counts
         db.mult = mult = self.mult.copy()
         db.ids = self.ids.copy()
         db.clauses = self.clauses.copy()
         db.codes = self.codes.copy()  # never written to, so shared
-        db.lits = [lits.copy() for lits in self.lits]
+        db.lits = [lits if len(lits) == 3 else lits.copy() for lits in self.lits]
         db.index = self.index.copy()
         db.variables = self.variables.copy()
         db.value = [False] * len(self.value)
         db.reason = [None] * len(self.reason)
         db.watches = [ws.copy() for ws in self.watches]
+        db.occurs = [occ.copy() for occ in self.occurs]
         for lit in cube:
             unit = Clause((lit,))
             count = mult.get(unit, 0)
             mult[unit] = count + 1
             if not count:
-                codes = db._codes(unit.literals)
-                db._watch(unit, codes, codes.copy())
+                db._watch(unit, db._codes(unit.literals))
         db._rebuild_closure()
         return db
 
@@ -263,19 +280,33 @@ class _ClauseDb:
                 self.value += (False, False)
                 self.reason += (None, None)
                 self.watches += ([], [])
+                self.occurs += ([], [])
             out.append(i + i + (lit < 0))
         return out
 
-    def _watch(self, clause, codes, lits):
-        """Give a new clause value the next id and watch lits[0] and lits[1].
+    def _watch(self, clause, codes, lits=None):
+        """Give a new clause value the next id and index it for propagation.
 
-        codes are its literal codes in serialization order, lits the same
-        codes in watch order.
+        codes are its literal codes in serialization order. A ternary
+        clause goes on the occurrence list of each of its codes and keeps
+        codes as its literal list. Any other clause watches lits[0] and
+        lits[1], where lits holds the same codes in watch order and
+        defaults to a copy of codes.
         """
         cid = len(self.clauses)
         self.ids[clause] = cid
         self.clauses.append(clause)
         self.codes.append(codes)
+        if len(codes) == 3:
+            a, b, c = codes
+            occurs = self.occurs
+            occurs[a].append((cid, b, c))
+            occurs[b].append((cid, a, c))
+            occurs[c].append((cid, a, b))
+            self.lits.append(codes)
+            return cid
+        if lits is None:
+            lits = codes.copy()
         self.lits.append(lits)
         watches = self.watches
         for c in lits[:2]:
@@ -295,9 +326,9 @@ class _ClauseDb:
             lits = all_lits[cid]
             n = len(lits)
             if n == 0 and empty is None:
-                empty = self.clauses[cid]
+                empty = cid
             elif n == 1:
-                pending.append((lits[0], cid))
+                pending.append((cid, lits[0]))
         if empty is not None:
             self.root_conflict = True
             self.root_used = (empty,)
@@ -317,24 +348,26 @@ class _ClauseDb:
         self.root_len = len(self.trail)
 
     def _propagate(self, queue):
-        """Assign the queued (code, reason id) pairs and their consequences.
+        """Assign the queued (reason id, code) pairs and their consequences.
 
-        Returns (conflict, used) where used lists the clause values behind
-        the conflict when recording is on. The clauses a new assignment
-        turns unit or false are handled in id order, the order of a scan
-        over every clause containing the falsified literal, so the queue,
-        the conflict found and the propagation count do not depend on
-        where the watches happen to sit. Consequences are appended to the
-        queue while it is walked. Propagations are counted by how much the
-        trail grew.
+        Returns (conflict, used) where used lists the ids of the clauses
+        behind the conflict when recording is on. The ternary clauses on
+        the falsified literal's occurrence list are checked first, then the
+        clauses watching it. The clauses the new assignment turns unit or
+        false are handled in id order, the order of a scan over every
+        clause containing the falsified literal, so the queue, the conflict
+        found and the propagation count do not depend on where the watches
+        happen to sit. Consequences are appended to the queue while it is
+        walked. Propagations are counted by how much the trail grew.
         """
         value = self.value
         reason = self.reason
         trail = self.trail
         watches = self.watches
+        occurs = self.occurs
         all_lits = self.lits
         start = len(trail)
-        for lit, why in queue:
+        for why, lit in queue:
             if value[lit]:
                 continue
             if value[lit ^ 1]:
@@ -348,11 +381,19 @@ class _ClauseDb:
             reason[lit] = why
             trail.append(lit)
             false_lit = lit ^ 1
-            ws = watches[false_lit]
-            if not ws:
-                continue
-            units = []
+            units = []  # (id, the code it makes true)
             falsified = None
+            for cid, a, b in occurs[false_lit]:
+                if value[a] or value[b] or all_lits[cid] is None:
+                    continue  # satisfied, or a deleted clause
+                if value[a ^ 1]:
+                    if not value[b ^ 1]:
+                        units.append((cid, b))
+                    elif falsified is None or cid < falsified:
+                        falsified = cid
+                elif value[b ^ 1]:
+                    units.append((cid, a))
+            ws = watches[false_lit]
             j = 0
             for cid in ws:
                 c = all_lits[cid]
@@ -381,7 +422,7 @@ class _ClauseDb:
                         if falsified is None or cid < falsified:
                             falsified = cid
                     else:
-                        units.append(cid)
+                        units.append((cid, other))
             del ws[j:]
             if falsified is not None:
                 self.propagations += len(trail) - start
@@ -390,13 +431,13 @@ class _ClauseDb:
                 return True, self._explain(falsified)
             if units:
                 units.sort()
-                for cid in units:
-                    queue.append((all_lits[cid][0], cid))
+                queue += units
         self.propagations += len(trail) - start
         return False, None
 
     def _explain(self, falsified, lit=None):
-        """Walk reasons backwards from false literals, collecting used clauses.
+        """Walk reasons backwards from false literals, collecting the ids
+        of the clauses used.
 
         The walk starts from the literals of the falsified clause, or from
         the code lit when no clause is falsified, and visits each clause's
@@ -421,8 +462,7 @@ class _ClauseDb:
                 if q != m and q not in seen:
                     seen.add(q)
                     stack.append(q)
-        clauses = self.clauses
-        return [clauses[r] for r in used]
+        return list(used)
 
     def _undo_to(self, mark):
         value = self.value
@@ -435,7 +475,7 @@ class _ClauseDb:
         """Does propagating the negated clause literals yield a conflict?"""
         if self.root_conflict:
             return True, (list(self.root_used) if self.record else None)
-        conflict, used = self._propagate([(c ^ 1, None) for c in self._codes(clause.literals)])
+        conflict, used = self._propagate([(None, c ^ 1) for c in self._codes(clause.literals)])
         self._undo_to(self.root_len)
         return conflict, used
 
@@ -454,7 +494,7 @@ class _ClauseDb:
             for c in self._codes(other.literals):
                 if c != resolved:
                     assumptions[c ^ 1] = None
-            conflict, used = self._propagate([(a, None) for a in assumptions])
+            conflict, used = self._propagate([(None, a) for a in assumptions])
             self._undo_to(self.root_len)
             if not conflict:
                 return False, None, ()
@@ -469,7 +509,7 @@ class _ClauseDb:
         if count:
             return
         # watch true literals first, then open ones, so a false watch
-        # only ever sits next to a true one
+        # only ever sits next to a true one (ternary clauses ignore the order)
         value = self.value
         codes = self._codes(clause.literals)
         true = []
@@ -488,11 +528,11 @@ class _ClauseDb:
         if not open_:
             self.root_conflict = True
             if len(clause) == 0:
-                self.root_used = (clause,)
+                self.root_used = (cid,)
             elif self.record:
                 self.root_used = tuple(self._explain(cid))
             return
-        conflict, used = self._propagate([(open_[0], cid)])
+        conflict, used = self._propagate([(cid, open_[0])])
         if conflict:
             self.root_conflict = True
             self.root_used = tuple(used or ())
@@ -583,6 +623,14 @@ def _apply_repeated_prefix(db, refutation, resume, annotations):
     return n
 
 
+def _instance_at(formula, cube):
+    """The formula plus one unit clause per cube literal."""
+    out = formula
+    for lit in cube:
+        out = out.add(Clause((lit,)))
+    return out
+
+
 _base = (None, None)  # (formula, its as-built database) of the last replay
 
 
@@ -633,10 +681,9 @@ def _replay(formula, refutation, mode, record, resume=None, cube=()):
             if added:
                 db.add(clause)
             if record:
-                ids = db.ids
-                used = tuple(used or ())
-                cid = ids[clause] if added else None
-                used_ids = tuple(ids[c] for c in used)
+                used_ids = tuple(used or ())
+                used = tuple(db.clauses[u] for u in used_ids)
+                cid = db.ids[clause] if added else None
                 annotations.append(
                     StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
                 )
@@ -681,7 +728,7 @@ def check_refutation(
 
 
 def annotate_refutation(
-    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, resume=None
+    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, resume=None, cube=()
 ):
     """Like check_refutation, but also return per-step replay annotations.
 
@@ -697,10 +744,17 @@ def annotate_refutation(
     raises ValueError. With resume, the report's propagations count only
     the propagations this call performed.
 
+    cube means what it means for check_refutation: the proof is judged
+    against the formula plus one unit clause per cube literal, and the
+    report and annotations are those for that instance built out. resume
+    must then come from a replay against the same instance.
+
     Annotations also name clauses by id. A value gets the next id when
-    its count goes from 0 to 1, the formula's in formula order first, so
-    ids below ``len(formula.counts())`` are formula clauses; it keeps the
-    id until its count is 0 again. A resumed replay issues the same ids.
+    its count goes from 0 to 1, the instance's in the order of its
+    ``counts()`` first (the formula's clauses, then each cube unit the
+    formula lacks, in cube order), so ids below the instance's distinct
+    clause count are its clauses; a value keeps its id until its count is
+    0 again. A resumed replay issues the same ids.
     """
-    rep, annotations = _replay(formula, refutation, mode, record=True, resume=resume)
+    rep, annotations = _replay(formula, refutation, mode, record=True, resume=resume, cube=cube)
     return rep, tuple(annotations)

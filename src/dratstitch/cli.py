@@ -84,7 +84,7 @@ def cmd_stitch(args):
         entries = []
         for entry in bundle.entries:
             if any(not s.is_add for s in entry.refutation):
-                instance = stitcher._instance_at(bundle.instance, entry.cube)
+                instance = checker._instance_at(bundle.instance, entry.cube)
                 repaired = stitcher.strip_deletions(instance, entry.refutation)
                 entries.append(formats.BundleEntry(entry.cube, repaired, entry.source))
             else:
@@ -205,7 +205,7 @@ def cmd_fixture(args):
     cnf_path = out_dir / "instance.cnf"
     cnf_path.write_text(formats.write_dimacs(formula))
     for i, cube in enumerate(cubes):
-        sub = stitcher._instance_at(formula, cube)
+        sub = checker._instance_at(formula, cube)
         outcome = harness.solve_drup(sub, seed=args.seed + i + 1)
         assert not outcome.sat, "cube of an unsatisfiable instance cannot be satisfiable"
         (out_dir / cube.filename()).write_text(formats.write_drat(outcome.refutation))

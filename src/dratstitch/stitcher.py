@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .checker import KIND_RAT, STRICT, annotate_refutation, check_refutation, first_violation
-from .core import ADD, Clause, EMPTY_CLAUSE, Formula, ProofStep, Refutation
+from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation
 from .formats import Cube, ProofBundle
 from .trimmer import trim
 
@@ -169,13 +169,6 @@ class StitchRecord:
     trim_seconds: float
 
 
-def _instance_at(formula, path):
-    out = formula
-    for lit in path:
-        out = out.add(Clause((lit,)))
-    return out
-
-
 def _leaves(tree):
     stack = [(tree, ())]
     while stack:
@@ -199,7 +192,9 @@ def combine_all(
 
     cl_avg gates the per-merge trimming pass: -1 never trims, 0 trims
     after every merge, k > 0 trims when the merged proof's average
-    addition length exceeds k. With validate on, every leaf is checked
+    addition length exceeds k. A merge is trimmed against the formula
+    plus one unit per literal of its path, on copies of the formula's
+    kept clause database. With validate on, every leaf is checked
     before any merge runs. Merges run one at a time in post order: each
     inner node merges right after both of its children, positive child
     first, and on_record sees each merge as it finishes.
@@ -227,9 +222,8 @@ def combine_all(
         trim_seconds = 0.0
         out = merged
         if wants_trim:
-            instance = _instance_at(formula, path)
             t1 = time.perf_counter()
-            out, _ = trim(instance, merged)
+            out, _ = trim(formula, merged, cube=path)
             trim_seconds = time.perf_counter() - t1
         record = StitchRecord(
             depth=len(path),

@@ -47,7 +47,7 @@ keeps only marked additions, so trimming a RAT proof is idempotent too.
 import time
 from dataclasses import dataclass, field
 
-from .checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
+from .checker import KIND_RAT, PERMISSIVE, STRICT, _instance_at, annotate_refutation
 from .core import ADD, DELETE, Formula, ProofStep, Refutation
 from .formats import write_drat
 
@@ -72,16 +72,20 @@ class TrimReport:
 
 
 class _Analysis:
-    """One replay of a valid proof, its uses charged to the engine's clause ids."""
+    """One replay of a valid proof, its uses charged to the engine's clause ids.
 
-    def __init__(self, formula, refutation, mode, resume=None):
-        report, ann = annotate_refutation(formula, refutation, mode, resume=resume)
+    The proof refutes the formula plus one unit clause per cube literal,
+    and that instance's clauses are the formula clauses here.
+    """
+
+    def __init__(self, formula, refutation, mode, resume=None, cube=()):
+        report, ann = annotate_refutation(formula, refutation, mode, resume=resume, cube=cube)
         if not report.valid:
             raise InvalidProofError("input proof is %s" % report.failure_text())
         self.replay = (report, ann)  # what a later replay can resume from
         self.ann = ann
-        self.formula = formula
-        self.n_formula = len(formula.counts())  # ids below this are formula clauses
+        self.formula = _instance_at(formula, cube)
+        self.n_formula = len(self.formula.counts())  # ids below this are formula clauses
         final = ann[-1]
         assert final.op == ADD and len(final.clause) == 0
         self.final_index = final.index
@@ -171,7 +175,7 @@ class _Analysis:
         )
 
 
-def _converge(formula, refutation, mode, resynthesize, input_bytes):
+def _converge(formula, refutation, mode, resynthesize, input_bytes, cube):
     """Iterate marking until stable; returns (steps, analysis of them).
 
     The candidate rule is the module's. Only the input is replayed in the
@@ -180,7 +184,7 @@ def _converge(formula, refutation, mode, resynthesize, input_bytes):
     """
     input_steps = len(refutation)
 
-    analysis = _Analysis(formula, refutation, mode)
+    analysis = _Analysis(formula, refutation, mode, cube=cube)
     steps = None  # the input itself still needs its strict replay
     while True:
         again = analysis.with_deletions() if resynthesize and not analysis.any_rat else None
@@ -194,7 +198,7 @@ def _converge(formula, refutation, mode, resynthesize, input_bytes):
             return steps, analysis
         steps = again
         try:
-            analysis = _Analysis(formula, Refutation(steps), STRICT, analysis.replay)
+            analysis = _Analysis(formula, Refutation(steps), STRICT, analysis.replay, cube)
         except InvalidProofError as exc:
             raise TrimInternalError("internal trim candidate failed to check: %s" % exc) from exc
 
@@ -204,6 +208,8 @@ def trim(
     refutation: Refutation,
     mode: str = PERMISSIVE,
     resynthesize_deletions: bool = True,
+    *,
+    cube=(),
 ):
     """Shrink a valid refutation; returns (trimmed, report).
 
@@ -213,12 +219,20 @@ def trim(
     resynthesized deletions included. The report's core is the part of
     the formula that check relied on. A candidate that fails its check
     raises TrimInternalError.
+
+    cube is a sequence of literals, as for check_refutation: the proof
+    then refutes the formula plus one unit clause per cube literal, and
+    steps and report, core included, are those of a trim against that
+    instance built out. Every replay copies the formula's kept database,
+    so the trims of many sub-problems of one formula index it once.
     """
     start = time.perf_counter()
     input_steps = len(refutation)
     input_bytes = len(write_drat(refutation))
 
-    steps, analysis = _converge(formula, refutation, mode, resynthesize_deletions, input_bytes)
+    steps, analysis = _converge(
+        formula, refutation, mode, resynthesize_deletions, input_bytes, cube
+    )
     trimmed = Refutation(steps)
 
     output_bytes = len(write_drat(trimmed))

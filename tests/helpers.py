@@ -183,7 +183,8 @@ class ReferenceClauseDb:
     Kept as the reference for the differential tests: they swap it in for
     checker._ClauseDb and require identical reports and annotations. Every
     propagation scans the whole occurrence list of the falsified literal and
-    walks each clause on it.
+    walks each clause on it. Conflict derivations are collected as clause
+    values and handed out as ids from this engine's own id table.
     """
 
     def __init__(self, formula: Formula, record: bool = False):
@@ -191,7 +192,7 @@ class ReferenceClauseDb:
         self.record = record
         self.mult = dict(formula.counts())
         self.ids = {}  # alive clause value -> id, issued when its count leaves 0
-        self.issued = 0
+        self.clauses = []  # id -> Clause
         self.occ = {}  # literal -> {Clause: None}, an ordered set
         self.true_lits = {}  # true literal -> None, ordered
         self.reason = {}  # true literal -> Clause | None (None: assumption)
@@ -213,8 +214,8 @@ class ReferenceClauseDb:
         return ReferenceClauseDb(formula, record)
 
     def _index(self, clause):
-        self.ids[clause] = self.issued
-        self.issued += 1
+        self.ids[clause] = len(self.clauses)
+        self.clauses.append(clause)
         for l in clause.literals:
             self.occ.setdefault(l, {})[clause] = None
 
@@ -240,7 +241,7 @@ class ReferenceClauseDb:
                 pending.append((clause.literals[0], clause))
         if empty is not None:
             self.root_conflict = True
-            self.root_used = (empty,)
+            self.root_used = (self.ids[empty],)
         else:
             conflict, used = self._propagate(pending)
             if conflict:
@@ -301,7 +302,8 @@ class ReferenceClauseDb:
         return False, None
 
     def _explain(self, falsified, seed_lits):
-        """Walk reasons backwards from false literals, collecting used clauses."""
+        """Walk reasons backwards from false literals, collecting used
+        clauses; returns their ids."""
         used = {}
         if falsified is not None:
             used[falsified] = None
@@ -317,7 +319,7 @@ class ReferenceClauseDb:
                 if q != -m and q not in seen:
                     seen.add(q)
                     stack.append(q)
-        return list(used)
+        return [self.ids[c] for c in used]
 
     def _undo_to(self, mark):
         while len(self.trail) > mark:
@@ -373,7 +375,7 @@ class ReferenceClauseDb:
             return
         if len(clause) == 0:
             self.root_conflict = True
-            self.root_used = (clause,)
+            self.root_used = (self.ids[clause],)
             return
         unassigned = None
         extra = False
@@ -423,11 +425,13 @@ class ReferenceAnalysis:
     instance, and charges each use to the oldest alive instance of its
     value, deleting the youngest first. Kept as the reference for the
     trim differential tests: they swap it in for trimmer._Analysis and
-    require the same trimmed bytes and the same core multiset.
+    require the same trimmed bytes and the same core multiset. The proof
+    refutes the formula plus one unit clause per cube literal; the
+    original instances are that instance's.
     """
 
-    def __init__(self, formula, refutation, mode, resume=None):
-        report, ann = annotate_refutation(formula, refutation, mode, resume=resume)
+    def __init__(self, formula, refutation, mode, resume=None, cube=()):
+        report, ann = annotate_refutation(formula, refutation, mode, resume=resume, cube=cube)
         if not report.valid:
             raise InvalidProofError("input proof is %s" % report.failure_text())
         self.replay = (report, ann)  # what a later replay can resume from
@@ -440,6 +444,8 @@ class ReferenceAnalysis:
         inst_clause = {}
         next_id = 0
         self.phi_ids = {}  # clause value -> ids of original instances
+        for lit in cube:
+            formula = formula.add(Clause((lit,)))
         for clause, k in formula.counts():
             for _ in range(k):
                 alive.setdefault(clause, []).append(next_id)

@@ -37,7 +37,7 @@ from dratstitch import (
 )
 from dratstitch import checker
 from dratstitch.checker import PERMISSIVE, STRICT
-from dratstitch.stitcher import _instance_at
+from dratstitch.checker import _instance_at
 
 from helpers import (
     ReferenceClauseDb,
@@ -152,6 +152,28 @@ CHECK_REASON_DELETED = (
     P((1, 5), ("d", -2, 3), (10,), ()),
 )
 HAND_CASES += [ROOT_REASON_DELETED, CHECK_REASON_DELETED]
+
+# Ternary clauses, which the engine keeps on occurrence lists, not watches.
+SQUARE_10 = ((10, 11), (10, -11), (-10, 11), (-10, -11))
+TERNARY_CASES = [
+    # (1 2 3) is deleted and added again under a new id; in the check of
+    # (1 2 6) the new id must be the reason of 3, not the stale one
+    (
+        F((1, 2, 3), (1, 2, 5), (-5, 3), (-3, 6), *SQUARE_10),
+        P(("d", 1, 2, 3), (3, 2, 1), (1, 2, 6), (10,), ()),
+    ),
+    # (-1 -2 3) is the reason of the root literal 3; once it is deleted,
+    # (3) is neither AT nor RAT
+    (F((1,), (2,), (-1, -2, 3), (-3, 4), *SQUARE_10), P(("d", -1, -2, 3), (3,), ())),
+    (F((1,), (2,), (-1, -2, 3), (-3, 4), *SQUARE_10), P(("d", -1, -2, 3), (10,), ())),
+    # ternary tautologies, as an input clause and as a lemma
+    (F((1, -1, 2), (-2, 3), *SQUARE_10), P((5, -5, 6), (1, -1, 3), (3,), (10,), ())),
+    # a ternary lemma that is unit at the root, then used there
+    (F((1,), (2,), (-3, 4), (-3, -4), *SQUARE_10), P((-1, -2, -3), (-3,), (10,), ())),
+    # a RAT lemma whose neighbours are both ternary
+    (F((-7, 1, 2), (-7, -1, 2), (2, 4, 8), (-8, 4), *SQUARE_10), P((7, 4), (10,), ())),
+]
+HAND_CASES += TERNARY_CASES
 
 
 @pytest.mark.parametrize("case", range(len(HAND_CASES)))
@@ -631,6 +653,10 @@ def _database_state(db):
         [[literal(c) for c in codes] for codes in db.codes],
         [[literal(c) for c in lits] for lits in db.lits],
         {literal(code): list(ws) for code, ws in enumerate(db.watches)},
+        {
+            literal(code): [(cid, literal(a), literal(b)) for cid, a, b in occ]
+            for code, occ in enumerate(db.occurs)
+        },
         [(literal(c), db.reason[c]) for c in db.trail],
         list(db.value),
         sorted(db.root_reasons),

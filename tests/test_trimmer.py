@@ -1,6 +1,7 @@
 """Unsat-core trimming: shrink proofs, keep them valid, extract cores."""
 
 import contextlib
+import dataclasses
 import random
 
 import pytest
@@ -22,8 +23,8 @@ from dratstitch import (
     write_dimacs,
     write_drat,
 )
-from dratstitch import checker, trimmer
-from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
+from dratstitch import checker, stitcher, trimmer
+from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, _instance_at, annotate_refutation
 from dratstitch.cli import EXIT_OK, main
 
 from helpers import (
@@ -377,13 +378,13 @@ def reference_analysis(monkeypatch):
         yield made
 
 
-def _trims(formula, proof):
+def _trims(formula, proof, cube=()):
     """Trimmed bytes and core, or the error, for each mode and flag."""
     out = []
     for mode in (STRICT, PERMISSIVE):
         for resynthesize in (True, False):
             try:
-                trimmed, report = trim(formula, proof, mode, resynthesize)
+                trimmed, report = trim(formula, proof, mode, resynthesize, cube=cube)
             except InvalidProofError as exc:
                 out.append(str(exc))
             else:
@@ -392,12 +393,13 @@ def _trims(formula, proof):
 
 
 def assert_trims_match_reference(monkeypatch, cases):
-    for formula, proof in cases:
-        fast = _trims(formula, proof)
+    """cases are (formula, proof) or (formula, proof, cube)."""
+    for case in cases:
+        fast = _trims(*case)
         with reference_analysis(monkeypatch) as made:
-            reference = _trims(formula, proof)
+            reference = _trims(*case)
         assert made, "the reference analysis never ran"
-        assert fast == reference, proof
+        assert fast == reference, case
 
 
 def test_hand_trims_match_the_reference_analysis(monkeypatch):
@@ -436,3 +438,82 @@ def test_last_use_deletion_trims_match_the_reference_analysis(monkeypatch):
     with_deletions = sum(not all(s.is_add for s in trim(f, p)[0]) for f, p in cases)
     assert with_deletions > len(cases) // 2
     assert_trims_match_reference(monkeypatch, cases)
+
+
+# Trims against a formula plus a cube's units: trim(F, p, cube=c) must give
+# the steps and report, core and its order included, of trim on F with the
+# units added.
+
+
+def _trim_outcome(formula, proof, **kwargs):
+    try:
+        trimmed, report = trim(formula, proof, **kwargs)
+    except InvalidProofError as exc:
+        return str(exc)
+    core = list(report.core.counts())
+    return write_drat(trimmed), dataclasses.replace(report, wall_time=0.0), core
+
+
+def assert_cube_trim_matches(formula, proof, cube):
+    built = _trim_outcome(_instance_at(formula, cube), proof)
+    assert _trim_outcome(formula, proof, cube=cube) == built, cube
+    return built
+
+
+def _trim_cubes(formula, rng):
+    """The empty cube, a formula unit, and literals old and new to the formula."""
+    variables = sorted(formula.variables())
+    new = max(variables) + 1
+    cubes = [(), (new,), tuple(v if rng.random() < 0.5 else -v for v in rng.sample(variables, 2))]
+    units = [c.literals[0] for c in formula.distinct() if len(c) == 1]
+    if units:
+        cubes.append((rng.choice(units), -new))
+    return cubes
+
+
+@contextlib.contextmanager
+def merge_trims(monkeypatch):
+    """Record the (formula, proof, cube) of every trim combine_all makes."""
+    calls = []
+    real = stitcher.trim
+
+    def recording(formula, proof, *args, **kwargs):
+        calls.append((formula, proof, kwargs["cube"]))
+        return real(formula, proof, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(stitcher, "trim", recording)
+        yield calls
+
+
+@pytest.mark.parametrize("cl_avg", [-1, 0])
+def test_cube_trims_of_stitched_proofs_match_built_instances(monkeypatch, cl_avg):
+    rng = random.Random(113 + cl_avg)
+    with merge_trims(monkeypatch) as merges:
+        stitched = [
+            stitched_instance(seed, num_vars=11, depth=3, cl_avg=cl_avg) for seed in range(1, 9)
+        ]
+    # at cl_avg 0 every one of the 7 merges per instance trims against its path
+    assert len(merges) == (0 if cl_avg < 0 else 7 * len(stitched))
+    for formula, proof, cube in merges:
+        assert not isinstance(assert_cube_trim_matches(formula, proof, cube), str)
+    for formula, combined in stitched:
+        for cube in _trim_cubes(formula, rng):
+            assert_cube_trim_matches(formula, combined, cube)
+
+
+def test_cube_trims_of_rat_proofs_match_built_instances():
+    rng = random.Random(127)
+    outcomes = set()
+    for formula, proof in rat_corpus():
+        for cube in _trim_cubes(formula, rng):
+            outcomes.add(isinstance(assert_cube_trim_matches(formula, proof, cube), str))
+    assert outcomes == {False, True}  # some cubes break a RAT step, others do not
+
+
+def test_cube_trims_of_merges_match_the_reference_analysis(monkeypatch):
+    with merge_trims(monkeypatch) as merges:
+        for seed in (1, 2):
+            stitched_instance(seed, num_vars=11, depth=3, cl_avg=0)
+    assert merges
+    assert_trims_match_reference(monkeypatch, merges)
