@@ -39,6 +39,19 @@ instance once. The copy then recomputes its root closure from nothing,
 and every step is judged on it exactly as on a fresh build of the
 formula plus the cube's units: same clause ids, same closure, same
 verdicts and propagation counts.
+
+A proof can also be judged from hints, in the manner of LRAT (Cruz-Filipe
+et al., "Efficient certified RAT verification", CADE 2017): each addition
+names the ids of the clauses its check needs, and is judged by unit
+propagation over those clauses alone. That checker shares no code with
+the replay engine and searches nothing beyond the hinted clauses. The
+hints for a stitched proof come out of the leaf replays, but they need
+not be trusted: a hint can only add a live, older clause of the database
+to a propagation, propagating over some of the database's clauses
+derives nothing that propagating over all of them would not, and a RAT
+lemma's neighbours are found by the checker, not named by the hints. So
+hints from a faulty leaf replay can only make the check reject, never
+accept.
 """
 
 import logging
@@ -188,7 +201,9 @@ class _ClauseDb:
     the insertion order of ``mult``. A ternary clause is entered on the
     occurrence list of each of its three codes as ``(id, other code,
     other code)``; it is never watched and its literal list is never
-    reordered. Entries of deleted ternary clauses stay and are skipped.
+    reordered. Entries of deleted ternary clauses are skipped, and a
+    code's list is compacted once its stale entries outnumber its live
+    ones, so it never holds more than twice its live entries.
     Of any other clause, positions 0 and 1 of its literal list are
     watched; a unit clause is watched on its only literal. Watch entries
     of deleted clauses are dropped lazily.
@@ -218,6 +233,7 @@ class _ClauseDb:
         self.reason = []  # code -> clause id | None (an assumption), while true
         self.watches = []  # code -> ids of watched clauses watching it
         self.occurs = []  # code -> (id, other code, other code) per ternary clause
+        self.stale = []  # code -> entries of deleted clauses on its occurrence list
         self.trail = []  # true codes in assignment order
         self.root_reasons = set()  # ids of clauses that are reasons of root literals
         self.root_len = 0
@@ -258,6 +274,7 @@ class _ClauseDb:
         db.reason = [None] * len(self.reason)
         db.watches = [ws.copy() for ws in self.watches]
         db.occurs = [occ.copy() for occ in self.occurs]
+        db.stale = self.stale.copy()
         for lit in cube:
             unit = Clause((lit,))
             count = mult.get(unit, 0)
@@ -281,6 +298,7 @@ class _ClauseDb:
                 self.reason += (None, None)
                 self.watches += ([], [])
                 self.occurs += ([], [])
+                self.stale += (0, 0)
             out.append(i + i + (lit < 0))
         return out
 
@@ -548,7 +566,18 @@ class _ClauseDb:
             return True
         del self.mult[clause]
         cid = self.ids.pop(clause)
-        self.lits[cid] = None
+        all_lits = self.lits
+        all_lits[cid] = None
+        codes = self.codes[cid]
+        if len(codes) == 3:
+            occurs = self.occurs
+            stale = self.stale
+            for c in codes:
+                stale[c] += 1
+                occ = occurs[c]
+                if 2 * stale[c] > len(occ):
+                    occurs[c] = [e for e in occ if all_lits[e[0]] is not None]
+                    stale[c] = 0
         # only these removals can invalidate the root closure
         if self.root_conflict or len(clause) <= 1 or cid in self.root_reasons:
             self._rebuild_closure()
@@ -705,8 +734,130 @@ def _replay(formula, refutation, mode, record, resume=None, cube=()):
     return report(False, None, MISSING_EMPTY_CLAUSE, total), annotations
 
 
+def _hinted_conflict(true, hinted):
+    """Unit propagation over the hinted clauses only, from the true literals.
+
+    Passes over the clauses still open until one is falsified (a
+    conflict) or a pass derives nothing, so the hints may come in any
+    order. Adds the derived literals to true; returns (conflict, number
+    of literals derived).
+    """
+    derived = 0
+    pending = hinted
+    while pending:
+        still_open = []
+        for lits in pending:
+            unit = None
+            for lit in lits:
+                if lit in true:
+                    break  # satisfied: it can derive nothing any more
+                if -lit not in true:
+                    if unit is not None:
+                        still_open.append(lits)
+                        break
+                    unit = lit
+            else:
+                if unit is None:
+                    return True, derived
+                true.add(unit)
+                derived += 1
+        if len(still_open) == len(pending):
+            return False, derived
+        pending = still_open
+    return False, derived
+
+
+def _assumed(literals):
+    """The negations of literals as a set; None when two of them clash."""
+    true = set()
+    for lit in literals:
+        if lit in true:
+            return None
+        true.add(-lit)
+    return true
+
+
+def _check_hinted(formula, refutation, mode, hints):
+    """Judge every step from its hints alone; see check_refutation."""
+    if mode not in (STRICT, PERMISSIVE):
+        raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
+    if len(hints) != len(refutation):
+        raise ValueError("hints must give one entry per proof step")
+    start = time.perf_counter()
+    literals = []  # id -> the clause's literals
+    copies = []  # id -> live copies under that id
+    live = {}  # clause value -> its live ids, one per copy, youngest last
+    for clause, k in formula.counts():
+        live[clause] = [len(literals)] * k
+        literals.append(clause.literals)
+        copies.append(k)
+    derived = 0
+
+    def report(valid, step=None, reason=None, checked=0):
+        return CheckReport(
+            valid,
+            failing_step=step,
+            reason=reason,
+            steps_checked=checked,
+            propagations=derived,
+            wall_time=time.perf_counter() - start,
+        )
+
+    total = len(refutation)
+    for i, (step, hint) in enumerate(zip(refutation, hints), 1):
+        clause = step.clause
+        cid = len(literals)
+        literals.append(clause.literals)
+        copies.append(0)
+        if not step.is_add:
+            ids = live.get(clause)
+            if ids:
+                copies[ids.pop()] -= 1
+                if not ids:
+                    del live[clause]
+            elif mode == STRICT:
+                return report(False, i, DELETION_ABSENT, i)
+            else:
+                log.warning("step %d: deletion of absent clause %r skipped", i, clause)
+            continue
+        # every hint names a live clause from before this step
+        ok = all(0 <= h < cid and copies[h] for h in hint)
+        if ok:
+            # a replay lists a conflict's clauses from the falsified one
+            # back to the assumptions; reversed, one pass mostly suffices
+            hinted = [literals[h] for h in reversed(hint)]
+            true = _assumed(clause.literals)
+            ok = true is None
+            if not ok:
+                ok, n = _hinted_conflict(true, hinted)
+                derived += n
+            if not ok and len(clause) > 0:
+                # RAT on the pivot: every resolvent with a live clause
+                # holding its negation is a tautology or conflicts
+                pivot = clause.pivot
+                ok = True
+                for value in live:
+                    if -pivot not in value:
+                        continue
+                    true = _assumed(clause.literals + tuple(m for m in value if m != -pivot))
+                    if true is not None:
+                        ok, n = _hinted_conflict(true, hinted)
+                        derived += n
+                        if not ok:
+                            break
+        if not ok:
+            return report(False, i, NOT_AT if len(clause) == 0 else NOT_RAT, i)
+        if len(clause) == 0:
+            if i < total:
+                log.warning("empty clause at step %d; ignoring %d trailing steps", i, total - i)
+            return report(True, checked=i)
+        live.setdefault(clause, []).append(cid)
+        copies[cid] = 1
+    return report(False, None, MISSING_EMPTY_CLAUSE, total)
+
+
 def check_refutation(
-    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, cube=()
+    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, cube=(), hints=None
 ) -> CheckReport:
     """Replay a proof against the formula and judge it.
 
@@ -722,7 +873,26 @@ def check_refutation(
     formula built out: the database is a copy of the formula's, kept
     from the last replay of the same formula object, with the units
     added.
+
+    hints, when given, holds one sequence of clause ids per proof step
+    (deletions ignore theirs), and the proof is judged from them alone,
+    without the replay engine. Ids name the formula's distinct clauses
+    in ``counts()`` order, then one id per proof step in order; an
+    addition's clause lives under its step's id, and a deletion kills
+    the youngest live id of its value. Each hinted id must be live and
+    older than its step. The negated addition must then reach a
+    conflict by unit propagation over the hinted clauses alone, or, for
+    a RAT lemma, every resolvent with a live clause holding the negated
+    pivot must be a tautology or reach one the same way. The report's
+    propagations count the literals the hinted clauses derived. Hints
+    that fall short only make a step fail: a valid proof with too few
+    hints is rejected, an invalid one is never accepted. cube must be
+    empty with hints.
     """
+    if hints is not None:
+        if cube:
+            raise ValueError("hints are checked against the formula alone, without a cube")
+        return _check_hinted(formula, refutation, mode, hints)
     rep, _ = _replay(formula, refutation, mode, record=False, cube=cube)
     return rep
 

@@ -121,7 +121,14 @@ def cmd_stitch(args):
     print("steps=%d output=%s" % (len(combined), args.output))
 
     if not args.no_verify:
-        report = checker.check_refutation(bundle.instance, combined, mode=mode)
+        # hints are None under --trust-subproofs, and the proof is replayed
+        report = checker.check_refutation(
+            bundle.instance, combined, mode=mode, hints=combined.hints
+        )
+        if not report.valid and combined.hints is not None:
+            # hints that fall short reject a valid proof; only a replay
+            # tells that apart from an invalid one
+            report = checker.check_refutation(bundle.instance, combined, mode=mode)
         _print_check(report, label="verify")
         if not report.valid:
             print("error: stitched output failed verification", file=sys.stderr)

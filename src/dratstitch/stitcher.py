@@ -7,14 +7,20 @@ is appended last so each clause's first literal, the resolution pivot,
 survives the merge. Over a full cube set this is applied bottom-up in
 one post-order pass: each inner node merges right after both of its
 children, positive child first.
+
+Merging only widens clauses, so a widened lemma ``C or -x`` is an
+asymmetric tautology through the same clauses as ``C`` was under the
+cube unit ``(x)``: negating it assigns x. The ids each leaf replay used
+therefore carry over to the merged proof as hints for
+``check_refutation``, and the root needs no second full replay.
 """
 
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .checker import KIND_RAT, STRICT, annotate_refutation, check_refutation, first_violation
-from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation
+from .checker import KIND_RAT, STRICT, annotate_refutation, first_violation
+from .core import ADD, EMPTY_CLAUSE, Clause, Formula, ProofStep, Refutation
 from .formats import Cube, ProofBundle
 from .trimmer import trim
 
@@ -97,15 +103,47 @@ def _build(items, prefix):
 
 
 def _require_sub_proof(formula, cube, proof, label, mode):
-    """The proof must be preserving and refute formula plus cube's units."""
+    """The proof must be preserving and refute formula plus cube's units;
+    returns the annotations of its replay."""
     offender = first_violation(proof)
     if offender is not None:
         raise NonPreservingInputError(
             "%s: %r is deleted more often than added" % (label, offender)
         )
-    report = check_refutation(formula, proof, mode=mode, cube=cube)
+    report, annotations = annotate_refutation(formula, proof, mode=mode, cube=cube)
     if not report.valid:
         raise InvalidSubProofError("%s: %s" % (label, report.failure_text()))
+    return annotations
+
+
+def _local_hints(formula, cube, annotations):
+    """Per step of a replayed proof of formula plus cube's units, the ids
+    its check used, named as ``check_refutation``'s hints name them for the
+    proof alone against the formula.
+
+    A formula clause keeps its id and a cube unit's id is dropped: the
+    widened lemma's negation supplies the unit. A lemma id becomes the id
+    of the first addition that carried it, as the trimmer's born rule
+    has it. Deletions get no ids.
+    """
+    n_formula = len(formula.counts())
+    n_instance = n_formula + len({l for l in cube if Clause((l,)) not in formula})
+    born = {}  # engine id of a lemma -> the hint id of its first addition
+    out = []
+    for sv in annotations:
+        if sv.op != ADD:
+            out.append(())
+            continue
+        out.append(
+            tuple(
+                u if u < n_formula else born[u]
+                for u in sv.used_ids
+                if not n_formula <= u < n_instance
+            )
+        )
+        if sv.clause_id is not None and sv.clause_id >= n_instance:
+            born.setdefault(sv.clause_id, n_formula + sv.index - 1)
+    return out
 
 
 def stitch(
@@ -180,6 +218,20 @@ def _leaves(tree):
             stack.append((node.pos_child, path + (node.var,)))
 
 
+class StitchedRefutation(Refutation):
+    """A merged refutation and, when every leaf was validated, its hints.
+
+    hints holds one tuple of clause ids per step, as check_refutation
+    takes them, or is None.
+    """
+
+    __slots__ = ("hints",)
+
+    def __init__(self, steps=(), hints=None):
+        super().__init__(steps)
+        self.hints = hints
+
+
 def combine_all(
     formula: Formula,
     tree: CubeNode,
@@ -187,7 +239,7 @@ def combine_all(
     validate: bool = True,
     mode: str = STRICT,
     on_record: Optional[Callable] = None,
-) -> Refutation:
+) -> StitchedRefutation:
     """Merge a whole cube tree into one refutation of the formula.
 
     cl_avg gates the per-merge trimming pass: -1 never trims, 0 trims
@@ -198,21 +250,38 @@ def combine_all(
     before any merge runs. Merges run one at a time in post order: each
     inner node merges right after both of its children, positive child
     first, and on_record sees each merge as it finishes.
+
+    With validate on, and every leaf proof ending at the empty clause
+    its replay stopped at, the result carries hints: the ids each leaf's
+    replay used, with the positive child's ids kept and the negative
+    child's shifted past it, each merge's empty clause hinted by its two
+    children's final clauses, and a trimmed merge's ids taken from the
+    trim's final analysis. Otherwise its hints are None.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
 
+    # per node, its hints as (shift, hint tuples) runs: ids from
+    # n_formula up name steps and move by shift, lower ids are clauses
+    # of the formula
+    n_formula = len(formula.counts())
+    leaf_hints = None
     if validate:
+        leaf_hints = {}
         for leaf, path in _leaves(tree):
-            _require_sub_proof(
+            annotations = _require_sub_proof(
                 formula, path, leaf.refutation, "cube %s" % leaf.cube.filename(), mode
             )
+            if leaf_hints is not None and len(annotations) == len(leaf.refutation):
+                leaf_hints[path] = [(0, _local_hints(formula, path, annotations))]
+            else:
+                leaf_hints = None  # steps past the empty clause were not judged
 
     def merge(node, path):
         if isinstance(node, Leaf):
-            return node.refutation
-        pos_ref = merge(node.pos_child, path + (node.var,))
-        neg_ref = merge(node.neg_child, path + (-node.var,))
+            return node.refutation, leaf_hints and leaf_hints[path]
+        pos_ref, pos_hints = merge(node.pos_child, path + (node.var,))
+        neg_ref, neg_hints = merge(node.neg_child, path + (-node.var,))
         t0 = time.perf_counter()
         merged = stitch(formula, node.var, pos_ref, neg_ref, validate=False)
         merge_seconds = time.perf_counter() - t0
@@ -221,10 +290,17 @@ def combine_all(
         wants_trim = cl_avg >= 0 and total > cl_avg * count
         trim_seconds = 0.0
         out = merged
+        hints = None
         if wants_trim:
             t1 = time.perf_counter()
-            out, _ = trim(formula, merged, cube=path)
+            out, report = trim(formula, merged, cube=path)
             trim_seconds = time.perf_counter() - t1
+            if leaf_hints:
+                hints = [(0, _local_hints(formula, path, report.annotations))]
+        elif leaf_hints:
+            shift = len(pos_ref)
+            final = (n_formula + shift - 1, n_formula + shift + len(neg_ref) - 1)
+            hints = pos_hints + [(s + shift, h) for s, h in neg_hints] + [(0, [final])]
         record = StitchRecord(
             depth=len(path),
             path=path,
@@ -240,9 +316,17 @@ def combine_all(
         )
         if on_record is not None:
             on_record(record)
-        return out
+        return out, hints
 
-    return merge(tree, ())
+    combined, runs = merge(tree, ())
+    hints = None
+    if runs:
+        hints = []
+        for shift, run in runs:
+            if shift:
+                run = [tuple(h + shift if h >= n_formula else h for h in ids) for ids in run]
+            hints += run
+    return StitchedRefutation(combined, hints)
 
 
 def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:

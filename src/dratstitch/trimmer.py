@@ -25,6 +25,13 @@ successor that gains deletions and no longer fits; that successor's
 marked additions could lead back to the candidate, and the loop would
 alternate between the two forever.
 
+A fixpoint with resynthesis is not always the smaller one. A
+resynthesized deletion takes its lemma away from every later check, so
+the later lemmas an earlier analysis marked can stay needed, where plain
+marking, with the lemma still live, finds shorter derivations and drops
+them: one RAT proof of the tests keeps 7 additions with resynthesis and
+5 without.
+
 Uses are charged to the checker's clause ids. A value holds one id from
 the moment its count leaves 0 until it is 0 again, and deletions remove
 the youngest instance first, so the id names the oldest live instance:
@@ -69,6 +76,8 @@ class TrimReport:
     core_clauses: int
     wall_time: float
     core: Formula = field(compare=False, repr=False)
+    # the final strict analysis's annotations, one per output step
+    annotations: tuple = field(default=(), compare=False, repr=False)
 
 
 class _Analysis:
@@ -217,7 +226,8 @@ def trim(
     bytes, and has passed a strict check before being returned: the last
     analysis of the fixpoint, which replays exactly the output, its
     resynthesized deletions included. The report's core is the part of
-    the formula that check relied on. A candidate that fails its check
+    the formula that check relied on, and its annotations are that
+    check's, one per output step. A candidate that fails its check
     raises TrimInternalError.
 
     cube is a sequence of literals, as for check_refutation: the proof
@@ -247,6 +257,7 @@ def trim(
         core_clauses=len(core),
         wall_time=time.perf_counter() - start,
         core=core,
+        annotations=analysis.ann,
     )
     return trimmed, report
 

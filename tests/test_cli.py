@@ -394,6 +394,103 @@ def test_stitch_no_verify_skips_check(tmp_path, capsys):
     assert out.is_file()
 
 
+def _spy_root_checks(monkeypatch):
+    """Record the hints of every check_refutation call and count the
+    stitcher's annotated replays."""
+    from dratstitch import checker, stitcher
+
+    calls = {"hints": [], "annotated": 0}
+    check = checker.check_refutation
+    annotate = stitcher.annotate_refutation
+
+    def spy_check(*args, hints=None, **kwargs):
+        calls["hints"].append(hints)
+        return check(*args, hints=hints, **kwargs)
+
+    def spy_annotate(*args, **kwargs):
+        calls["annotated"] += 1
+        return annotate(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "check_refutation", spy_check)
+    monkeypatch.setattr(stitcher, "annotate_refutation", spy_annotate)
+    return calls
+
+
+def test_stitch_verifies_the_root_from_leaf_hints(tmp_path, capsys, monkeypatch):
+    fixture_dir = make_fixture(tmp_path)
+    calls = _spy_root_checks(monkeypatch)
+    out = tmp_path / "combined.drat"
+    assert main(stitch_args(fixture_dir, out)) == EXIT_OK
+    steps = len(parse_drat(out.read_bytes()))
+    assert calls["annotated"] == 4  # one recorded replay per leaf
+    (hints,) = calls["hints"]
+    assert hints is not None and len(hints) == steps
+    assert "verify=valid steps_checked=%d " % steps in capsys.readouterr().out
+
+
+def test_stitch_trust_subproofs_replays_the_root_without_hints(tmp_path, capsys, monkeypatch):
+    fixture_dir = make_fixture(tmp_path)
+    calls = _spy_root_checks(monkeypatch)
+    out = tmp_path / "combined.drat"
+    assert main(stitch_args(fixture_dir, out, "--trust-subproofs")) == EXIT_OK
+    assert calls == {"hints": [None], "annotated": 0}
+    assert "verify=valid " in capsys.readouterr().out
+
+
+def test_stitch_no_verify_skips_the_hint_check(tmp_path, capsys, monkeypatch):
+    from dratstitch import checker
+
+    fixture_dir = make_fixture(tmp_path)
+    calls = _spy_root_checks(monkeypatch)
+    monkeypatch.setattr(checker, "_check_hinted", None)  # would fail if called
+    assert main(stitch_args(fixture_dir, tmp_path / "combined.drat", "--no-verify")) == EXIT_OK
+    assert calls["hints"] == [] and calls["annotated"] == 4
+    assert "verify=" not in capsys.readouterr().out
+
+
+def test_stitch_replays_the_root_when_its_hints_fall_short(tmp_path, capsys, monkeypatch):
+    from dratstitch import stitcher
+
+    fixture_dir = make_fixture(tmp_path)
+    calls = _spy_root_checks(monkeypatch)
+    local = stitcher._local_hints
+    monkeypatch.setattr(
+        stitcher, "_local_hints", lambda *args: [() for _ in local(*args)]
+    )
+    assert main(stitch_args(fixture_dir, tmp_path / "combined.drat")) == EXIT_OK
+    hinted, replayed = calls["hints"]
+    assert hinted is not None and replayed is None
+    assert "verify=valid " in capsys.readouterr().out
+
+
+def test_stitch_replays_the_root_when_widening_merges_two_lemmas(tmp_path, capsys):
+    # Under the cube 3 the leaf adds (1 -3), then (1), then deletes
+    # (1 -3). Widened, (1) is (1 -3) too, so at the root the deletion
+    # takes the younger copy, the one the empty clause's hint names:
+    # the hint check rejects, and the replay finds the proof valid.
+    cnf = write(
+        tmp_path / "f.cnf",
+        "p cnf 3 6\n1 2 0\n1 -2 0\n-1 2 -3 0\n-1 -2 -3 0\n-1 2 3 0\n-1 -2 3 0\n",
+    )
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    write(proof_dir / "3.proof", "1 -3 0\n1 0\nd 1 -3 0\n0\n")
+    write(proof_dir / "-3.proof", "1 0\n0\n")
+    out = tmp_path / "combined.drat"
+    for mode in ("--strict", "--permissive"):
+        rc = main(["stitch", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(out), mode])
+        assert rc == EXIT_OK
+        assert "verify=valid steps_checked=7 " in capsys.readouterr().out
+
+    from dratstitch import build_cube_tree, combine_all, load_bundle
+
+    bundle = load_bundle(cnf, str(proof_dir))
+    combined = combine_all(bundle.instance, build_cube_tree(bundle))
+    report = check_refutation(bundle.instance, combined, mode=STRICT, hints=combined.hints)
+    assert (report.valid, report.failing_step) == (False, 4)
+    assert check_refutation(bundle.instance, combined, mode=STRICT).valid
+
+
 def test_stitch_manifest_input(tmp_path, capsys):
     fixture_dir = make_fixture(tmp_path, depth=1)
     capsys.readouterr()

@@ -173,6 +173,28 @@ TERNARY_CASES = [
     # a RAT lemma whose neighbours are both ternary
     (F((-7, 1, 2), (-7, -1, 2), (2, 4, 8), (-8, 4), *SQUARE_10), P((7, 4), (10,), ())),
 ]
+# Heavy ternary churn: eight lemmas on 1 and 2 added and deleted, some
+# added again under new ids, and a formula clause on the same literals
+# deleted, so the occurrence lists of 1 and 2 fill with stale entries
+CHURN = [(1, 2, k) for k in range(20, 28)]
+TERNARY_CHURN = (
+    F((1, 2, 3), (1, 2, -3), (-1, 4, 5), (-2, 4, -5), *SQUARE_10),
+    P(
+        *CHURN,
+        *(("d",) + c for c in CHURN),
+        (2, 1, 20),
+        (1, 2, 21),
+        ("d", 2, 1, 20),
+        (1, 2, 20),
+        ("d", 1, 2, 3),
+        (1, 2, -3, 30),
+        ("d", 1, 2, 21),
+        (1, 2, -3, 4),
+        (10,),
+        (),
+    ),
+)
+TERNARY_CASES.append(TERNARY_CHURN)
 HAND_CASES += TERNARY_CASES
 
 
@@ -180,6 +202,23 @@ HAND_CASES += TERNARY_CASES
 def test_hand_cases_match_reference(monkeypatch, case):
     formula, proof = HAND_CASES[case]
     assert_same_replay(monkeypatch, formula, proof)
+
+
+def test_ternary_occurrence_lists_stay_within_twice_their_live_entries():
+    formula, proof = TERNARY_CHURN
+    assert check_refutation(formula, proof, mode=STRICT).valid
+    db = checker._ClauseDb(formula)
+    longest = 0
+    for step in proof:
+        if step.is_add:
+            db.add(step.clause)
+        else:
+            assert db.remove(step.clause)
+        for occ in db.occurs:
+            live = sum(db.lits[cid] is not None for cid, _, _ in occ)
+            assert len(occ) <= 2 * live
+            longest = max(longest, len(occ))
+    assert longest >= len(CHURN)  # the churn did fill the lists
 
 
 def test_cli_fixture_bundles_match_reference(monkeypatch):
@@ -657,6 +696,7 @@ def _database_state(db):
             literal(code): [(cid, literal(a), literal(b)) for cid, a, b in occ]
             for code, occ in enumerate(db.occurs)
         },
+        list(db.stale),
         [(literal(c), db.reason[c]) for c in db.trail],
         list(db.value),
         sorted(db.root_reasons),

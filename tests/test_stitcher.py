@@ -382,13 +382,13 @@ def test_combine_all_invalid_leaf_names_its_cube():
 
 def _spy_leaf_checks(monkeypatch):
     calls = []
-    real = stitcher.check_refutation
+    real = stitcher.annotate_refutation
 
-    def spy(formula, proof, mode=PERMISSIVE, *, cube=()):
+    def spy(formula, proof, mode=PERMISSIVE, *, resume=None, cube=()):
         calls.append((formula, tuple(cube), mode))
-        return real(formula, proof, mode=mode, cube=cube)
+        return real(formula, proof, mode=mode, resume=resume, cube=cube)
 
-    monkeypatch.setattr(stitcher, "check_refutation", spy)
+    monkeypatch.setattr(stitcher, "annotate_refutation", spy)
     return calls
 
 
@@ -404,6 +404,20 @@ def test_leaf_checks_pass_their_cube_against_the_shared_instance(monkeypatch):
     stitch(SQUARE, 2, EMPTY_PROOF, EMPTY_PROOF)
     assert calls == [(SQUARE, (2,), STRICT), (SQUARE, (-2,), STRICT)]
     assert all(f is SQUARE for f, _, _ in calls)
+
+
+def test_combine_all_carries_hints_only_when_every_leaf_was_judged_in_full():
+    tree = build_cube_tree(bundle(SQUARE, entry((1,), "2 0\n0\n"), entry((-1,))))
+    out = combine_all(SQUARE, tree)
+    # under (1) the instance conflicts at the root through (-1 -2) and
+    # (-1 2), ids 3 and 2, under (-1) through (1 -2) and (1 2), and the
+    # root's empty clause through the two final clauses, steps 2 and 3
+    assert out.hints == [(3, 2), (3, 2), (1, 0), (5, 6)]
+    assert check_refutation(SQUARE, out, mode=STRICT, hints=out.hints).valid
+    assert combine_all(SQUARE, tree, validate=False).hints is None
+    # the leaf's step after its empty clause was never judged
+    trailing = build_cube_tree(bundle(SQUARE, entry((1,), "0\n2 0\n"), entry((-1,))))
+    assert combine_all(SQUARE, trailing).hints is None
 
 
 def test_combine_all_trust_mode_defers_to_final_check():

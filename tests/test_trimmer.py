@@ -171,6 +171,24 @@ def test_trim_without_resynthesized_deletions():
     assert len(write_drat(full)) <= len(write_drat(combined))
 
 
+def test_resynthesis_can_keep_more_additions_than_plain_marking():
+    # Pinned, not fixed: the first analysis keeps the input's deletions
+    # (it has RAT steps) and marks (5), (-3) and (-2); once (4 -6) is
+    # deleted after its last use they stay needed, while plain marking,
+    # with (4 -6) live, drops them. Resynthesis settles on 7 additions
+    # and plain marking on 5. The larger output is still a valid,
+    # idempotent trim no longer than its input.
+    formula, proof = rat_corpus()[268]
+    full, _ = trim(formula, proof)
+    bare, _ = trim(formula, proof, resynthesize_deletions=False)
+    sizes = (sum(s.is_add for s in full), sum(s.is_add for s in bare))
+    assert sizes == (7, 5)
+    assert check_refutation(formula, full, mode=STRICT).valid
+    assert trim(formula, full)[0] == full
+    assert len(full) <= len(proof)
+    assert len(write_drat(full)) <= len(write_drat(proof))
+
+
 def test_trim_report_core_counts_instances():
     f = F((1,), (-1,), (5, 6))
     _, report = trim(f, parse_drat("0\n"))
