@@ -44,14 +44,18 @@ A proof can also be judged from hints, in the manner of LRAT (Cruz-Filipe
 et al., "Efficient certified RAT verification", CADE 2017): each addition
 names the ids of the clauses its check needs, and is judged by unit
 propagation over those clauses alone. That checker shares no code with
-the replay engine and searches nothing beyond the hinted clauses. The
-hints for a stitched proof come out of the leaf replays, but they need
-not be trusted: a hint can only add a live, older clause of the database
-to a propagation, propagating over some of the database's clauses
-derives nothing that propagating over all of them would not, and a RAT
-lemma's neighbours are found by the checker, not named by the hints. So
-hints from a faulty leaf replay can only make the check reject, never
-accept.
+the replay engine and searches nothing beyond the hinted clauses. A
+hinted id counts as live while its clause value has a live copy, which
+is the engine's rule too: a deletion removes one copy of a value, not
+the copy some hint names. Against a cube, its units are live clauses
+that every check may use unnamed. The hints for a stitched proof come
+out of the leaf replays and the per-merge trims, but they need not be
+trusted: a hint can only add a clause that is in the database, older
+than the step, to a propagation, propagating over some of the
+database's clauses derives nothing that propagating over all of them
+would not, and a RAT lemma's neighbours are found by the checker, not
+named by the hints. So faulty hints can only make the check reject,
+never accept.
 """
 
 import logging
@@ -678,6 +682,17 @@ def _database(formula, cube, record):
     return base.extended(cube, record)
 
 
+def _root_conflict(formula, cube):
+    """The formula clauses behind a conflict in the root closure of formula
+    plus cube's units, as ids for check_refutation's hints; None when that
+    closure has no conflict. A cube unit's id is left out."""
+    db = _database(formula, cube, record=True)
+    if not db.root_conflict:
+        return None
+    n = len(formula.counts())
+    return tuple(u for u in db.root_used if u < n)
+
+
 def _replay(formula, refutation, mode, record, resume=None, cube=()):
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
@@ -734,67 +749,118 @@ def _replay(formula, refutation, mode, record, resume=None, cube=()):
     return report(False, None, MISSING_EMPTY_CLAUSE, total), annotations
 
 
-def _hinted_conflict(true, hinted):
-    """Unit propagation over the hinted clauses only, from the true literals.
+def _hinted_conflict(true, pending, literals):
+    """Unit propagation from the true literals over the clauses whose ids
+    are pending, literals giving each id's literals.
 
     Passes over the clauses still open until one is falsified (a
-    conflict) or a pass derives nothing, so the hints may come in any
-    order. Adds the derived literals to true; returns (conflict, number
-    of literals derived).
+    conflict) or a pass derives nothing, so the ids may come in any
+    order. Adds the derived literals to true. Returns the ids of the
+    clauses that became unit, in the order they did, then the falsified
+    one's, or None without a conflict; and the number of literals derived.
     """
-    derived = 0
-    pending = hinted
+    used = []
     while pending:
         still_open = []
-        for lits in pending:
+        for h in pending:
             unit = None
-            for lit in lits:
+            for lit in literals[h]:
                 if lit in true:
                     break  # satisfied: it can derive nothing any more
                 if -lit not in true:
                     if unit is not None:
-                        still_open.append(lits)
+                        still_open.append(h)
                         break
                     unit = lit
             else:
+                used.append(h)
                 if unit is None:
-                    return True, derived
+                    return used, len(used) - 1
                 true.add(unit)
-                derived += 1
         if len(still_open) == len(pending):
-            return False, derived
+            break
         pending = still_open
-    return False, derived
+    return None, len(used)
 
 
-def _assumed(literals):
-    """The negations of literals as a set; None when two of them clash."""
+def _assumed(literals, units=()):
+    """The negations of literals, then the unit literals, as a set; None
+    when two of them clash, which is a conflict before any propagation."""
     true = set()
     for lit in literals:
         if lit in true:
             return None
         true.add(-lit)
+    for lit in units:
+        if -lit in true:
+            return None
+        true.add(lit)
     return true
 
 
-def _check_hinted(formula, refutation, mode, hints):
-    """Judge every step from its hints alone; see check_refutation."""
+def _hint_table(formula):
+    """Per distinct formula clause, in ``counts()`` order, its literals,
+    its value and its count; and each value's key, its position plus 1.
+
+    A hint check reads the formula from it; callers that check many
+    proofs of one formula build it once. Checks copy what they change.
+    """
+    values = [None]
+    values += (clause for clause, _ in formula.counts())
+    count = [0]
+    count += (k for _, k in formula.counts())
+    literals = [clause.literals for clause in values[1:]]
+    return literals, values, count, dict(zip(values[1:], range(1, len(values))))
+
+
+def _check_hinted(formula, refutation, mode, hints, cube=(), table=None, needed=None):
+    """Judge every step from its hints alone; see check_refutation.
+
+    table is the formula's _hint_table, built here when None. Returns the
+    report and whether some addition passed only as RAT. When needed is a
+    list, it gets per judged step the hints the step needed: for an
+    addition that passed as AT, the clauses that became unit and then the
+    falsified one, listed from the falsified one back, as a replay lists
+    them; the given hints for any other step. A needed clause is named as
+    the replay engine names it: by the id its value took when its live
+    copies last went from none to one, and not at all while a cube unit
+    keeps it live.
+    """
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     if len(hints) != len(refutation):
         raise ValueError("hints must give one entry per proof step")
     start = time.perf_counter()
-    literals = []  # id -> the clause's literals
-    copies = []  # id -> live copies under that id
-    live = {}  # clause value -> its live ids, one per copy, youngest last
-    for clause, k in formula.counts():
-        live[clause] = [len(literals)] * k
-        literals.append(clause.literals)
-        copies.append(k)
+    literals, values, count, keys = table or _hint_table(formula)
+    literals = literals.copy()  # id -> the clause's literals
+    key = list(range(1, len(values)))  # id -> its value's key; 0 (never live) for a deletion
+    values = values.copy()  # key -> clause value
+    count = count.copy()  # key -> live copies of the value
+    keys = keys.copy()  # clause value -> key
+    named = list(range(-1, len(values) - 1))  # key -> the id that names its live copies
+
+    def key_of(clause):
+        k = keys.get(clause)
+        if k is None:
+            k = keys[clause] = len(values)
+            values.append(clause)
+            count.append(0)
+            named.append(None)
+        return k
+
+    # the cube's units: live clauses every check may use without naming them
+    unit_keys = {}
+    for lit in cube:
+        k = key_of(Clause((lit,)))
+        count[k] += 1
+        unit_keys[k] = lit
+    units = list(unit_keys.values())
+    record = needed is not None
     derived = 0
+    rat = False
 
     def report(valid, step=None, reason=None, checked=0):
-        return CheckReport(
+        rep = CheckReport(
             valid,
             failing_step=step,
             reason=reason,
@@ -802,57 +868,74 @@ def _check_hinted(formula, refutation, mode, hints):
             propagations=derived,
             wall_time=time.perf_counter() - start,
         )
+        return rep, rat
 
     total = len(refutation)
-    for i, (step, hint) in enumerate(zip(refutation, hints), 1):
-        clause = step.clause
+    for i, ((op, clause), hint) in enumerate(zip(refutation, hints), 1):
+        lits = clause.literals
         cid = len(literals)
-        literals.append(clause.literals)
-        copies.append(0)
-        if not step.is_add:
-            ids = live.get(clause)
-            if ids:
-                copies[ids.pop()] -= 1
-                if not ids:
-                    del live[clause]
+        literals.append(lits)
+        if op != ADD:
+            key.append(0)
+            if record:
+                needed.append(hint)
+            k = keys.get(clause)
+            if k is not None and count[k]:
+                count[k] -= 1
+                if k in unit_keys and not count[k]:
+                    units = [l for u, l in unit_keys.items() if count[u]]
             elif mode == STRICT:
                 return report(False, i, DELETION_ABSENT, i)
             else:
                 log.warning("step %d: deletion of absent clause %r skipped", i, clause)
             continue
-        # every hint names a live clause from before this step
-        ok = all(0 <= h < cid and copies[h] for h in hint)
-        if ok:
-            # a replay lists a conflict's clauses from the falsified one
-            # back to the assumptions; reversed, one pass mostly suffices
-            hinted = [literals[h] for h in reversed(hint)]
-            true = _assumed(clause.literals)
-            ok = true is None
-            if not ok:
-                ok, n = _hinted_conflict(true, hinted)
-                derived += n
-            if not ok and len(clause) > 0:
-                # RAT on the pivot: every resolvent with a live clause
-                # holding its negation is a tautology or conflicts
-                pivot = clause.pivot
-                ok = True
-                for value in live:
-                    if -pivot not in value:
-                        continue
-                    true = _assumed(clause.literals + tuple(m for m in value if m != -pivot))
-                    if true is not None:
-                        ok, n = _hinted_conflict(true, hinted)
-                        derived += n
-                        if not ok:
-                            break
-        if not ok:
-            return report(False, i, NOT_AT if len(clause) == 0 else NOT_RAT, i)
-        if len(clause) == 0:
+        # every hint names an older clause whose value has a live copy
+        for h in hint:
+            if not (0 <= h < cid and count[key[h]]):
+                return report(False, i, NOT_AT if not lits else NOT_RAT, i)
+        # a replay lists a conflict's clauses from the falsified one back
+        # to the assumptions, so reversed, one pass mostly suffices
+        hinted = hint[::-1]
+        true = _assumed(lits, units)
+        used = ()
+        if true is not None:
+            used, n = _hinted_conflict(true, hinted, literals)
+            derived += n
+        if used is not None:
+            if record:
+                ids = [named[key[h]] for h in reversed(used)]
+                if None in ids:
+                    ids = [h for h in ids if h is not None]
+                needed.append(tuple(ids))
+        elif not lits:
+            return report(False, i, NOT_AT, i)
+        else:
+            # RAT on the pivot: every resolvent with a live clause
+            # holding its negation is a tautology or conflicts
+            rat = True
+            if record:
+                needed.append(hint)
+            pivot = lits[0]
+            for k, value in enumerate(values):
+                if not count[k] or -pivot not in value:
+                    continue
+                true = _assumed(lits + tuple(m for m in value if m != -pivot), units)
+                if true is not None:
+                    used, n = _hinted_conflict(true, hinted, literals)
+                    derived += n
+                    if used is None:
+                        return report(False, i, NOT_RAT, i)
+        if not lits:
             if i < total:
                 log.warning("empty clause at step %d; ignoring %d trailing steps", i, total - i)
             return report(True, checked=i)
-        live.setdefault(clause, []).append(cid)
-        copies[cid] = 1
+        k = key_of(clause)
+        key.append(k)
+        count[k] += 1
+        if count[k] == 1:
+            named[k] = cid
+            if k in unit_keys:
+                units = [l for u, l in unit_keys.items() if count[u]]
     return report(False, None, MISSING_EMPTY_CLAUSE, total)
 
 
@@ -878,21 +961,23 @@ def check_refutation(
     (deletions ignore theirs), and the proof is judged from them alone,
     without the replay engine. Ids name the formula's distinct clauses
     in ``counts()`` order, then one id per proof step in order; an
-    addition's clause lives under its step's id, and a deletion kills
-    the youngest live id of its value. Each hinted id must be live and
-    older than its step. The negated addition must then reach a
-    conflict by unit propagation over the hinted clauses alone, or, for
-    a RAT lemma, every resolvent with a live clause holding the negated
-    pivot must be a tautology or reach one the same way. The report's
-    propagations count the literals the hinted clauses derived. Hints
-    that fall short only make a step fail: a valid proof with too few
-    hints is rejected, an invalid one is never accepted. cube must be
-    empty with hints.
+    addition's clause lives under its step's id, and a deletion's id
+    names no clause. Each hinted id must be older than its step, and
+    its clause value must have a live copy then: a deletion removes one
+    copy of its value, whichever id named it. The negated addition must
+    then reach a conflict by unit propagation over the hinted clauses
+    alone, or, for a RAT lemma, every resolvent with a live clause
+    holding the negated pivot must be a tautology or reach one the same
+    way. With a cube, its units get no ids: each is a live clause that
+    every propagation may use without naming it, and a deletion of its
+    value removes it like any other copy. The report's propagations
+    count the literals the hinted clauses derived. Hints that fall short
+    only make a step fail: a valid proof with too few hints is rejected,
+    an invalid one is never accepted.
     """
     if hints is not None:
-        if cube:
-            raise ValueError("hints are checked against the formula alone, without a cube")
-        return _check_hinted(formula, refutation, mode, hints)
+        rep, _ = _check_hinted(formula, refutation, mode, hints, cube)
+        return rep
     rep, _ = _replay(formula, refutation, mode, record=False, cube=cube)
     return rep
 

@@ -12,7 +12,8 @@ Merging only widens clauses, so a widened lemma ``C or -x`` is an
 asymmetric tautology through the same clauses as ``C`` was under the
 cube unit ``(x)``: negating it assigns x. The ids each leaf replay used
 therefore carry over to the merged proof as hints for
-``check_refutation``, and the root needs no second full replay.
+``check_refutation``: the root needs no second full replay, and a merge
+is trimmed from its hints, with no replay either.
 """
 
 import time
@@ -254,16 +255,22 @@ def combine_all(
     With validate on, and every leaf proof ending at the empty clause
     its replay stopped at, the result carries hints: the ids each leaf's
     replay used, with the positive child's ids kept and the negative
-    child's shifted past it, each merge's empty clause hinted by its two
-    children's final clauses, and a trimmed merge's ids taken from the
-    trim's final analysis. Otherwise its hints are None.
+    child's shifted past it. A merge's empty clause is hinted by the
+    positive child's final clause ``(-x)`` and, when cl_avg lets merges
+    be trimmed, the hints of the negative child's final clause ``(x)``,
+    so that a trim marks no ``(x)``; otherwise by ``(x)`` itself. A
+    trimmed merge is trimmed from these hints against its path's cube
+    and takes the trim's output hints, unless a leaf below it has a step
+    that passed only as RAT: then it is trimmed by replay, as it always
+    is without hints, and takes its ids from the trim's final replay.
+    Otherwise its hints are None.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
 
     # per node, its hints as (shift, hint tuples) runs: ids from
     # n_formula up name steps and move by shift, lower ids are clauses
-    # of the formula
+    # of the formula; and whether a leaf below it has a RAT step
     n_formula = len(formula.counts())
     leaf_hints = None
     if validate:
@@ -273,34 +280,56 @@ def combine_all(
                 formula, path, leaf.refutation, "cube %s" % leaf.cube.filename(), mode
             )
             if leaf_hints is not None and len(annotations) == len(leaf.refutation):
-                leaf_hints[path] = [(0, _local_hints(formula, path, annotations))]
+                rat = any(sv.kind == KIND_RAT for sv in annotations)
+                leaf_hints[path] = ([(0, _local_hints(formula, path, annotations))], rat)
             else:
                 leaf_hints = None  # steps past the empty clause were not judged
 
+    def shifted(runs):
+        out = []
+        for shift, run in runs:
+            if shift:
+                run = [tuple(h + shift if h >= n_formula else h for h in ids) for ids in run]
+            out += run
+        return out
+
     def merge(node, path):
         if isinstance(node, Leaf):
-            return node.refutation, leaf_hints and leaf_hints[path]
-        pos_ref, pos_hints = merge(node.pos_child, path + (node.var,))
-        neg_ref, neg_hints = merge(node.neg_child, path + (-node.var,))
+            return (node.refutation,) + (leaf_hints[path] if leaf_hints else (None, False))
+        pos_ref, pos_hints, pos_rat = merge(node.pos_child, path + (node.var,))
+        neg_ref, neg_hints, neg_rat = merge(node.neg_child, path + (-node.var,))
         t0 = time.perf_counter()
         merged = stitch(formula, node.var, pos_ref, neg_ref, validate=False)
         merge_seconds = time.perf_counter() - t0
         total, count, average = _addition_lengths(merged)
         # integer comparison; cl_avg = 0 fires on anything with a literal
         wants_trim = cl_avg >= 0 and total > cl_avg * count
+        rat = pos_rat or neg_rat
+        hints = None
+        if leaf_hints:
+            shift = len(pos_ref)
+            if cl_avg < 0:
+                # nothing is marked, and (x) is the cheapest hint
+                neg_final = (n_formula + shift + len(neg_ref) - 1,)
+            else:
+                last_shift, last_run = neg_hints[-1]
+                neg_final = tuple(
+                    h + shift + last_shift if h >= n_formula else h for h in last_run[-1]
+                )
+            hints = pos_hints + [(s + shift, h) for s, h in neg_hints]
+            hints.append((0, [(n_formula + shift - 1,) + neg_final]))
         trim_seconds = 0.0
         out = merged
-        hints = None
         if wants_trim:
             t1 = time.perf_counter()
-            out, report = trim(formula, merged, cube=path)
+            if hints and not rat:
+                out, report = trim(formula, merged, cube=path, hints=shifted(hints))
+                hints = [(0, report.hints)]
+            else:
+                out, report = trim(formula, merged, cube=path)
+                if hints:
+                    hints = [(0, _local_hints(formula, path, report.annotations))]
             trim_seconds = time.perf_counter() - t1
-            if leaf_hints:
-                hints = [(0, _local_hints(formula, path, report.annotations))]
-        elif leaf_hints:
-            shift = len(pos_ref)
-            final = (n_formula + shift - 1, n_formula + shift + len(neg_ref) - 1)
-            hints = pos_hints + [(s + shift, h) for s, h in neg_hints] + [(0, [final])]
         record = StitchRecord(
             depth=len(path),
             path=path,
@@ -316,17 +345,10 @@ def combine_all(
         )
         if on_record is not None:
             on_record(record)
-        return out, hints
+        return out, hints, rat
 
-    combined, runs = merge(tree, ())
-    hints = None
-    if runs:
-        hints = []
-        for shift, run in runs:
-            if shift:
-                run = [tuple(h + shift if h >= n_formula else h for h in ids) for ids in run]
-            hints += run
-    return StitchedRefutation(combined, hints)
+    combined, runs, _ = merge(tree, ())
+    return StitchedRefutation(combined, shifted(runs) if runs else None)
 
 
 def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:

@@ -1,19 +1,39 @@
 """Shrinking valid refutations by backward dependency marking.
 
-A forward replay records which clauses each conflict derivation consumed;
-a backward sweep from the final empty clause then marks the additions
-actually needed, and everything unmarked is dropped. Each analysis
-proposes one candidate: its kept steps when it has RAT steps (below);
-otherwise, while resynthesis is on, its marked additions with each kept
-lemma deleted right after its last marked use, if that deletes anything
-and fits in the input's steps and bytes; otherwise its marked additions.
+An analysis judges every step of a proof and records which clauses each
+check consumed; a backward sweep from the final empty clause then marks
+the additions actually needed, and everything unmarked is dropped. One
+loop serves two analysis sources: a replay by the checker's engine,
+or, when the caller has hints (ids of the clauses each addition needs,
+as ``check_refutation`` takes them), a check by the hint checker, whose
+record of uses is the hints each check needed. Each analysis proposes
+one candidate: its kept steps when it has RAT steps (below); otherwise,
+while resynthesis is on, its marked additions with each kept lemma
+deleted right after its last marked use, if that deletes anything and
+fits in the input's steps and bytes; otherwise its marked additions.
 The first resynthesized candidate that does not fit turns resynthesis
-off. Every candidate is replayed strictly, resuming from the analysis it
-came from (shared leading steps keep their verdicts and every later step
-is judged), and one that fails is an internal error. The loop ends when
-an analysis proposes its own proof again, so its last analysis is the
-strict re-check of the output, deletions included, and trimming is
-idempotent rather than merely shrinking.
+off. Every candidate is judged strictly by its analysis source, and one
+that fails is an internal error. A replay resumes from the analysis it
+came from (shared leading steps keep their verdicts and every later
+step is judged); a hinted candidate carries the hints of its kept
+additions, renumbered to its steps. The loop ends when an analysis
+proposes its own proof again, so its last analysis is the strict
+re-check of the output, deletions included, and trimming is idempotent
+rather than merely shrinking.
+
+The hint source needs no replay, and its output need not trust the
+hints: the input is judged in full by the hint checker before anything
+is marked, and the output is judged again. That checker accepts an
+addition only when unit propagation over the clauses its hints name,
+all live and older, reaches a conflict, so a broken hint makes a check
+reject, never accept, and a rejection raises TrimInternalError. Two
+rules keep its output at the replay's size. An instance (formula plus
+cube units) that propagates to a conflict by itself trims to the empty
+clause alone, hinted by that conflict, which is what a replay finds
+too. And the hint checker names each clause a check needed by the id
+the replay engine would use, below, so a hinted and a replayed analysis
+charge uses alike. Hints cannot show which clauses a RAT check relied
+on, so an input with a step that passes only as RAT is replayed.
 
 The loop terminates. Additions only shrink, because each candidate's
 additions are a subsequence of the previous one's. While resynthesis is
@@ -38,7 +58,9 @@ the youngest instance first, so the id names the oldest live instance:
 the one a use keeps alive. An id below the formula's distinct clause
 count is a formula clause, and any other id was issued by the first
 addition that carries it, which is the addition a use of it marks. The
-core is the formula clauses that marked steps used, in formula order.
+core is the formula clauses that marked steps used, in formula order;
+with hints, that is the formula clauses the output's hints name, and a
+cube unit, which hints never name, is not in it.
 
 Steps that passed only the resolution check are handled conservatively:
 deleting clauses can enlarge the set of resolution obligations, so when
@@ -53,9 +75,19 @@ keeps only marked additions, so trimming a RAT proof is idempotent too.
 
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
-from .checker import KIND_RAT, PERMISSIVE, STRICT, _instance_at, annotate_refutation
-from .core import ADD, DELETE, Formula, ProofStep, Refutation
+from .checker import (
+    KIND_RAT,
+    PERMISSIVE,
+    STRICT,
+    _check_hinted,
+    _hint_table,
+    _instance_at,
+    _root_conflict,
+    annotate_refutation,
+)
+from .core import ADD, DELETE, EMPTY_CLAUSE, Formula, ProofStep, Refutation
 from .formats import write_drat
 
 
@@ -76,8 +108,10 @@ class TrimReport:
     core_clauses: int
     wall_time: float
     core: Formula = field(compare=False, repr=False)
-    # the final strict analysis's annotations, one per output step
+    # a replayed trim: the final strict analysis's annotations, one per output step
     annotations: tuple = field(default=(), compare=False, repr=False)
+    # a hinted trim: the output's hints, one tuple of ids per output step
+    hints: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 class _Analysis:
@@ -93,63 +127,81 @@ class _Analysis:
             raise InvalidProofError("input proof is %s" % report.failure_text())
         self.replay = (report, ann)  # what a later replay can resume from
         self.ann = ann
-        self.formula = _instance_at(formula, cube)
-        self.n_formula = len(self.formula.counts())  # ids below this are formula clauses
-        final = ann[-1]
-        assert final.op == ADD and len(final.clause) == 0
-        self.final_index = final.index
-
-        self.born = born = {}  # clause id -> the first addition carrying it
-        adds = {}  # clause value -> indices of its additions
-        deleted = set()  # values with an applied deletion
+        born = {}  # clause id -> the first addition carrying it
+        rat_neighbors = {}  # RAT step -> its neighbours
+        applied = set()  # deletions that removed a clause
         for sv in ann:
             if sv.op == ADD:
-                born.setdefault(sv.clause_id, sv)
-                adds.setdefault(sv.clause, []).append(sv.index)
+                born.setdefault(sv.clause_id, sv.index)
+                if sv.kind == KIND_RAT:
+                    rat_neighbors[sv.index] = sv.rat_neighbors
             elif sv.applied:
-                deleted.add(sv.clause)
-        self.any_rat = any(sv.kind == KIND_RAT for sv in ann)
+                applied.add(sv.index)
+        self._mark(
+            [ProofStep(sv.op, sv.clause) for sv in ann],
+            [sv.used_ids for sv in ann],
+            born,
+            _instance_at(formula, cube),
+            rat_neighbors,
+            applied,
+        )
 
-        self.marked_steps = marked = {final.index}
+    def _mark(self, steps, used, born, formula, rat_neighbors=None, applied=()):
+        """Mark backwards from the final empty clause.
+
+        steps are the judged steps, ending at it, and used[i] the ids the
+        check of steps[i] used. Ids below the formula's distinct clause
+        count are its clauses, and born maps any other id to the index of
+        the addition that issued it.
+        """
+        self.steps = steps
+        self.used = used
+        self.born = born
+        self.formula = formula
+        self.n_formula = n_formula = len(formula.counts())  # ids below this are formula clauses
+        self.final_index = final_index = len(steps)
+        assert steps[-1].is_add and len(steps[-1].clause) == 0
+        self.applied = applied
+        self.any_rat = bool(rat_neighbors)
+
+        self.marked_steps = marked = {final_index}
         self.last_use = last_use = {}  # marked clause id -> its last marked use
         self.whole = whole = set()  # values with every formula copy in the core
         if self.any_rat:
             # deletions stay, so additions of deleted values must stay too
+            adds = {}  # clause value -> indices of its additions
+            for i, step in enumerate(steps, 1):
+                if step.is_add:
+                    adds.setdefault(step.clause, []).append(i)
+            deleted = {steps[i - 1].clause for i in applied}
             for value in deleted:
                 marked.update(adds.get(value, ()))
             whole |= deleted
 
-        for sv in reversed(ann):
-            if sv.op != ADD or sv.index not in marked:
+        for i in range(final_index, 0, -1):
+            if i not in marked:
                 continue
-            for cid in sv.used_ids:
+            for cid in used[i - 1]:
                 if cid not in last_use:
-                    last_use[cid] = sv.index
-                    if cid >= self.n_formula:
-                        marked.add(born[cid].index)
-            if sv.kind == KIND_RAT:
+                    last_use[cid] = i
+                    if cid >= n_formula:
+                        marked.add(born[cid])
+            if self.any_rat and i in rat_neighbors:
                 # the check used every live copy of each neighbour
-                for value in sv.rat_neighbors:
+                for value in rat_neighbors[i]:
                     whole.add(value)
-                    marked.update(i for i in adds.get(value, ()) if i < sv.index)
+                    marked.update(j for j in adds.get(value, ()) if j < i)
 
     def marked_adds(self):
-        return [
-            ProofStep(ADD, sv.clause)
-            for sv in self.ann
-            if sv.op == ADD and sv.index in self.marked_steps
-        ]
+        return [self.steps[i - 1] for i in sorted(self.marked_steps)]
 
     def kept_steps(self):
         """RAT-conservative output: marked adds plus all applied deletions."""
-        out = []
-        for sv in self.ann:
-            if sv.op == ADD:
-                if sv.index in self.marked_steps:
-                    out.append(ProofStep(ADD, sv.clause))
-            elif sv.applied:
-                out.append(ProofStep(DELETE, sv.clause))
-        return out
+        return [
+            step
+            for i, step in enumerate(self.steps, 1)
+            if i in self.marked_steps or i in self.applied
+        ]
 
     def emit(self):
         """The candidate without resynthesis: kept_steps with RAT steps, else marked_adds."""
@@ -157,21 +209,18 @@ class _Analysis:
 
     def with_deletions(self):
         """Marked adds interleaved with one deletion per kept non-original
-        clause, placed right after its last marked use; None when there is
-        nothing to delete."""
+        clause id, placed right after its last marked use; None when there
+        is nothing to delete."""
+        steps = self.steps
         deletions = [
-            (last, 1, cid, ProofStep(DELETE, self.born[cid].clause))
+            (last, 1, cid, ProofStep(DELETE, steps[self.born[cid] - 1].clause))
             for cid, last in self.last_use.items()
             # deleting after the final empty clause is dead weight
             if cid >= self.n_formula and last < self.final_index
         ]
         if not deletions:
             return None
-        events = deletions + [
-            (sv.index, 0, 0, ProofStep(ADD, sv.clause))
-            for sv in self.ann
-            if sv.op == ADD and sv.index in self.marked_steps
-        ]
+        events = deletions + [(i, 0, 0, steps[i - 1]) for i in self.marked_steps]
         events.sort(key=lambda e: e[:3])
         return [step for *_, step in events]
 
@@ -184,28 +233,79 @@ class _Analysis:
         )
 
 
-def _converge(formula, refutation, mode, resynthesize, input_bytes, cube):
+class _HintedAnalysis(_Analysis):
+    """The same analysis from a hint check instead of a replay.
+
+    Its uses are, per addition that passed as AT, the hints its check
+    needed; rat says whether some addition passed only as RAT, whose
+    neighbours the hints do not name, and then nothing is marked. table
+    is the formula's hint table, which each later analysis reuses.
+    """
+
+    replay = None
+    ann = ()
+
+    def __init__(self, formula, refutation, mode, hints, cube, table):
+        self.table = table
+        needed = []
+        report, self.rat = _check_hinted(formula, refutation, mode, hints, cube, table, needed)
+        if not report.valid:
+            raise TrimInternalError("hinted proof is %s" % report.failure_text())
+        if not self.rat:
+            n = len(formula.counts())
+            steps = refutation.steps[: len(needed)]
+            born = {n + i: i + 1 for i, step in enumerate(steps) if step.is_add}
+            self._mark(steps, needed, born, formula)
+
+    def hints_of(self, candidate):
+        """The hints of a candidate of marked additions, deletions between
+        them: each addition's uses, renumbered to the candidate's steps."""
+        n = self.n_formula
+        sources = iter(sorted(self.marked_steps))
+        new_id = {}
+        out = []
+        for position, step in enumerate(candidate, n):
+            if not step.is_add:
+                out.append(())
+                continue
+            i = next(sources)
+            new_id[n + i - 1] = position
+            out.append(tuple(h if h < n else new_id[h] for h in self.used[i - 1]))
+        return out
+
+
+def _converge(formula, analysis, input_steps, input_bytes, resynthesize, cube):
     """Iterate marking until stable; returns (steps, analysis of them).
 
-    The candidate rule is the module's. Only the input is replayed in the
-    caller's mode and every candidate strictly, so the returned analysis
-    checks exactly the returned steps, and its core pairs with them.
+    analysis is the input's, judged in the caller's mode, and every
+    candidate is judged the same way, replayed or from hints, strictly.
+    The candidate rule is the module's. The returned analysis checks
+    exactly the returned steps, and its core and hints pair with them.
     """
-    input_steps = len(refutation)
-
-    analysis = _Analysis(formula, refutation, mode, cube=cube)
-    steps = None  # the input itself still needs its strict replay
+    hinted = analysis.replay is None
+    conflict = _root_conflict(formula, cube) if hinted else None
+    steps = None  # the input itself still needs its strict check
     while True:
-        again = analysis.with_deletions() if resynthesize and not analysis.any_rat else None
-        if again is not None and (
-            len(again) > input_steps or len(write_drat(Refutation(again))) > input_bytes
-        ):
-            resynthesize, again = False, None
-        if again is None:
-            again = analysis.emit()
+        if conflict is not None:
+            again = [ProofStep(ADD, EMPTY_CLAUSE)]
+        else:
+            again = analysis.with_deletions() if resynthesize and not analysis.any_rat else None
+            if again is not None and (
+                len(again) > input_steps or len(write_drat(Refutation(again))) > input_bytes
+            ):
+                resynthesize, again = False, None
+            if again is None:
+                again = analysis.emit()
         if again == steps:
             return steps, analysis
         steps = again
+        if hinted:
+            hints = [conflict] if conflict is not None else analysis.hints_of(steps)
+            analysis = _HintedAnalysis(
+                formula, Refutation(steps), STRICT, hints, cube, analysis.table
+            )
+            assert not analysis.rat  # each kept addition keeps the hints it passed as AT with
+            continue
         try:
             analysis = _Analysis(formula, Refutation(steps), STRICT, analysis.replay, cube)
         except InvalidProofError as exc:
@@ -219,15 +319,15 @@ def trim(
     resynthesize_deletions: bool = True,
     *,
     cube=(),
+    hints=None,
 ):
     """Shrink a valid refutation; returns (trimmed, report).
 
     The output is never longer than the input, in steps or serialized
     bytes, and has passed a strict check before being returned: the last
-    analysis of the fixpoint, which replays exactly the output, its
+    analysis of the fixpoint, which judges exactly the output, its
     resynthesized deletions included. The report's core is the part of
-    the formula that check relied on, and its annotations are that
-    check's, one per output step. A candidate that fails its check
+    the formula that check relied on. A candidate that fails its check
     raises TrimInternalError.
 
     cube is a sequence of literals, as for check_refutation: the proof
@@ -235,13 +335,30 @@ def trim(
     steps and report, core included, are those of a trim against that
     instance built out. Every replay copies the formula's kept database,
     so the trims of many sub-problems of one formula index it once.
+
+    hints, as check_refutation takes them (with the cube's units
+    unnamed), make every analysis a hint check instead of a replay: the
+    input is checked in mode and each candidate strictly, and a check
+    that rejects raises TrimInternalError. When the formula plus the
+    cube's units propagates to a conflict, the output is the empty clause
+    alone. The report then carries the output's hints, and its core is
+    the formula clauses they name (no cube unit). Without hints, or when
+    an addition of the input passes only as RAT, every analysis is a
+    replay, and the report carries the final replay's annotations.
     """
     start = time.perf_counter()
     input_steps = len(refutation)
     input_bytes = len(write_drat(refutation))
 
+    analysis = None
+    if hints is not None:
+        analysis = _HintedAnalysis(formula, refutation, mode, hints, cube, _hint_table(formula))
+        if analysis.rat:
+            analysis = None  # hints do not show what a RAT check relied on
+    if analysis is None:
+        analysis = _Analysis(formula, refutation, mode, cube=cube)
     steps, analysis = _converge(
-        formula, refutation, mode, resynthesize_deletions, input_bytes, cube
+        formula, analysis, input_steps, input_bytes, resynthesize_deletions, cube
     )
     trimmed = Refutation(steps)
 
@@ -258,6 +375,7 @@ def trim(
         wall_time=time.perf_counter() - start,
         core=core,
         annotations=analysis.ann,
+        hints=None if analysis.replay else tuple(analysis.used),
     )
     return trimmed, report
 

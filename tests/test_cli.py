@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 
 from dratstitch import (
+    DELETE,
     STRICT,
+    Clause,
+    ProofStep,
     check_refutation,
     is_preserving,
     parse_dimacs,
@@ -463,11 +466,14 @@ def test_stitch_replays_the_root_when_its_hints_fall_short(tmp_path, capsys, mon
     assert "verify=valid " in capsys.readouterr().out
 
 
-def test_stitch_replays_the_root_when_widening_merges_two_lemmas(tmp_path, capsys):
+def test_stitch_verifies_the_root_from_hints_when_widening_merges_two_lemmas(
+    tmp_path, capsys, monkeypatch
+):
     # Under the cube 3 the leaf adds (1 -3), then (1), then deletes
     # (1 -3). Widened, (1) is (1 -3) too, so at the root the deletion
-    # takes the younger copy, the one the empty clause's hint names:
-    # the hint check rejects, and the replay finds the proof valid.
+    # takes the younger copy, the one the empty clause's hint names. The
+    # value still has a live copy, so the hint stays live and the root
+    # verifies from its hints, with no replay behind them.
     cnf = write(
         tmp_path / "f.cnf",
         "p cnf 3 6\n1 2 0\n1 -2 0\n-1 2 -3 0\n-1 -2 -3 0\n-1 2 3 0\n-1 -2 3 0\n",
@@ -477,18 +483,22 @@ def test_stitch_replays_the_root_when_widening_merges_two_lemmas(tmp_path, capsy
     write(proof_dir / "3.proof", "1 -3 0\n1 0\nd 1 -3 0\n0\n")
     write(proof_dir / "-3.proof", "1 0\n0\n")
     out = tmp_path / "combined.drat"
+    calls = _spy_root_checks(monkeypatch)
     for mode in ("--strict", "--permissive"):
+        calls["hints"].clear()
         rc = main(["stitch", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(out), mode])
         assert rc == EXIT_OK
         assert "verify=valid steps_checked=7 " in capsys.readouterr().out
+        (hints,) = calls["hints"]
+        assert hints is not None
 
     from dratstitch import build_cube_tree, combine_all, load_bundle
 
     bundle = load_bundle(cnf, str(proof_dir))
     combined = combine_all(bundle.instance, build_cube_tree(bundle))
-    report = check_refutation(bundle.instance, combined, mode=STRICT, hints=combined.hints)
-    assert (report.valid, report.failing_step) == (False, 4)
-    assert check_refutation(bundle.instance, combined, mode=STRICT).valid
+    assert combined[2] == ProofStep(DELETE, Clause((1, -3)))
+    assert len(bundle.instance.counts()) + 1 in combined.hints[3]  # the younger copy
+    assert check_refutation(bundle.instance, combined, mode=STRICT, hints=combined.hints).valid
 
 
 def test_stitch_manifest_input(tmp_path, capsys):

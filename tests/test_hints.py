@@ -10,6 +10,8 @@ verdict: valid or not, failing step, reason and steps checked.
 Broken hints must be rejected: a needed hint dropped, a hint naming a
 later id, a hinted lemma deleted before its use, a lemma literal
 flipped where the replay also rejects, and a cube unit's id left in.
+A hint stays live while its clause value has a live copy, so a merge
+that widens two leaf values into one keeps its hints valid.
 """
 
 import random
@@ -78,18 +80,25 @@ def stitched(formula, bundle, cl_avg=-1):
     return combined
 
 
-def rat_bundles():
+def depth_one_rat_bundles():
     """Depth-1 bundles of a preserving rat_corpus proof on both sides of
-    each variable, where both leaves validate: (formula, stitched proof)."""
+    each variable: (formula, bundle)."""
     for formula, proof in rat_corpus():
         if not is_preserving(proof):
             continue
         for v in sorted(formula.variables()):
             entries = (BundleEntry(Cube((v,)), proof, "pos"), BundleEntry(Cube((-v,)), proof, "neg"))
-            try:
-                yield formula, stitched(formula, ProofBundle(formula, entries))
-            except InvalidSubProofError:
-                continue
+            yield formula, ProofBundle(formula, entries)
+
+
+def rat_bundles():
+    """The depth-1 rat_corpus bundles whose leaves both validate:
+    (formula, stitched proof)."""
+    for formula, bundle in depth_one_rat_bundles():
+        try:
+            yield formula, stitched(formula, bundle)
+        except InvalidSubProofError:
+            continue
 
 
 # the differential gate
@@ -166,6 +175,32 @@ def test_acceptance_instances_match_the_replay(cl_avg):
     for formula, bundle in _instances():
         combined = stitched(formula, bundle, cl_avg)
         assert assert_same_verdict(formula, combined, combined.hints).valid
+
+
+def test_leaf_proofs_under_their_cubes_match_the_replay():
+    # a cube's units are live clauses that no hint names; a deletion of
+    # one removes it, and the mutations delete units and re-add twins
+    compared = 0
+    for seed in (3, 7, 9):
+        formula = gen_random_unsat(10, 5.0, seed=seed)
+        rng = random.Random(seed)
+        for entry in bundle_for(formula, 2, seed=seed).entries:
+            cube = entry.cube.literals
+            proofs = [entry.refutation]
+            if any(s.is_add and len(s.clause) > 0 for s in entry.refutation):
+                proofs += _mutations(formula, entry.refutation, rng).values()
+            unit_deleted = [ProofStep(DELETE, Clause((cube[0],)))] + list(entry.refutation)
+            proofs.append(Refutation(unit_deleted))
+            for proof in proofs:
+                for mode in MODES:
+                    replay = check_refutation(formula, proof, mode=mode, cube=cube)
+                    _, annotations = annotate_refutation(formula, proof, mode=mode, cube=cube)
+                    hints = _local_hints(formula, cube, annotations)
+                    hints += [()] * (len(proof) - len(hints))
+                    hinted = check_refutation(formula, proof, mode=mode, cube=cube, hints=hints)
+                    assert _verdict(hinted) == _verdict(replay), (cube, mode, proof)
+                    compared += 1
+    assert compared > 60
 
 
 def test_depth_one_rat_bundles_match_the_replay():

@@ -36,7 +36,8 @@ from dratstitch import (
     trim,
 )
 from dratstitch import stitcher
-from dratstitch.checker import PERMISSIVE, STRICT
+from dratstitch.checker import PERMISSIVE, STRICT, annotate_refutation
+from dratstitch.stitcher import _local_hints
 
 from helpers import bundle_for, random_clause
 
@@ -271,12 +272,33 @@ def test_combine_all_unbalanced_tree_matches_hand_composition():
     inner = stitch(negative, 2, p2, p3)
     assert combine_all(formula, tree, cl_avg=-1) == stitch(formula, 1, p1, inner)
 
+    # without hints every merge is trimmed by replay
     records = []
-    got = combine_all(formula, tree, cl_avg=0, on_record=records.append)
+    got = combine_all(formula, tree, cl_avg=0, validate=False, on_record=records.append)
     assert [(r.path, r.trimmed) for r in records] == [((-1,), True), ((), True)]
     inner, _ = trim(negative, inner)
     root, _ = trim(formula, stitch(formula, 1, p1, inner))
     assert got == root
+
+    # validated, every merge is trimmed from its children's hints
+    n = len(formula.counts())
+    h1, h2, h3 = (
+        _local_hints(formula, c, annotate_refutation(formula, p, STRICT, cube=c)[1])
+        for c, p in zip((c.literals for c in cubes), proofs)
+    )
+    merged = stitch(formula, 2, p2, p3, validate=False)
+    inner, report = trim(formula, merged, cube=(-1,), hints=_merged(n, h2, h3))
+    merged = stitch(formula, 1, p1, inner, validate=False)
+    root, _ = trim(formula, merged, hints=_merged(n, h1, report.hints))
+    assert combine_all(formula, tree, cl_avg=0) == root
+
+
+def _merged(n, pos, neg):
+    """The hints of a merge: the negative side's ids shifted past the
+    positive side, and the empty clause hinted by the positive final
+    clause and the negative final clause's hints."""
+    neg = [tuple(h + len(pos) if h >= n else h for h in ids) for ids in neg]
+    return list(pos) + neg + [(n + len(pos) - 1,) + neg[-1]]
 
 
 def test_combine_all_leaf_passthrough():
@@ -414,6 +436,9 @@ def test_combine_all_carries_hints_only_when_every_leaf_was_judged_in_full():
     # root's empty clause through the two final clauses, steps 2 and 3
     assert out.hints == [(3, 2), (3, 2), (1, 0), (5, 6)]
     assert check_refutation(SQUARE, out, mode=STRICT, hints=out.hints).valid
+    # where merges may be trimmed, through (-1) and the hints of (1),
+    # so that a trim drops (1)
+    assert combine_all(SQUARE, tree, cl_avg=10).hints == [(3, 2), (3, 2), (1, 0), (5, 1, 0)]
     assert combine_all(SQUARE, tree, validate=False).hints is None
     # the leaf's step after its empty clause was never judged
     trailing = build_cube_tree(bundle(SQUARE, entry((1,), "0\n2 0\n"), entry((-1,))))
