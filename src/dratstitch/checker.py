@@ -664,22 +664,32 @@ def _instance_at(formula, cube):
     return out
 
 
-_base = (None, None)  # (formula, its as-built database) of the last replay
+_base = (None, None, None)  # the last formula used, its as-built database, its hint table
+
+
+def _kept(formula, part):
+    """Part 1, the as-built database, or part 2, the hint table, of
+    formula, from a one-entry memo.
+
+    Each part is built when first asked for. Both are dropped when
+    another formula object is used, and the database is rebuilt when
+    ``_ClauseDb`` names another engine (tests swap in a reference
+    engine). The database is only ever copied, never replayed on, and a
+    hint check copies what it changes of the table.
+    """
+    global _base
+    entry = list(_base) if _base[0] is formula else [formula, None, None]
+    if part == 1 and type(entry[1]) is not _ClauseDb:
+        entry[1] = _ClauseDb(formula)
+    elif part == 2 and entry[2] is None:
+        entry[2] = _hint_table(formula)
+    _base = tuple(entry)
+    return entry[part]
 
 
 def _database(formula, cube, record):
-    """A fresh database for formula plus cube, copied from a kept base.
-
-    The base is rebuilt when the formula object differs from the last
-    one, or when ``_ClauseDb`` names another engine (tests swap in a
-    reference engine). It is only ever copied, never replayed on.
-    """
-    global _base
-    kept, base = _base
-    if kept is not formula or type(base) is not _ClauseDb:
-        base = _ClauseDb(formula)
-        _base = (formula, base)
-    return base.extended(cube, record)
+    """A fresh database for formula plus cube, copied from the kept one."""
+    return _kept(formula, 1).extended(cube, record)
 
 
 def _root_conflict(formula, cube):
@@ -802,8 +812,8 @@ def _hint_table(formula):
     """Per distinct formula clause, in ``counts()`` order, its literals,
     its value and its count; and each value's key, its position plus 1.
 
-    A hint check reads the formula from it; callers that check many
-    proofs of one formula build it once. Checks copy what they change.
+    A hint check reads the formula from it, as kept by ``_kept``, so the
+    checks of many proofs of one formula build it once.
     """
     values = [None]
     values += (clause for clause, _ in formula.counts())
@@ -813,25 +823,31 @@ def _hint_table(formula):
     return literals, values, count, dict(zip(values[1:], range(1, len(values))))
 
 
-def _check_hinted(formula, refutation, mode, hints, cube=(), table=None, needed=None):
+def _check_hinted(formula, refutation, mode, hints, cube=(), needed=None, judged=None):
     """Judge every step from its hints alone; see check_refutation.
 
-    table is the formula's _hint_table, built here when None. Returns the
-    report and whether some addition passed only as RAT. When needed is a
-    list, it gets per judged step the hints the step needed: for an
-    addition that passed as AT, the clauses that became unit and then the
-    falsified one, listed from the falsified one back, as a replay lists
-    them; the given hints for any other step. A needed clause is named as
-    the replay engine names it: by the id its value took when its live
-    copies last went from none to one, and not at all while a cube unit
-    keeps it live.
+    Returns the report and whether some addition passed only as RAT.
+    When needed is a list, it gets per judged step the hints the step
+    needed: for an addition that passed as AT, the clauses that became
+    unit and then the falsified one, listed from the falsified one back,
+    as a replay lists them; the given hints for any other step. A needed
+    clause is named as the replay engine names it: by the id its value
+    took when its live copies last went from none to one, and not at all
+    while a cube unit keeps it live.
+
+    judged, when given, holds the numbers of additions that an earlier
+    check has propagated to a conflict over their hints, as AT. Their
+    hints must still name older clauses with a live copy, as every
+    step's must, but they are not propagated again: each needed what
+    its hints name, in their order, renamed as above. Deletions and the
+    naming are followed over every step either way.
     """
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     if len(hints) != len(refutation):
         raise ValueError("hints must give one entry per proof step")
     start = time.perf_counter()
-    literals, values, count, keys = table or _hint_table(formula)
+    literals, values, count, keys = _kept(formula, 2)
     literals = literals.copy()  # id -> the clause's literals
     key = list(range(1, len(values)))  # id -> its value's key; 0 (never live) for a deletion
     values = values.copy()  # key -> clause value
@@ -896,11 +912,14 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), table=None, needed=
         # a replay lists a conflict's clauses from the falsified one back
         # to the assumptions, so reversed, one pass mostly suffices
         hinted = hint[::-1]
-        true = _assumed(lits, units)
-        used = ()
-        if true is not None:
-            used, n = _hinted_conflict(true, hinted, literals)
-            derived += n
+        if judged is not None and i in judged:
+            used = hinted  # the order an earlier propagation used them in
+        else:
+            true = _assumed(lits, units)
+            used = ()
+            if true is not None:
+                used, n = _hinted_conflict(true, hinted, literals)
+                derived += n
         if used is not None:
             if record:
                 ids = [named[key[h]] for h in reversed(used)]

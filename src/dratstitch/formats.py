@@ -243,6 +243,29 @@ def write_drat(refutation: Refutation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def drat_size(refutation, sizes=None) -> int:
+    """len(write_drat(refutation)), without writing it.
+
+    refutation may be any sequence of proof steps. sizes, when given,
+    maps a clause value to the bytes of its line as an addition, newline
+    included; lines it lacks are measured and added to it, so the sizes
+    of proofs that share clauses measure each clause once. A line's
+    length does not depend on the order of its literals.
+    """
+    if sizes is None:
+        sizes = {}
+    total = 0
+    for step in refutation:
+        clause = step.clause
+        n = sizes.get(clause)
+        if n is None:
+            lits = clause.literals
+            # each literal and "0" is followed by a space or the newline
+            n = sizes[clause] = sum(map(len, map(str, lits))) + len(lits) + 2
+        total += n if step.is_add else n + 2  # "d "
+    return total
+
+
 def cube_from_filename(name) -> Cube:
     """Decode decision literals from a proof filename like '1_-2.proof'."""
     base = Path(name).name

@@ -14,6 +14,18 @@ cube unit ``(x)``: negating it assigns x. The ids each leaf replay used
 therefore carry over to the merged proof as hints for
 ``check_refutation``: the root needs no second full replay, and a merge
 is trimmed from its hints, with no replay either.
+
+For the same reason a lemma needs its propagation judged only once per
+stitch. Once a leaf replay, or the final check of a trim below, has
+propagated it to a conflict over its hinted clauses, it propagates to
+one over the same clauses, widened, under every path above, so a
+trim's input check does not propagate it again. What widening can
+change is which clauses are live when, and which copy names a value
+that two widened lemmas now share, so liveness, deletions and naming
+are checked again at every trim, over every step. Each trim's
+candidates, the output included, are judged in full: a wrong hint
+handed up on a step the output keeps is caught there, and a step the
+trim drops reaches no output.
 """
 
 import time
@@ -263,14 +275,21 @@ def combine_all(
     and takes the trim's output hints, unless a leaf below it has a step
     that passed only as RAT: then it is trimmed by replay, as it always
     is without hints, and takes its ids from the trim's final replay.
-    Otherwise its hints are None.
+    Otherwise its hints are None. A trim from hints is told which of its
+    input's additions were already propagated: every leaf step, and
+    every step a trim below output. Only the empty clauses of the
+    untrimmed merges since the last trim, its own included, are
+    propagated by its input check; its candidates are checked in full.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
 
     # per node, its hints as (shift, hint tuples) runs: ids from
     # n_formula up name steps and move by shift, lower ids are clauses
-    # of the formula; and whether a leaf below it has a RAT step
+    # of the formula; whether a leaf below it has a RAT step; and the
+    # numbers of its additions that no check has propagated: a leaf's
+    # replay propagated all of its steps and so did a trim's final check,
+    # but an untrimmed merge adds its own empty clause unjudged
     n_formula = len(formula.counts())
     leaf_hints = None
     if validate:
@@ -295,9 +314,10 @@ def combine_all(
 
     def merge(node, path):
         if isinstance(node, Leaf):
-            return (node.refutation,) + (leaf_hints[path] if leaf_hints else (None, False))
-        pos_ref, pos_hints, pos_rat = merge(node.pos_child, path + (node.var,))
-        neg_ref, neg_hints, neg_rat = merge(node.neg_child, path + (-node.var,))
+            hints, rat = leaf_hints[path] if leaf_hints else (None, False)
+            return node.refutation, hints, rat, ()
+        pos_ref, pos_hints, pos_rat, pos_fresh = merge(node.pos_child, path + (node.var,))
+        neg_ref, neg_hints, neg_rat, neg_fresh = merge(node.neg_child, path + (-node.var,))
         t0 = time.perf_counter()
         merged = stitch(formula, node.var, pos_ref, neg_ref, validate=False)
         merge_seconds = time.perf_counter() - t0
@@ -305,6 +325,7 @@ def combine_all(
         # integer comparison; cl_avg = 0 fires on anything with a literal
         wants_trim = cl_avg >= 0 and total > cl_avg * count
         rat = pos_rat or neg_rat
+        fresh = pos_fresh + tuple(i + len(pos_ref) for i in neg_fresh) + (len(merged),)
         hints = None
         if leaf_hints:
             shift = len(pos_ref)
@@ -323,12 +344,16 @@ def combine_all(
         if wants_trim:
             t1 = time.perf_counter()
             if hints and not rat:
-                out, report = trim(formula, merged, cube=path, hints=shifted(hints))
+                judged = set(range(1, len(merged) + 1)).difference(fresh)
+                out, report = trim(
+                    formula, merged, cube=path, hints=shifted(hints), _judged=judged
+                )
                 hints = [(0, report.hints)]
             else:
                 out, report = trim(formula, merged, cube=path)
                 if hints:
                     hints = [(0, _local_hints(formula, path, report.annotations))]
+            fresh = ()
             trim_seconds = time.perf_counter() - t1
         record = StitchRecord(
             depth=len(path),
@@ -345,9 +370,9 @@ def combine_all(
         )
         if on_record is not None:
             on_record(record)
-        return out, hints, rat
+        return out, hints, rat, fresh
 
-    combined, runs, _ = merge(tree, ())
+    combined, runs, *_ = merge(tree, ())
     return StitchedRefutation(combined, shifted(runs) if runs else None)
 
 

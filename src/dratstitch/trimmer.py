@@ -22,11 +22,19 @@ re-check of the output, deletions included, and trimming is idempotent
 rather than merely shrinking.
 
 The hint source needs no replay, and its output need not trust the
-hints: the input is judged in full by the hint checker before anything
-is marked, and the output is judged again. That checker accepts an
-addition only when unit propagation over the clauses its hints name,
-all live and older, reaches a conflict, so a broken hint makes a check
-reject, never accept, and a rejection raises TrimInternalError. Two
+hints: the input is judged by the hint checker before anything is
+marked, and the output is always judged again, in full. The input is
+judged in full too, unless combine_all says which of its additions a
+previous check (a leaf's replay, or the final check of a trim below)
+already propagated to a conflict over their hints: those are not
+propagated again, but their hints must still name live, older clauses,
+and each is charged with the clauses its hints name. That checker
+accepts an addition only when unit propagation over the clauses its
+hints name, all live and older, reaches a conflict, so a broken hint
+makes a check reject, never accept, and a rejection raises
+TrimInternalError. A broken hint on a step judged earlier reaches no
+output unchecked: if the output keeps the step, the output's own check
+propagates it. Two
 rules keep its output at the replay's size. An instance (formula plus
 cube units) that propagates to a conflict by itself trims to the empty
 clause alone, hinted by that conflict, which is what a replay finds
@@ -75,20 +83,20 @@ keeps only marked additions, so trimming a RAT proof is idempotent too.
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .checker import (
     KIND_RAT,
     PERMISSIVE,
     STRICT,
     _check_hinted,
-    _hint_table,
     _instance_at,
     _root_conflict,
     annotate_refutation,
 )
 from .core import ADD, DELETE, EMPTY_CLAUSE, Formula, ProofStep, Refutation
-from .formats import write_drat
+from .formats import drat_size
 
 
 class InvalidProofError(Exception):
@@ -105,13 +113,23 @@ class TrimReport:
     output_steps: int
     input_bytes: int
     output_bytes: int
-    core_clauses: int
     wall_time: float
-    core: Formula = field(compare=False, repr=False)
+    # builds the core; a merge's trim never reads it
+    build_core: Callable[[], Formula] = field(compare=False, repr=False)
     # a replayed trim: the final strict analysis's annotations, one per output step
     annotations: tuple = field(default=(), compare=False, repr=False)
     # a hinted trim: the output's hints, one tuple of ids per output step
     hints: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def core(self) -> Formula:
+        """The part of the formula the output's final check relied on,
+        built on first read."""
+        return self.build_core()
+
+    @property
+    def core_clauses(self) -> int:
+        return len(self.core)
 
 
 class _Analysis:
@@ -238,17 +256,17 @@ class _HintedAnalysis(_Analysis):
 
     Its uses are, per addition that passed as AT, the hints its check
     needed; rat says whether some addition passed only as RAT, whose
-    neighbours the hints do not name, and then nothing is marked. table
-    is the formula's hint table, which each later analysis reuses.
+    neighbours the hints do not name, and then nothing is marked.
+    judged, as _check_hinted takes it, names the additions an earlier
+    check propagated, which this one does not propagate again.
     """
 
     replay = None
     ann = ()
 
-    def __init__(self, formula, refutation, mode, hints, cube, table):
-        self.table = table
+    def __init__(self, formula, refutation, mode, hints, cube, judged=None):
         needed = []
-        report, self.rat = _check_hinted(formula, refutation, mode, hints, cube, table, needed)
+        report, self.rat = _check_hinted(formula, refutation, mode, hints, cube, needed, judged)
         if not report.valid:
             raise TrimInternalError("hinted proof is %s" % report.failure_text())
         if not self.rat:
@@ -274,7 +292,7 @@ class _HintedAnalysis(_Analysis):
         return out
 
 
-def _converge(formula, analysis, input_steps, input_bytes, resynthesize, cube):
+def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, cube):
     """Iterate marking until stable; returns (steps, analysis of them).
 
     analysis is the input's, judged in the caller's mode, and every
@@ -291,7 +309,7 @@ def _converge(formula, analysis, input_steps, input_bytes, resynthesize, cube):
         else:
             again = analysis.with_deletions() if resynthesize and not analysis.any_rat else None
             if again is not None and (
-                len(again) > input_steps or len(write_drat(Refutation(again))) > input_bytes
+                len(again) > input_steps or drat_size(again, sizes) > input_bytes
             ):
                 resynthesize, again = False, None
             if again is None:
@@ -301,10 +319,11 @@ def _converge(formula, analysis, input_steps, input_bytes, resynthesize, cube):
         steps = again
         if hinted:
             hints = [conflict] if conflict is not None else analysis.hints_of(steps)
-            analysis = _HintedAnalysis(
-                formula, Refutation(steps), STRICT, hints, cube, analysis.table
-            )
-            assert not analysis.rat  # each kept addition keeps the hints it passed as AT with
+            analysis = _HintedAnalysis(formula, Refutation(steps), STRICT, hints, cube)
+            if analysis.rat:
+                # each kept addition keeps the hints it passed as AT with,
+                # unless an earlier check handed up hints that fall short
+                raise TrimInternalError("internal trim candidate passed only as RAT")
             continue
         try:
             analysis = _Analysis(formula, Refutation(steps), STRICT, analysis.replay, cube)
@@ -320,6 +339,7 @@ def trim(
     *,
     cube=(),
     hints=None,
+    _judged=None,
 ):
     """Shrink a valid refutation; returns (trimmed, report).
 
@@ -327,8 +347,8 @@ def trim(
     bytes, and has passed a strict check before being returned: the last
     analysis of the fixpoint, which judges exactly the output, its
     resynthesized deletions included. The report's core is the part of
-    the formula that check relied on. A candidate that fails its check
-    raises TrimInternalError.
+    the formula that check relied on, built when first read. A candidate
+    that fails its check raises TrimInternalError.
 
     cube is a sequence of literals, as for check_refutation: the proof
     then refutes the formula plus one unit clause per cube literal, and
@@ -345,35 +365,40 @@ def trim(
     the formula clauses they name (no cube unit). Without hints, or when
     an addition of the input passes only as RAT, every analysis is a
     replay, and the report carries the final replay's annotations.
+
+    _judged is for combine_all alone: the numbers of the input's
+    additions that an earlier check has already propagated over their
+    hints (see _check_hinted). The input check then propagates only the
+    other additions; every candidate is still checked in full. Without
+    it, the input is judged in full.
     """
     start = time.perf_counter()
     input_steps = len(refutation)
-    input_bytes = len(write_drat(refutation))
+    sizes = {}  # clause value -> its line's bytes, for every size below
+    input_bytes = drat_size(refutation, sizes)
 
     analysis = None
     if hints is not None:
-        analysis = _HintedAnalysis(formula, refutation, mode, hints, cube, _hint_table(formula))
+        analysis = _HintedAnalysis(formula, refutation, mode, hints, cube, _judged)
         if analysis.rat:
             analysis = None  # hints do not show what a RAT check relied on
     if analysis is None:
         analysis = _Analysis(formula, refutation, mode, cube=cube)
     steps, analysis = _converge(
-        formula, analysis, input_steps, input_bytes, resynthesize_deletions, cube
+        formula, analysis, input_steps, input_bytes, sizes, resynthesize_deletions, cube
     )
     trimmed = Refutation(steps)
 
-    output_bytes = len(write_drat(trimmed))
+    output_bytes = drat_size(trimmed, sizes)
     if len(trimmed) > input_steps or output_bytes > input_bytes:
         raise TrimInternalError("trimmed proof is larger than its input")
-    core = analysis.core()
     report = TrimReport(
         input_steps=input_steps,
         output_steps=len(trimmed),
         input_bytes=input_bytes,
         output_bytes=output_bytes,
-        core_clauses=len(core),
         wall_time=time.perf_counter() - start,
-        core=core,
+        build_core=analysis.core,
         annotations=analysis.ann,
         hints=None if analysis.replay else tuple(analysis.used),
     )

@@ -733,7 +733,7 @@ def test_copies_leave_the_kept_base_untouched(monkeypatch):
                     assert _cube_replays(f, proof, cube, mode) == fresh, (swap, mode, cube)
 
     check_refutation(formula, trimmed, cube=cube_a)
-    kept, base = checker._base
+    kept, base, _ = checker._base
     assert kept is formula
     before = _database_state(base)
     for f, proof, cube in runs:

@@ -29,7 +29,15 @@ from dratstitch import (
     write_drat,
 )
 
-from helpers import random_formula
+from dratstitch.formats import drat_size
+
+from helpers import (
+    last_use_corpus,
+    random_formula,
+    random_proofs,
+    rat_corpus,
+    stitched_instance,
+)
 
 
 def test_parse_dimacs_basic():
@@ -172,6 +180,24 @@ def test_write_drat_round_trip():
         # serialized order must match the clause's stored order
         assert [s.clause.literals for s in again.steps] == [s.clause.literals for s in steps]
         assert write_drat(again) == text
+
+
+def test_drat_size_is_the_length_of_write_drat():
+    proofs = [
+        Refutation(),
+        Refutation([ProofStep(DELETE, EMPTY_CLAUSE), ProofStep(ADD, EMPTY_CLAUSE)]),
+        Refutation([ProofStep(ADD, Clause((-1234, 56, 7))), ProofStep(DELETE, Clause((56, 7, -1234)))]),
+    ]
+    proofs += [proof for *_, proof in random_proofs()]
+    proofs += [proof for _, proof in rat_corpus()]
+    proofs += [proof for _, proof in last_use_corpus()]  # a deletion after each last use
+    proofs += [stitched_instance(seed, cl_avg=cl_avg)[1] for seed in range(1, 5) for cl_avg in (-1, 0)]
+    assert sum(not s.is_add for p in proofs for s in p) > 1000
+    sizes = {}  # shared by every proof, as a trim shares it between candidates
+    for proof in proofs:
+        text = write_drat(proof)
+        assert drat_size(proof) == drat_size(proof, sizes) == len(text)
+        assert drat_size(list(proof), sizes) == len(text)
 
 
 def test_cube_filename_round_trip():

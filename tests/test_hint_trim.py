@@ -7,9 +7,14 @@ hint checker, against the formula plus the path's units. These tests
 hold that path to the replay trim's outputs in size, to a full replay in
 validity, and to rejection, never a returned proof, when the hints it is
 given are broken. RAT leaves and unhinted stitches keep the replay trim.
+Inside combine_all each trim is also told which input steps an earlier
+check propagated; it must give what a trim judging its input in full
+gives, and hints handed up broken must still make it raise.
 """
 
 import contextlib
+import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -35,6 +40,7 @@ from dratstitch import (
     has_at,
     parse_drat,
     trim,
+    write_drat,
 )
 from dratstitch import stitcher
 from dratstitch.checker import KIND_RAT, STRICT
@@ -243,6 +249,22 @@ def test_a_widened_value_is_named_by_its_oldest_live_copy():
     assert check_refutation(formula, out, STRICT, hints=out.hints).valid
 
 
+def test_a_judged_step_names_a_widened_value_by_its_oldest_live_copy():
+    # Under the cube 3 the leaf adds (1 -3) and (2), re-adds 1 as (1),
+    # deletes (1 -3) and refutes through (1) and (2). Widened, (1) is a
+    # second live copy of (1 -3), so the final step, judged by the leaf's
+    # replay and not propagated again, must name the first copy, as a
+    # propagation names it; naming the second would keep both
+    formula = Formula(
+        Clause(c) for c in ((1, 2), (1, -2), (-1, 2, -3), (-1, -2, -3), (-1, 2, 3), (-1, -2, 3))
+    )
+    tree = _depth_one(formula, "1 -3 0\n2 0\n1 0\nd 1 -3 0\n0\n", "1 0\n0\n", var=3)
+    out = combine_all(formula, tree, cl_avg=0)
+    assert out == parse_drat("1 -3 0\n2 -3 0\n-3 0\nd 1 -3 0\nd 2 -3 0\n1 3 0\n0\n")
+    assert out == combine_all(formula, tree, cl_avg=0, validate=False)
+    assert check_refutation(formula, out, STRICT, hints=out.hints).valid
+
+
 def test_a_depth_one_merge_drops_the_negative_final_clause():
     dropped = 0
     for seed in range(1, 30):
@@ -321,3 +343,194 @@ def test_a_trim_given_hints_of_a_rat_proof_replays():
         assert trim(formula, proof, hints=hints)[0] == trim(formula, proof)[0]
         count += 1
     assert count > 50
+
+
+# trims told which input steps an earlier check propagated
+
+
+@contextlib.contextmanager
+def judged_trims(monkeypatch, in_full=False):
+    """Record (proof, cube, hints, judged steps) of every trim combine_all
+    makes. With in_full, each is the public trim without the judged
+    steps, which judges its whole input."""
+    calls = []
+    real = stitcher.trim
+
+    def recording(formula, proof, *args, cube=(), hints=None, _judged=None, **kwargs):
+        calls.append((proof, tuple(cube), hints, _judged))
+        if not in_full:
+            kwargs["_judged"] = _judged
+        return real(formula, proof, *args, cube=cube, hints=hints, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(stitcher, "trim", recording)
+        yield calls
+
+
+def _deep_splits():
+    """Instances split so deep that most leaves refute by propagation
+    alone: at cl_avg 4, trimmed merges sit above untrimmed ones."""
+    for seed, depth in itertools.product(range(1, 5), (5, 6)):
+        formula = gen_random_unsat(24, 4.6, seed=seed)
+        yield formula, build_cube_tree(bundle_for(formula, depth, seed=seed))
+
+
+@pytest.mark.parametrize("cl_avg", [0, 4])
+def test_trims_told_the_judged_steps_match_trims_that_judge_their_inputs_in_full(
+    cl_avg, monkeypatch, capsys
+):
+    told = in_full = trims = unjudged = 0
+    for formula, tree in itertools.chain(_stitches(), _deep_splits()):
+        records = []
+        with judged_trims(monkeypatch) as calls:
+            out = combine_all(formula, tree, cl_avg=cl_avg, on_record=records.append)
+        with judged_trims(monkeypatch, in_full=True):
+            full = combine_all(formula, tree, cl_avg=cl_avg)
+        text = write_drat(out)
+        assert text == write_drat(full) and out.hints == full.hints
+        told += len(text)
+        in_full += len(write_drat(full))
+        decisions = {r.var for r in records}
+        for proof, _, _, judged in calls:
+            if judged is None:
+                continue  # a RAT subtree, trimmed by replay
+            fresh = set(range(1, len(proof) + 1)) - judged
+            assert len(proof) in fresh  # the merge's own empty clause
+            if cl_avg == 0:
+                assert fresh == {len(proof)}
+            for i in fresh:
+                # an untrimmed merge's empty clause, widened by decisions
+                assert {abs(l) for l in proof[i - 1].clause} <= decisions
+            trims += 1
+            unjudged += len(fresh) - 1
+    with capsys.disabled():
+        print(
+            "\ncl_avg=%d: %d bytes told the judged steps, %d judging in full; "
+            "%d hinted trims, %d untrimmed empty clauses among their inputs"
+            % (cl_avg, told, in_full, trims, unjudged)
+        )
+    assert trims > 10 and (unjudged > 100 if cl_avg else unjudged == 0)
+
+
+def _stitch_raises(monkeypatch, formula, tree, cl_avg, wrap):
+    """combine_all with stitcher.trim replaced by wrap(real trim) must
+    raise TrimInternalError, never return a proof."""
+    with monkeypatch.context() as m:
+        m.setattr(stitcher, "trim", wrap(stitcher.trim))
+        with pytest.raises(TrimInternalError):
+            combine_all(formula, tree, cl_avg=cl_avg)
+
+
+def _kth_trim(k, given=None, handed_up=None):
+    """A trim wrapper: the k-th trim is given the input hints given, or
+    hands up handed_up as its output's hints."""
+
+    def wrap(real):
+        count = itertools.count()
+
+        def trim_(formula, proof, *args, hints=None, **kwargs):
+            if next(count) != k:
+                return real(formula, proof, *args, hints=hints, **kwargs)
+            out, report = real(formula, proof, *args, hints=given or hints, **kwargs)
+            if handed_up is not None:
+                report = dataclasses.replace(report, hints=handed_up)
+            return out, report
+
+        return trim_
+
+    return wrap
+
+
+def _needed_dropped(formula, proof, cube, hints, i):
+    """hints with one id dropped from step i's that the step cannot pass
+    as AT without, or None when there is none."""
+    clauses = list(formula.distinct()) + [s.clause for s in proof]
+    hint = hints[i - 1]
+    for j in range(len(hint)):
+        rest = hint[:j] + hint[j + 1 :]
+        if not _at_over((clauses[h] for h in rest), cube, proof[i - 1].clause):
+            out = list(hints)
+            out[i - 1] = rest
+            return out
+    return None
+
+
+def test_broken_hints_a_trimmed_child_hands_up_make_the_trim_above_it_raise(monkeypatch):
+    lost = later = 0
+    for seed, (num_vars, depth) in itertools.product(range(1, 5), ((10, 2), (11, 3))):
+        formula = gen_random_unsat(num_vars, 5.0, seed=seed)
+        tree = build_cube_tree(bundle_for(formula, depth, seed=seed))
+        outputs = []  # per trim: its cube, output and output hints
+
+        def recording(real):
+            def trim_(formula, proof, *args, cube=(), **kwargs):
+                out, report = real(formula, proof, *args, cube=cube, **kwargs)
+                outputs.append((tuple(cube), out, report.hints))
+                return out, report
+
+            return trim_
+
+        with monkeypatch.context() as m:
+            m.setattr(stitcher, "trim", recording(stitcher.trim))
+            combine_all(formula, tree, cl_avg=0)
+        output_steps = {cube: set(out.steps) for cube, out, _ in outputs}
+        n = len(formula.counts())
+        for k, (cube, out, hints) in enumerate(outputs):
+            if not cube:
+                continue
+            # the additions of this output that the trim above keeps, widened
+            above = output_steps[cube[:-1]]
+            kept = [
+                i
+                for i, step in enumerate(out, 1)
+                if step.is_add
+                and hints[i - 1]
+                and ProofStep(ADD, step.clause.with_literal(-cube[-1])) in above
+            ]
+            for i in random.Random(seed * 100 + k).sample(kept, min(2, len(kept))):
+                dropped = _needed_dropped(formula, out, cube, hints, i)
+                if dropped is not None:
+                    _stitch_raises(monkeypatch, formula, tree, 0, _kth_trim(k, handed_up=dropped))
+                    lost += 1
+                # the id of the step after it names a later step above too
+                named = list(hints)
+                named[i - 1] += (n + i,)
+                _stitch_raises(monkeypatch, formula, tree, 0, _kth_trim(k, handed_up=named))
+                later += 1
+    assert lost > 10 and later > 20
+
+
+def test_a_broken_hint_on_an_untrimmed_merges_empty_clause_makes_the_trim_above_raise(
+    monkeypatch,
+):
+    broken = 0
+    for formula, tree in _deep_splits():
+        with judged_trims(monkeypatch) as calls:
+            combine_all(formula, tree, cl_avg=4)
+        for k, (proof, cube, hints, judged) in enumerate(calls):
+            if judged is None:
+                continue
+            # the untrimmed merges' empty clauses, not the trim's own
+            fresh = sorted(set(range(1, len(proof))) - judged)
+            for i in random.Random(k).sample(fresh, min(3, len(fresh))):
+                dropped = _needed_dropped(formula, proof, cube, hints, i)
+                if dropped is not None:
+                    _stitch_raises(monkeypatch, formula, tree, 4, _kth_trim(k, given=dropped))
+                    broken += 1
+    assert broken >= 8
+
+
+def test_a_kept_step_whose_handed_up_hints_pass_it_only_as_rat_makes_the_trim_raise(monkeypatch):
+    # 3 occurs in no formula clause, so once the judged (-3) of the
+    # positive leaf loses its hints, its candidate check passes it as RAT
+    # on -3 with no resolvent to check; hints then say nothing of its
+    # derivation, and the trim must not take it
+    formula = Formula(Clause(c) for c in ((1, 2), (1, -2), (-1, 2), (-1, -2), (-3, 4)))
+    tree = _depth_one(formula, "1 0\n0\n", "1 0\n0\n", var=3)
+    with judged_trims(monkeypatch) as calls:
+        combine_all(formula, tree, cl_avg=0)
+    [(proof, _, hints, judged)] = calls
+    assert proof[1].clause == Clause((-3,)) and 2 in judged and hints[1]
+    broken = list(hints)
+    broken[1] = ()
+    _stitch_raises(monkeypatch, formula, tree, 0, _kth_trim(0, given=broken))
