@@ -664,38 +664,54 @@ def _instance_at(formula, cube):
     return out
 
 
-_base = (None, None, None)  # the last formula used, its as-built database, its hint table
+# the last formula used, its as-built database, its hint table, its open cubes
+_base = (None, None, None, None)
 
 
 def _kept(formula, part):
-    """Part 1, the as-built database, or part 2, the hint table, of
-    formula, from a one-entry memo.
+    """Part 1, the as-built database, part 2, the hint table, or part 3,
+    the open cubes, of formula, from a one-entry memo.
 
-    Each part is built when first asked for. Both are dropped when
+    Each part is built when first asked for. All are dropped when
     another formula object is used, and the database is rebuilt when
     ``_ClauseDb`` names another engine (tests swap in a reference
     engine). The database is only ever copied, never replayed on, and a
-    hint check copies what it changes of the table.
+    hint check copies what it changes of the table. The open cubes are
+    the cubes, as frozensets, whose copies had no root conflict.
     """
     global _base
-    entry = list(_base) if _base[0] is formula else [formula, None, None]
+    entry = list(_base) if _base[0] is formula else [formula, None, None, None]
     if part == 1 and type(entry[1]) is not _ClauseDb:
         entry[1] = _ClauseDb(formula)
     elif part == 2 and entry[2] is None:
         entry[2] = _hint_table(formula)
+    elif part == 3 and entry[3] is None:
+        entry[3] = set()
     _base = tuple(entry)
     return entry[part]
 
 
 def _database(formula, cube, record):
-    """A fresh database for formula plus cube, copied from the kept one."""
-    return _kept(formula, 1).extended(cube, record)
+    """A fresh database for formula plus cube, copied from the kept one;
+    the cube is recorded as open when the copy has no root conflict."""
+    db = _kept(formula, 1).extended(cube, record)
+    if not db.root_conflict:
+        _kept(formula, 3).add(frozenset(cube))
+    return db
 
 
 def _root_conflict(formula, cube):
     """The formula clauses behind a conflict in the root closure of formula
     plus cube's units, as ids for check_refutation's hints; None when that
-    closure has no conflict. A cube unit's id is left out."""
+    closure has no conflict. A cube unit's id is left out.
+
+    Unit propagation only gains from more units, so a cube within an
+    open one, say a merge's path within the cube of a leaf checked
+    below it, is answered without building a copy.
+    """
+    units = frozenset(cube)
+    if any(units <= other for other in _kept(formula, 3)):
+        return None
     db = _database(formula, cube, record=True)
     if not db.root_conflict:
         return None

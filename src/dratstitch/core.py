@@ -65,6 +65,23 @@ class Clause:
         out._set = self._set | {lit}
         return out
 
+    def with_literals(self, lits) -> "Clause":
+        """with_literal for each of lits in turn, building one clause:
+        the literals not yet present are appended in order."""
+        have = self._set
+        extra = [lit for lit in lits if lit not in have]
+        if not extra:
+            return self
+        grown = have.union(extra)
+        if 0 in grown:
+            raise ValueError("0 terminates clauses and is not a literal")
+        if len(grown) - len(have) < len(extra):
+            extra = dict.fromkeys(extra)  # lits repeats a literal: keep its first
+        out = Clause.__new__(Clause)
+        out._order = self._order + tuple(extra)
+        out._set = grown
+        return out
+
     def without(self, lit: Literal) -> "Clause":
         if lit not in self._set:
             return self

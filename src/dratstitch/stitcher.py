@@ -8,6 +8,15 @@ survives the merge. Over a full cube set this is applied bottom-up in
 one post-order pass: each inner node merges right after both of its
 children, positive child first.
 
+Widening a clause by one decision after another is the same as
+appending, once, the decisions it lacks, deepest first. So
+``combine_all`` builds no steps at a merge that is not trimmed: it
+keeps its children's steps, each run of them with the negated
+decisions still to append, and counts the merged additions and
+literals from its children's counts. A step is built when a trimmed
+merge, which needs real steps, or the root first reads it, instead of
+once per level.
+
 Merging only widens clauses, so a widened lemma ``C or -x`` is an
 asymmetric tautology through the same clauses as ``C`` was under the
 cube unit ``(x)``: negating it assigns x. The ids each leaf replay used
@@ -29,8 +38,10 @@ trim drops reaches no output.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from itertools import chain
+from typing import Callable, NamedTuple, Optional, Union
 
 from .checker import KIND_RAT, STRICT, annotate_refutation, first_violation
 from .core import ADD, EMPTY_CLAUSE, Clause, Formula, ProofStep, Refutation
@@ -187,25 +198,24 @@ def stitch(
     return Refutation(steps)
 
 
-def _addition_lengths(refutation):
-    """(total literals, count, mean) over the addition steps; the mean is 0.0 for none."""
+def average_clause_length(refutation: Refutation) -> float:
+    """Mean literal count over addition steps; 0.0 for no additions."""
     total = 0
     count = 0
     for step in refutation:
         if step.is_add:
             total += len(step.clause)
             count += 1
-    return total, count, total / count if count else 0.0
-
-
-def average_clause_length(refutation: Refutation) -> float:
-    """Mean literal count over addition steps; 0.0 for no additions."""
-    return _addition_lengths(refutation)[2]
+    return total / count if count else 0.0
 
 
 @dataclass(frozen=True)
 class StitchRecord:
-    """What one merge did; handed to combine_all's observer."""
+    """What one merge did; handed to combine_all's observer.
+
+    merge_seconds is the merge's bookkeeping and the steps it builds:
+    none for an untrimmed merge other than the root.
+    """
 
     depth: int
     path: tuple
@@ -245,6 +255,48 @@ class StitchedRefutation(Refutation):
         self.hints = hints
 
 
+class _Part(NamedTuple):
+    """A merged subtree whose steps may not be built yet.
+
+    Its steps are those of each run in turn, a run being (steps, suffix):
+    built steps, and the negated decisions still to append to each of
+    their clauses, deepest first. length counts its steps, count its
+    additions and total their literals, all as widened; occ maps the
+    negation of each literal of its path to the number of additions
+    that hold it. hints, rat and fresh are combine_all's.
+    """
+
+    runs: list
+    length: int
+    count: int
+    total: int
+    occ: dict
+    hints: Optional[list]
+    rat: bool
+    fresh: tuple
+
+
+_CLOSING = (ProofStep(ADD, EMPTY_CLAUSE),)
+
+
+def _tally(steps, path):
+    """(count, total, occ) of built steps at path, as _Part has them."""
+    adds = [clause for op, clause in steps if op == ADD]
+    lits = Counter(chain.from_iterable(clause.literals for clause in adds))
+    return len(adds), sum(lits.values()), {-p: lits[-p] for p in path}
+
+
+def _steps(runs):
+    """The refutation that (steps, suffix) runs stand for, clauses widened."""
+    out = []
+    for steps, suffix in runs:
+        if suffix:
+            out += [ProofStep(op, clause.with_literals(suffix)) for op, clause in steps]
+        else:
+            out += steps
+    return Refutation(out)
+
+
 def combine_all(
     formula: Formula,
     tree: CubeNode,
@@ -263,6 +315,13 @@ def combine_all(
     before any merge runs. Merges run one at a time in post order: each
     inner node merges right after both of its children, positive child
     first, and on_record sees each merge as it finishes.
+
+    An untrimmed merge builds no steps: it keeps its children's steps
+    as runs, each with the negated decisions its clauses still need,
+    and takes its record's addition counts from its children's. Steps
+    are built by the first trimmed merge above them, which builds its
+    children's proofs and stitches them, or else by the root. A merge's
+    merge_seconds holds its bookkeeping and whatever steps it builds.
 
     With validate on, and every leaf proof ending at the empty clause
     its replay stopped at, the result carries hints: the ids each leaf's
@@ -312,39 +371,52 @@ def combine_all(
             out += run
         return out
 
+    def built(steps, path, hints, rat, fresh):
+        return _Part([(steps, ())], len(steps), *_tally(steps, path), hints, rat, fresh)
+
     def merge(node, path):
         if isinstance(node, Leaf):
             hints, rat = leaf_hints[path] if leaf_hints else (None, False)
-            return node.refutation, hints, rat, ()
-        pos_ref, pos_hints, pos_rat, pos_fresh = merge(node.pos_child, path + (node.var,))
-        neg_ref, neg_hints, neg_rat, neg_fresh = merge(node.neg_child, path + (-node.var,))
+            return built(node.refutation.steps, path, hints, rat, ())
+        x = node.var
+        pos = merge(node.pos_child, path + (x,))
+        neg = merge(node.neg_child, path + (-x,))
         t0 = time.perf_counter()
-        merged = stitch(formula, node.var, pos_ref, neg_ref, validate=False)
-        merge_seconds = time.perf_counter() - t0
-        total, count, average = _addition_lengths(merged)
+        # widening appends -x to each positive addition that lacks it, x to each negative one
+        count = pos.count + neg.count + 1
+        total = pos.total + pos.count - pos.occ[-x] + neg.total + neg.count - neg.occ[x]
         # integer comparison; cl_avg = 0 fires on anything with a literal
         wants_trim = cl_avg >= 0 and total > cl_avg * count
-        rat = pos_rat or neg_rat
-        fresh = pos_fresh + tuple(i + len(pos_ref) for i in neg_fresh) + (len(merged),)
+        length = pos.length + neg.length + 1
+        rat = pos.rat or neg.rat
+        fresh = pos.fresh + tuple(i + pos.length for i in neg.fresh) + (length,)
         hints = None
         if leaf_hints:
-            shift = len(pos_ref)
+            shift = pos.length
             if cl_avg < 0:
                 # nothing is marked, and (x) is the cheapest hint
-                neg_final = (n_formula + shift + len(neg_ref) - 1,)
+                neg_final = (n_formula + shift + neg.length - 1,)
             else:
-                last_shift, last_run = neg_hints[-1]
+                last_shift, last_run = neg.hints[-1]
                 neg_final = tuple(
                     h + shift + last_shift if h >= n_formula else h for h in last_run[-1]
                 )
-            hints = pos_hints + [(s + shift, h) for s, h in neg_hints]
+            hints = pos.hints + [(s + shift, h) for s, h in neg.hints]
             hints.append((0, [(n_formula + shift - 1,) + neg_final]))
+        if wants_trim:
+            merged = stitch(formula, x, _steps(pos.runs), _steps(neg.runs), validate=False)
+        else:
+            runs = [(s, suffix + (-x,)) for s, suffix in pos.runs]
+            runs += [(s, suffix + (x,)) for s, suffix in neg.runs]
+            runs.append((_CLOSING, ()))
+            if not path:
+                runs = [(_steps(runs).steps, ())]  # the root builds what no trim did
+        merge_seconds = time.perf_counter() - t0
         trim_seconds = 0.0
-        out = merged
         if wants_trim:
             t1 = time.perf_counter()
             if hints and not rat:
-                judged = set(range(1, len(merged) + 1)).difference(fresh)
+                judged = set(range(1, length + 1)).difference(fresh)
                 out, report = trim(
                     formula, merged, cube=path, hints=shifted(hints), _judged=judged
                 )
@@ -353,27 +425,34 @@ def combine_all(
                 out, report = trim(formula, merged, cube=path)
                 if hints:
                     hints = [(0, _local_hints(formula, path, report.annotations))]
-            fresh = ()
+            part = built(out.steps, path, hints, rat, ())
             trim_seconds = time.perf_counter() - t1
+        else:
+            # p is x or -x only in a hand-built tree that decides x twice
+            occ = {
+                -p: (pos.count if p == x else pos.occ[-p]) + (neg.count if p == -x else neg.occ[-p])
+                for p in path
+            }
+            part = _Part(runs, length, count, total, occ, hints, rat, fresh)
         record = StitchRecord(
             depth=len(path),
             path=path,
-            var=node.var,
+            var=x,
             add_count=count,
             add_literal_total=total,
-            average_clause_length=average,
+            average_clause_length=total / count,
             trimmed=wants_trim,
-            steps_before=len(merged),
-            steps_after=len(out),
+            steps_before=length,
+            steps_after=part.length,
             merge_seconds=merge_seconds,
             trim_seconds=trim_seconds,
         )
         if on_record is not None:
             on_record(record)
-        return out, hints, rat, fresh
+        return part
 
-    combined, runs, *_ = merge(tree, ())
-    return StitchedRefutation(combined, shifted(runs) if runs else None)
+    root = merge(tree, ())
+    return StitchedRefutation(_steps(root.runs), shifted(root.hints) if root.hints else None)
 
 
 def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:

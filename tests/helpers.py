@@ -29,8 +29,12 @@ from dratstitch import (
     has_rat,
     solve_drup,
     split,
+    stitch,
+    trim,
 )
-from dratstitch.checker import KIND_RAT, annotate_refutation
+from dratstitch import stitcher
+from dratstitch.checker import KIND_RAT, STRICT, annotate_refutation
+from dratstitch.stitcher import Leaf, StitchRecord, StitchedRefutation
 from dratstitch.trimmer import InvalidProofError
 
 
@@ -663,3 +667,77 @@ def last_use_deletion_proof(seed):
 def last_use_corpus():
     """last_use_deletion_proof for seeds 0 to 99, built once and shared."""
     return tuple(last_use_deletion_proof(seed) for seed in range(100))
+
+
+def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_record=None):
+    """combine_all as it was before merges were composed lazily: every
+    merge builds its proof with stitch() right away, and is trimmed, when
+    the gate fires, by the same trim call. Kept as the reference that
+    combine_all must match in steps, hints and records (timings aside)."""
+    n_formula = len(formula.counts())
+    leaf_hints = None
+    if validate:
+        leaf_hints = {}
+        for leaf, path in stitcher._leaves(tree):
+            annotations = stitcher._require_sub_proof(
+                formula, path, leaf.refutation, "cube %s" % leaf.cube.filename(), mode
+            )
+            if leaf_hints is not None and len(annotations) == len(leaf.refutation):
+                rat = any(sv.kind == KIND_RAT for sv in annotations)
+                leaf_hints[path] = (stitcher._local_hints(formula, path, annotations), rat)
+            else:
+                leaf_hints = None
+
+    def shift(hints, by):
+        return [tuple(h + by if h >= n_formula else h for h in ids) for ids in hints]
+
+    def merge(node, path):
+        if isinstance(node, Leaf):
+            hints, rat = leaf_hints[path] if leaf_hints else (None, False)
+            return node.refutation, hints, rat, ()
+        pos_ref, pos_hints, pos_rat, pos_fresh = merge(node.pos_child, path + (node.var,))
+        neg_ref, neg_hints, neg_rat, neg_fresh = merge(node.neg_child, path + (-node.var,))
+        merged = stitch(formula, node.var, pos_ref, neg_ref, validate=False)
+        adds = [step.clause for step in merged if step.is_add]
+        total = sum(map(len, adds))
+        wants_trim = cl_avg >= 0 and total > cl_avg * len(adds)
+        rat = pos_rat or neg_rat
+        fresh = pos_fresh + tuple(i + len(pos_ref) for i in neg_fresh) + (len(merged),)
+        hints = None
+        if leaf_hints:
+            # step k's id is n_formula + k - 1; the children's final
+            # clauses are steps len(pos_ref) and len(merged) - 1
+            neg_hints = shift(neg_hints, len(pos_ref))
+            final = (n_formula + len(merged) - 2,) if cl_avg < 0 else neg_hints[-1]
+            hints = pos_hints + neg_hints + [(n_formula + len(pos_ref) - 1,) + final]
+        out = merged
+        if wants_trim:
+            if hints and not rat:
+                judged = set(range(1, len(merged) + 1)).difference(fresh)
+                out, report = trim(formula, merged, cube=path, hints=hints, _judged=judged)
+                hints = list(report.hints)
+            else:
+                out, report = trim(formula, merged, cube=path)
+                if hints:
+                    hints = stitcher._local_hints(formula, path, report.annotations)
+            fresh = ()
+        if on_record is not None:
+            on_record(
+                StitchRecord(
+                    depth=len(path),
+                    path=path,
+                    var=node.var,
+                    add_count=len(adds),
+                    add_literal_total=total,
+                    average_clause_length=total / len(adds),
+                    trimmed=wants_trim,
+                    steps_before=len(merged),
+                    steps_after=len(out),
+                    merge_seconds=0.0,
+                    trim_seconds=0.0,
+                )
+            )
+        return out, hints, rat, fresh
+
+    combined, hints, *_ = merge(tree, ())
+    return StitchedRefutation(combined, hints)

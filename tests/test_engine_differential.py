@@ -733,15 +733,64 @@ def test_copies_leave_the_kept_base_untouched(monkeypatch):
                     assert _cube_replays(f, proof, cube, mode) == fresh, (swap, mode, cube)
 
     check_refutation(formula, trimmed, cube=cube_a)
-    kept, base, _ = checker._base
+    kept, base, *_ = checker._base
     assert kept is formula
     before = _database_state(base)
     for f, proof, cube in runs:
         if f is formula:
             for mode in MODES:
                 _cube_replays(f, proof, cube, mode)
+            checker._root_conflict(f, cube)
+            checker._root_conflict(f, cube + (-1, 2))
             assert checker._base[1] is base  # the same formula reuses its base
     assert _database_state(base) == before
+
+
+def _fresh_root_conflict(formula, cube):
+    db = checker._ClauseDb(_instance_at(formula, cube), record=True)
+    if not db.root_conflict:
+        return None
+    return tuple(u for u in db.root_used if u < len(formula.counts()))
+
+
+def test_root_conflicts_match_a_database_built_from_scratch(monkeypatch):
+    # formulas with units, so that many closures conflict; each cube is
+    # asked after every cube containing it was copied, then on its own
+    real = checker._database
+    copies = []
+
+    def counted(*args, **kwargs):
+        copies.append(args)
+        return real(*args, **kwargs)
+
+    rng = random.Random(881)
+    conflicts = answered = 0
+    for _ in range(200):
+        num_vars = rng.randint(3, 7)
+        clauses = [
+            Clause(rng.choice((v, -v)) for v in rng.sample(range(1, num_vars + 1), width))
+            for width in (rng.randint(1, 3) for _ in range(rng.randint(2, 12)))
+        ]
+        variables = rng.sample(range(1, num_vars + 2), rng.randint(1, 3))
+        big = tuple(rng.choice((v, -v)) for v in variables)
+        cubes = [big[:k] for k in range(len(big) + 1)] + [big[::-1], big[1:]]
+        expected = [_fresh_root_conflict(Formula(clauses), c) for c in cubes]
+        for order in (cubes, cubes[::-1]):
+            formula = Formula(clauses)  # a new object, so its memo starts empty
+            for cube in order:
+                checker._database(formula, cube, record=False)
+                got = checker._root_conflict(formula, cube)
+                assert got == expected[cubes.index(cube)], (clauses, cube)
+        formula = Formula(clauses)
+        real(formula, big, record=False)
+        with monkeypatch.context() as m:
+            m.setattr(checker, "_database", counted)
+            for cube, want in zip(cubes, expected):
+                before = len(copies)
+                assert checker._root_conflict(formula, cube) == want, (clauses, cube)
+                answered += len(copies) == before  # from the memo, with no copy
+        conflicts += sum(want is not None for want in expected)
+    assert conflicts > 100 and answered > 100
 
 
 def test_a_swapped_engine_does_not_reuse_the_kept_base(monkeypatch):

@@ -297,16 +297,22 @@ def _stitches():
 
 @pytest.mark.parametrize("cl_avg", [0, 4])
 def test_hint_trimmed_stitches_verify_and_match_the_replay_trims_in_size(cl_avg, capsys):
-    hinted = replayed = 0
-    for formula, tree in _stitches():
-        out = combine_all(formula, tree, cl_avg=cl_avg)
+    hinted = replayed = trimmed = 0
+    for formula, tree in itertools.chain(_stitches(), _deep_splits()):
+        records = []
+        out = combine_all(formula, tree, cl_avg=cl_avg, on_record=records.append)
         assert check_refutation(formula, out, STRICT).valid
         assert check_refutation(formula, out, STRICT, hints=out.hints).valid
         assert len(out) <= len(combine_all(formula, tree, cl_avg=-1, validate=False))
         hinted += len(out)
         replayed += len(combine_all(formula, tree, cl_avg=cl_avg, validate=False))
+        trimmed += sum(r.trimmed for r in records)
     with capsys.disabled():
-        print("\ncl_avg=%d: %d steps trimmed from hints, %d by replay" % (cl_avg, hinted, replayed))
+        print(
+            "\ncl_avg=%d: %d steps trimmed from hints, %d by replay, %d merges trimmed"
+            % (cl_avg, hinted, replayed, trimmed)
+        )
+    assert trimmed > 0
     assert hinted <= replayed * 1.02
 
 

@@ -1,5 +1,7 @@
 """Cube trees, proof stitching, gated trimming, and deletion stripping."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -34,12 +36,17 @@ from dratstitch import (
     stitch,
     strip_deletions,
     trim,
+    write_drat,
 )
 from dratstitch import stitcher
 from dratstitch.checker import PERMISSIVE, STRICT, annotate_refutation
 from dratstitch.stitcher import _local_hints
+from dratstitch.trimmer import InvalidProofError
 
-from helpers import bundle_for, random_clause
+from helpers import bundle_for, eager_combine_all, random_clause
+from test_acceptance import _instances
+from test_hint_trim import _deep_splits
+from test_hints import depth_one_rat_bundles
 
 # 2-variable pigeonhole-style square: unsatisfiable, no unit clauses
 SQUARE = Formula(
@@ -254,18 +261,23 @@ def test_combine_all_merges_in_post_order():
     assert [r.depth for r in records] == [2, 2, 1, 2, 2, 1, 0]
 
 
-def test_combine_all_unbalanced_tree_matches_hand_composition():
-    formula = gen_random_unsat(8, 5.0, seed=61)
-    cubes = [Cube((1,)), Cube((-1, 2)), Cube((-1, -2))]
+def _solved_tree(formula, cubes):
+    """The cube tree of cubes, each refuted by the bundled solver, and
+    the proofs in the order of cubes."""
     proofs = []
     for i, cube in enumerate(cubes):
         sub = formula
         for lit in cube:
             sub = sub.add(Clause((lit,)))
         proofs.append(solve_drup(sub, seed=i).refutation)
-    tree = build_cube_tree(
-        ProofBundle(formula, tuple(BundleEntry(c, p, c.filename()) for c, p in zip(cubes, proofs)))
-    )
+    entries = tuple(BundleEntry(c, p, c.filename()) for c, p in zip(cubes, proofs))
+    return build_cube_tree(ProofBundle(formula, entries)), proofs
+
+
+def test_combine_all_unbalanced_tree_matches_hand_composition():
+    formula = gen_random_unsat(8, 5.0, seed=61)
+    cubes = [Cube((1,)), Cube((-1, 2)), Cube((-1, -2))]
+    tree, proofs = _solved_tree(formula, cubes)
     p1, p2, p3 = proofs
     negative = formula.add(Clause((-1,)))
 
@@ -450,6 +462,107 @@ def test_combine_all_trust_mode_defers_to_final_check():
     tree = build_cube_tree(bundle(sat_side, entry((1,)), entry((-1,))))
     out = combine_all(sat_side, tree, validate=False)
     assert not check_refutation(sat_side, out, mode=STRICT).valid
+
+
+# ------------------------------------------- lazy merges against eager stitching
+
+
+def _differential_corpus():
+    for seed in range(1, 9):
+        formula = gen_random_unsat(10, 5.0, seed=seed)
+        yield formula, build_cube_tree(bundle_for(formula, 2, seed=seed))
+    for formula, bundle in _instances():
+        yield formula, build_cube_tree(bundle)
+    yield from _deep_splits()
+    # a tree that splits deeper on one side
+    formula = gen_random_unsat(10, 5.0, seed=61)
+    cubes = [Cube((1,)), Cube((-1, 2)), Cube((-1, -2, 3)), Cube((-1, -2, -3))]
+    yield formula, _solved_tree(formula, cubes)[0]
+    for formula, bundle in itertools.islice(depth_one_rat_bundles(), 0, 400, 10):
+        yield formula, build_cube_tree(bundle)
+
+
+def _composed(compose, formula, tree, cl_avg, validate):
+    """(bytes, hints, records without timings) of one composition, or
+    the type of the error it raised."""
+    records = []
+    try:
+        out = compose(formula, tree, cl_avg=cl_avg, validate=validate, on_record=records.append)
+    except (InvalidSubProofError, InvalidProofError) as exc:
+        return type(exc)
+    untimed = [dataclasses.replace(r, merge_seconds=0.0, trim_seconds=0.0) for r in records]
+    return write_drat(out), out.hints, untimed
+
+
+def test_combine_all_matches_eager_stitching_in_bytes_hints_and_records():
+    compared = trimmed = hinted = 0
+    for formula, tree in _differential_corpus():
+        for cl_avg, validate in itertools.product((-1, 0, 2, 4), (True, False)):
+            lazy = _composed(combine_all, formula, tree, cl_avg, validate)
+            assert lazy == _composed(eager_combine_all, formula, tree, cl_avg, validate)
+            if isinstance(lazy, tuple):
+                compared += 1
+                trimmed += sum(r.trimmed for r in lazy[2])
+                hinted += lazy[1] is not None
+    assert compared > 1000 and trimmed > 2000 and hinted > 500
+
+
+def test_widening_appends_no_ancestor_decision_a_leaf_lemma_already_holds():
+    # under (1 2) the lemmas already hold -1 and -2, which the merges
+    # above would append; the cube's units conflict, so any lemma checks
+    formula = Formula(Clause(c) for c in ((2, 3), (2, -3), (-2, 3), (-2, -3)))
+    tree = build_cube_tree(
+        bundle(
+            formula,
+            entry((1, 2), "-1 3 0\n-2 -1 0\n0\n"),
+            entry((1, -2)),
+            entry((-1,), "2 0\n0\n"),
+        )
+    )
+    expected = [(-1, 3, -2), (-2, -1), (-2, -1), (2, -1), (-1,), (2, 1), (1,), ()]
+    for cl_avg, validate in itertools.product((-1, 10), (True, False)):
+        out = combine_all(formula, tree, cl_avg=cl_avg, validate=validate)
+        assert [step.clause.literals for step in out] == expected
+        assert out == eager_combine_all(formula, tree, cl_avg=cl_avg, validate=validate)
+        assert check_refutation(formula, out, STRICT).valid
+
+
+def test_a_hand_built_tree_deciding_a_variable_twice_matches_eager_stitching():
+    # no cube decides a variable twice, but a tree built by hand can: the
+    # outer merge appends -1 to clauses that hold it or 1 already
+    leaf = lambda lits, text: Leaf(Cube(lits), parse_drat(text))
+    inner = Inner(1, leaf((1,), "-1 2 0\n0\n"), leaf((-1,), "1 2 0\n0\n"))
+    tree = Inner(1, inner, leaf((-1,), "2 0\n0\n"))
+    for cl_avg, validate in itertools.product((-1, 0, 2), (True, False)):
+        lazy = _composed(combine_all, SQUARE, tree, cl_avg, validate)
+        assert lazy == _composed(eager_combine_all, SQUARE, tree, cl_avg, validate)
+    out = combine_all(SQUARE, tree, validate=False)
+    assert out.steps[2].clause.literals == (1, 2, -1)
+
+
+def test_untrimmed_merges_call_no_stitch_and_trimmed_ones_one_each(monkeypatch):
+    formula = gen_random_unsat(10, 5.0, seed=5)
+    tree = build_cube_tree(bundle_for(formula, 3, seed=5))
+    expected = eager_combine_all(formula, tree, cl_avg=-1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an untrimmed merge called stitch")
+
+    with monkeypatch.context() as m:
+        m.setattr(stitcher, "stitch", refuse)
+        for validate in (True, False):
+            assert combine_all(formula, tree, cl_avg=-1, validate=validate) == expected
+
+    calls = []
+
+    def counted(formula, decision, pos_proof, neg_proof, **kwargs):
+        calls.append(decision)
+        return stitch(formula, decision, pos_proof, neg_proof, **kwargs)
+
+    monkeypatch.setattr(stitcher, "stitch", counted)
+    records = []
+    combine_all(formula, tree, cl_avg=0, on_record=records.append)
+    assert calls == [r.var for r in records] and len(calls) == 7
 
 
 # ------------------------------------------------------------ strip_deletions
