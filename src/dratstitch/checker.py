@@ -627,35 +627,6 @@ def is_preserving(refutation: Refutation) -> bool:
     return first_violation(refutation) is None
 
 
-def _apply_repeated_prefix(db, refutation, resume, annotations):
-    """Apply, unjudged, the leading steps that repeat an earlier valid replay.
-
-    The database before a step depends only on the formula and the steps
-    before it; the checks leave nothing behind but watch positions, which
-    change no verdict. So each repeated step is applied with add/remove
-    and its earlier verdict kept. Returns the number of steps applied.
-    """
-    earlier_report, earlier = resume
-    if not earlier_report.valid:
-        return 0
-    n = 0
-    for step, verdict in zip(refutation, earlier):
-        clause = step.clause
-        if step.op != verdict.op or clause.literals != verdict.clause.literals:
-            break
-        if len(clause) == 0:
-            break  # the verdict of the whole proof is always judged again
-        if step.is_add:
-            db.add(clause)
-        elif not verdict.applied:
-            break  # a strict replay fails here, so judge it again
-        elif not db.remove(clause):
-            raise ValueError("resume is not a replay of this formula")
-        annotations.append(verdict)
-        n += 1
-    return n
-
-
 def _instance_at(formula, cube):
     """The formula plus one unit clause per cube literal."""
     out = formula
@@ -719,13 +690,12 @@ def _root_conflict(formula, cube):
     return tuple(u for u in db.root_used if u < n)
 
 
-def _replay(formula, refutation, mode, record, resume=None, cube=()):
+def _replay(formula, refutation, mode, record, cube=()):
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     start = time.perf_counter()
     db = _database(formula, cube, record)
     annotations = [] if record else None
-    done = 0 if resume is None else _apply_repeated_prefix(db, refutation, resume, annotations)
 
     def report(valid, step=None, reason=None, checked=0):
         return CheckReport(
@@ -738,7 +708,7 @@ def _replay(formula, refutation, mode, record, resume=None, cube=()):
         )
 
     total = len(refutation)
-    for i, step in enumerate(islice(refutation, done, None), done + 1):
+    for i, step in enumerate(refutation, 1):
         clause = step.clause
         if step.is_add:
             ok, used = db.at_check(clause)
@@ -1018,33 +988,20 @@ def check_refutation(
 
 
 def annotate_refutation(
-    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, resume=None, cube=()
+    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, cube=()
 ):
     """Like check_refutation, but also return per-step replay annotations.
 
-    resume may be the (report, annotations) pair an earlier call returned
-    for the same formula. The leading steps of refutation that repeat the
-    earlier steps are then applied to the clause database without being
-    judged, and keep their earlier annotations; every later step is judged
-    as usual. Reuse stops at the first step whose op or literal order
-    differs, before the empty clause, which is always judged, and before a
-    deletion that the earlier replay found absent. An earlier report that
-    is not valid is not reused at all. A repeated deletion that finds
-    nothing to remove shows that resume came from another formula, and
-    raises ValueError. With resume, the report's propagations count only
-    the propagations this call performed.
-
     cube means what it means for check_refutation: the proof is judged
     against the formula plus one unit clause per cube literal, and the
-    report and annotations are those for that instance built out. resume
-    must then come from a replay against the same instance.
+    report and annotations are those for that instance built out.
 
     Annotations also name clauses by id. A value gets the next id when
     its count goes from 0 to 1, the instance's in the order of its
     ``counts()`` first (the formula's clauses, then each cube unit the
     formula lacks, in cube order), so ids below the instance's distinct
     clause count are its clauses; a value keeps its id until its count is
-    0 again. A resumed replay issues the same ids.
+    0 again.
     """
-    rep, annotations = _replay(formula, refutation, mode, record=True, resume=resume, cube=cube)
+    rep, annotations = _replay(formula, refutation, mode, record=True, cube=cube)
     return rep, tuple(annotations)

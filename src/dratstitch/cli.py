@@ -85,7 +85,12 @@ def cmd_stitch(args):
         for entry in bundle.entries:
             if any(not s.is_add for s in entry.refutation):
                 instance = checker._instance_at(bundle.instance, entry.cube)
-                repaired = stitcher.strip_deletions(instance, entry.refutation)
+                try:
+                    repaired = stitcher.strip_deletions(instance, entry.refutation)
+                except stitcher.RepairError as exc:
+                    raise stitcher.RepairError(
+                        "cube %s: %s" % (entry.cube.filename(), exc)
+                    ) from exc
                 entries.append(formats.BundleEntry(entry.cube, repaired, entry.source))
             else:
                 entries.append(entry)
@@ -121,7 +126,9 @@ def cmd_stitch(args):
     print("steps=%d output=%s" % (len(combined), args.output))
 
     if not args.no_verify:
-        # hints are None under --trust-subproofs, and the proof is replayed
+        # hints are None when no leaf was replayed (--trust-subproofs at
+        # --cl-avg -1) or one has steps after its empty clause; the proof
+        # is then replayed
         report = checker.check_refutation(
             bundle.instance, combined, mode=mode, hints=combined.hints
         )
@@ -250,7 +257,8 @@ def build_parser():
     p.add_argument(
         "--trust-subproofs",
         action="store_true",
-        help="skip validating the input proofs against their sub-instances",
+        help="skip validating the input proofs against their sub-instances; "
+        "only with --cl-avg -1: a stitch that may trim always validates",
     )
     p.add_argument(
         "--strip-deletions",

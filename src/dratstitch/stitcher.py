@@ -311,8 +311,10 @@ def combine_all(
     after every merge, k > 0 trims when the merged proof's average
     addition length exceeds k. A merge is trimmed against the formula
     plus one unit per literal of its path, on copies of the formula's
-    kept clause database. With validate on, every leaf is checked
-    before any merge runs. Merges run one at a time in post order: each
+    kept clause database. Every leaf is checked before any merge runs
+    when validate is on, and whenever cl_avg lets merges be trimmed, so
+    that a trimmed merge trusts no leaf: validate=False skips the checks
+    only at cl_avg -1. Merges run one at a time in post order: each
     inner node merges right after both of its children, positive child
     first, and on_record sees each merge as it finishes.
 
@@ -323,22 +325,25 @@ def combine_all(
     children's proofs and stitches them, or else by the root. A merge's
     merge_seconds holds its bookkeeping and whatever steps it builds.
 
-    With validate on, and every leaf proof ending at the empty clause
-    its replay stopped at, the result carries hints: the ids each leaf's
-    replay used, with the positive child's ids kept and the negative
-    child's shifted past it. A merge's empty clause is hinted by the
-    positive child's final clause ``(-x)`` and, when cl_avg lets merges
-    be trimmed, the hints of the negative child's final clause ``(x)``,
-    so that a trim marks no ``(x)``; otherwise by ``(x)`` itself. A
-    trimmed merge is trimmed from these hints against its path's cube
-    and takes the trim's output hints, unless a leaf below it has a step
-    that passed only as RAT: then it is trimmed by replay, as it always
-    is without hints, and takes its ids from the trim's final replay.
-    Otherwise its hints are None. A trim from hints is told which of its
-    input's additions were already propagated: every leaf step, and
-    every step a trim below output. Only the empty clauses of the
-    untrimmed merges since the last trim, its own included, are
-    propagated by its input check; its candidates are checked in full.
+    With every leaf checked, and every leaf proof ending at the empty
+    clause its replay stopped at, the result carries hints: the ids each
+    leaf's replay used, with the positive child's ids kept and the
+    negative child's shifted past it. A merge's empty clause is hinted by
+    the positive child's final clause ``(-x)`` and, when cl_avg lets
+    merges be trimmed, the hints of the negative child's final clause
+    ``(x)``, so that a trim marks no ``(x)``; at cl_avg -1, by ``(x)``
+    itself. Without them, the result's hints are None.
+
+    A trimmed merge is trimmed from these hints against its path's cube
+    and takes the trim's output hints. Hints cannot serve it when a leaf
+    below it has a step that passed only as RAT, or when there are none
+    because a leaf has steps after its empty clause: then it is trimmed
+    by replay, and takes its ids, if there are hints, from the trim's
+    final replay. A trim from hints is told which of its input's
+    additions were already propagated: every leaf step, and every step a
+    trim below output. Only the empty clauses of the untrimmed merges
+    since the last trim, its own included, are propagated by its input
+    check; its candidates are checked in full.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
@@ -351,7 +356,7 @@ def combine_all(
     # but an untrimmed merge adds its own empty clause unjudged
     n_formula = len(formula.counts())
     leaf_hints = None
-    if validate:
+    if validate or cl_avg >= 0:
         leaf_hints = {}
         for leaf, path in _leaves(tree):
             annotations = _require_sub_proof(

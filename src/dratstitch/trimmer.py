@@ -13,9 +13,8 @@ deleted right after its last marked use, if that deletes anything and
 fits in the input's steps and bytes; otherwise its marked additions.
 The first resynthesized candidate that does not fit turns resynthesis
 off. Every candidate is judged strictly by its analysis source, and one
-that fails is an internal error. A replay resumes from the analysis it
-came from (shared leading steps keep their verdicts and every later
-step is judged); a hinted candidate carries the hints of its kept
+that fails is an internal error. A replayed candidate is judged from
+its first step; a hinted candidate carries the hints of its kept
 additions, renumbered to its steps. The loop ends when an analysis
 proposes its own proof again, so its last analysis is the strict
 re-check of the output, deletions included, and trimming is idempotent
@@ -139,11 +138,10 @@ class _Analysis:
     and that instance's clauses are the formula clauses here.
     """
 
-    def __init__(self, formula, refutation, mode, resume=None, cube=()):
-        report, ann = annotate_refutation(formula, refutation, mode, resume=resume, cube=cube)
+    def __init__(self, formula, refutation, mode, cube=()):
+        report, ann = annotate_refutation(formula, refutation, mode, cube=cube)
         if not report.valid:
             raise InvalidProofError("input proof is %s" % report.failure_text())
-        self.replay = (report, ann)  # what a later replay can resume from
         self.ann = ann
         born = {}  # clause id -> the first addition carrying it
         rat_neighbors = {}  # RAT step -> its neighbours
@@ -261,7 +259,6 @@ class _HintedAnalysis(_Analysis):
     check propagated, which this one does not propagate again.
     """
 
-    replay = None
     ann = ()
 
     def __init__(self, formula, refutation, mode, hints, cube, judged=None):
@@ -300,7 +297,7 @@ def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, 
     The candidate rule is the module's. The returned analysis checks
     exactly the returned steps, and its core and hints pair with them.
     """
-    hinted = analysis.replay is None
+    hinted = isinstance(analysis, _HintedAnalysis)
     conflict = _root_conflict(formula, cube) if hinted else None
     steps = None  # the input itself still needs its strict check
     while True:
@@ -326,7 +323,7 @@ def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, 
                 raise TrimInternalError("internal trim candidate passed only as RAT")
             continue
         try:
-            analysis = _Analysis(formula, Refutation(steps), STRICT, analysis.replay, cube)
+            analysis = _Analysis(formula, Refutation(steps), STRICT, cube=cube)
         except InvalidProofError as exc:
             raise TrimInternalError("internal trim candidate failed to check: %s" % exc) from exc
 
@@ -400,7 +397,7 @@ def trim(
         wall_time=time.perf_counter() - start,
         build_core=analysis.core,
         annotations=analysis.ann,
-        hints=None if analysis.replay else tuple(analysis.used),
+        hints=tuple(analysis.used) if isinstance(analysis, _HintedAnalysis) else None,
     )
     return trimmed, report
 

@@ -434,11 +434,10 @@ class ReferenceAnalysis:
     original instances are that instance's.
     """
 
-    def __init__(self, formula, refutation, mode, resume=None, cube=()):
-        report, ann = annotate_refutation(formula, refutation, mode, resume=resume, cube=cube)
+    def __init__(self, formula, refutation, mode, cube=()):
+        report, ann = annotate_refutation(formula, refutation, mode, cube=cube)
         if not report.valid:
             raise InvalidProofError("input proof is %s" % report.failure_text())
-        self.replay = (report, ann)  # what a later replay can resume from
         self.ann = ann
 
         # Replay the clause multiset structurally, giving every clause

@@ -440,6 +440,24 @@ def test_stitch_trust_subproofs_replays_the_root_without_hints(tmp_path, capsys,
     assert "verify=valid " in capsys.readouterr().out
 
 
+def test_stitch_trust_subproofs_still_validates_where_merges_may_be_trimmed(
+    tmp_path, capsys, monkeypatch
+):
+    fixture_dir = make_fixture(tmp_path)
+    validated = tmp_path / "validated.drat"
+    assert main(stitch_args(fixture_dir, validated, "--cl-avg", "0")) == EXIT_OK
+    calls = _spy_root_checks(monkeypatch)
+    trusting = tmp_path / "trusting.drat"
+    argv = stitch_args(fixture_dir, trusting, "--cl-avg", "0", "--trust-subproofs")
+    assert main(argv) == EXIT_OK
+    assert trusting.read_bytes() == validated.read_bytes()
+    # every leaf was replayed, and the root is verified from its hints
+    assert calls["annotated"] == 4
+    (hints,) = calls["hints"]
+    assert hints is not None
+    assert "verify=valid " in capsys.readouterr().out
+
+
 def test_stitch_no_verify_skips_the_hint_check(tmp_path, capsys, monkeypatch):
     from dratstitch import checker
 
@@ -586,6 +604,15 @@ def test_stitch_trust_subproofs_fails_final_verify(tmp_path, capsys):
     assert "failed verification" in captured.err
     assert out.is_file()
 
+    # where merges may be trimmed the leaves are checked, trusted or not
+    out.unlink()
+    assert main(
+        ["stitch", "--cnf", cnf, "--proofs", str(proof_dir),
+         "-o", str(out), "--trust-subproofs", "--cl-avg", "0"]
+    ) == EXIT_SEMANTIC
+    assert capsys.readouterr().err.startswith("error: cube -1.proof: invalid at step 1 ")
+    assert not out.exists()
+
 
 def test_stitch_strip_deletions(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", SQUARE_CNF)
@@ -609,6 +636,26 @@ def test_stitch_strip_deletions(tmp_path, capsys):
     assert "d " not in stripped.read_text()
     formula = parse_dimacs(Path(cnf).read_bytes()).formula
     assert check_refutation(formula, parse_drat(stripped.read_bytes()), mode=STRICT).valid
+
+
+def test_stitch_strip_deletions_names_the_proof_it_cannot_repair(tmp_path, capsys):
+    # under the cube 1, (5) is redundant only once (-5 6) is deleted
+    cnf = write(tmp_path / "f.cnf", "p cnf 6 5\n2 3 0\n2 -3 0\n-2 3 0\n-2 -3 0\n-5 6 0\n")
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    write(proof_dir / "1.proof", "d -5 6 0\n5 0\n-2 0\n2 0\n0\n")
+    write(proof_dir / "-1.proof", "-2 0\n2 0\n0\n")
+    out = tmp_path / "combined.drat"
+    rc = main(
+        ["stitch", "--cnf", cnf, "--proofs", str(proof_dir),
+         "-o", str(out), "--strip-deletions"]
+    )
+    assert rc == EXIT_SEMANTIC
+    assert capsys.readouterr().err == (
+        "error: cube 1.proof: proof no longer checks without deletions: "
+        "invalid at step 1 (not-rat)\n"
+    )
+    assert not out.exists()
 
 
 def test_stitch_strict_mode_forwarded(tmp_path, capsys):

@@ -353,157 +353,6 @@ def test_rat_lemmas_are_annotated_with_neighbours(monkeypatch):
     assert_same_replay(monkeypatch, formula, proof)
 
 
-# Resumed replays: a replay that starts from an earlier replay's annotations
-# must give what a fresh replay of the same proof gives.
-
-
-def _resume_edits(formula, proof, rng):
-    """Variants of a proof, each one edit away from it, at a random position."""
-    steps = list(proof)
-    out = {"unchanged": steps}
-    if steps:
-        i = rng.randrange(len(steps))
-        out["step dropped"] = steps[:i] + steps[i + 1 :]
-
-    wide = [i for i, s in enumerate(steps) if len(s.clause) > 1]
-    if wide:
-        i = rng.choice(wide)
-        lits = list(steps[i].clause.literals)
-        turned = Clause(lits[1:] + lits[:1])
-        out["literals reordered"] = steps[:i] + [ProofStep(steps[i].op, turned)] + steps[i + 1 :]
-
-    i = rng.randrange(len(steps) + 1)
-    alive = list(formula)
-    for s in steps[:i]:
-        if s.is_add:
-            alive.append(s.clause)
-        elif s.clause in alive:
-            alive.remove(s.clause)
-    if alive:
-        deleted = ProofStep(DELETE, rng.choice(alive))
-        out["applied deletion inserted"] = steps[:i] + [deleted] + steps[i:]
-
-    i = rng.randrange(len(steps) + 1)
-    absent = Clause((max(formula.variables(), default=0) + 1,))
-    out["absent deletion inserted"] = steps[:i] + [ProofStep(DELETE, absent)] + steps[i:]
-
-    empties = [i for i, s in enumerate(steps) if s.is_add and len(s.clause) == 0]
-    if empties:
-        out["cut before the empty clause"] = steps[: empties[0]]
-    return {name: Refutation(s) for name, s in out.items()}
-
-
-def _without_cost(report):
-    return dataclasses.replace(report, wall_time=0.0, propagations=0)
-
-
-def assert_resume_matches(formula, earlier_proof, proof):
-    """Resuming from any earlier replay of earlier_proof, in any mode pair,
-    gives the fresh replay's report and annotations."""
-    for earlier_mode in MODES:
-        earlier = annotate_refutation(formula, earlier_proof, mode=earlier_mode)
-        for mode in MODES:
-            fresh, fresh_ann = annotate_refutation(formula, proof, mode=mode)
-            resumed, resumed_ann = annotate_refutation(formula, proof, mode=mode, resume=earlier)
-            assert _without_cost(resumed) == _without_cost(fresh), (earlier_mode, mode, proof)
-            assert _annotations(resumed_ann) == _annotations(fresh_ann), (earlier_mode, mode)
-
-
-def assert_resumed_edits_match(formula, proof, rng):
-    for edited in _resume_edits(formula, proof, rng).values():
-        assert_resume_matches(formula, proof, edited)
-
-
-@pytest.mark.parametrize("case", range(len(HAND_CASES)))
-def test_resumed_hand_cases_match_fresh(case):
-    formula, proof = HAND_CASES[case]
-    rng = random.Random(case)
-    for _ in range(3):
-        assert_resumed_edits_match(formula, proof, rng)
-
-
-def test_resume_judges_an_addition_that_was_a_deletion():
-    # step 2 repeats the clause of the earlier step 2 but not its op
-    formula = F((1, 2), (1, -2), (-1, 2), (-1, -2))
-    earlier = P((1,), (1,), (2,), ())
-    assert_resume_matches(formula, earlier, P((1,), ("d", 1), (2,), ()))
-    assert_resume_matches(formula, P((1,), ("d", 1), (2,), ()), earlier)
-
-
-def test_resumed_fixture_bundles_match_fresh():
-    rng = random.Random(31)
-    for seed in (3, 7):
-        formula = gen_random_unsat(10, 5.0, seed=seed)
-        for entry in bundle_for(formula, 2, seed=seed).entries:
-            sub = formula
-            for lit in entry.cube.literals:
-                sub = sub.add(Clause((lit,)))
-            assert_resumed_edits_match(sub, entry.refutation, rng)
-
-
-def test_resumed_random_proofs_match_fresh():
-    for rng, formula, proof in random_proofs():
-        assert_resumed_edits_match(formula, proof, rng)
-
-
-def test_resumed_stitched_trimmed_and_mutated_proofs_match_fresh():
-    rng = random.Random(37)
-    for seed in (1, 2):
-        formula, combined = stitched_instance(seed, num_vars=11, depth=3, cl_avg=0)
-        trimmed, _ = trim(formula, combined)
-        for proof in (combined, trimmed):
-            assert_resumed_edits_match(formula, proof, rng)
-            for mutated in _mutations(formula, proof, rng).values():
-                assert_resumed_edits_match(formula, mutated, rng)
-    formula = gen_random_unsat(12, 5.0, seed=11)
-    monolithic = solve_drup(formula, seed=11).refutation
-    assert_resumed_edits_match(formula, monolithic, rng)
-    for mutated in _mutations(formula, monolithic, rng).values():
-        assert_resumed_edits_match(formula, mutated, rng)
-
-
-def test_resume_reuses_every_step_before_the_empty_clause():
-    formula, combined = stitched_instance(1, num_vars=11, depth=3)
-    earlier = annotate_refutation(formula, combined, mode=STRICT)
-    assert earlier[0].valid
-    fresh, _ = annotate_refutation(formula, combined, mode=STRICT)
-    resumed, ann = annotate_refutation(formula, combined, mode=STRICT, resume=earlier)
-    assert all(now is before for now, before in zip(ann[:-1], earlier[1][:-1]))
-    assert ann[-1] is not earlier[1][-1]
-    # only the propagations this call made are counted
-    assert resumed.propagations < fresh.propagations
-
-
-def test_resume_ignores_an_invalid_earlier_replay():
-    # {1} is not RAT, so the earlier replay fails there and its verdicts,
-    # that one included, must not be reused
-    formula = F((1, 2, 3), (-1, 2), (-2, 3))
-    proof = P((3,), (1,), ())
-    earlier = annotate_refutation(formula, proof, mode=STRICT)
-    assert not earlier[0].valid and earlier[0].failing_step == 2
-    resumed, ann = annotate_refutation(formula, proof, mode=STRICT, resume=earlier)
-    assert (resumed.valid, resumed.failing_step, resumed.reason) == (False, 2, "not-rat")
-    assert ann[0] is not earlier[1][0]
-    assert_resume_matches(formula, proof, proof)
-
-
-def test_resume_judges_a_deletion_the_earlier_replay_skipped():
-    formula = F((1, 2), (-1, 2), (-2,))
-    proof = P(("d", 3, 4), ())
-    earlier = annotate_refutation(formula, proof, mode=PERMISSIVE)
-    assert earlier[0].valid and not earlier[1][0].applied
-    resumed, _ = annotate_refutation(formula, proof, mode=STRICT, resume=earlier)
-    assert (resumed.valid, resumed.failing_step, resumed.reason) == (False, 1, "deletion-absent")
-
-
-def test_resume_rejects_a_replay_of_another_formula():
-    proof = P(("d", 5, 6), ())
-    earlier = annotate_refutation(F((1,), (-1,), (5, 6)), proof, mode=STRICT)
-    assert earlier[0].valid
-    with pytest.raises(ValueError):
-        annotate_refutation(F((1,), (-1,)), proof, mode=STRICT, resume=earlier)
-
-
 # Replays on copied databases: a replay copies the kept database of its
 # formula and adds the cube's units. Against a database built from
 # scratch over the formula plus those units it must give the same report,

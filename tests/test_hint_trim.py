@@ -1,12 +1,15 @@
 """Per-merge trims from hints.
 
-With every leaf validated, ``combine_all`` trims each merge from the
-hints its children carry: ``trim(formula, merged, cube=path, hints=...)``
-marks from the hints and judges the input and every candidate with the
-hint checker, against the formula plus the path's units. These tests
-hold that path to the replay trim's outputs in size, to a full replay in
-validity, and to rejection, never a returned proof, when the hints it is
-given are broken. RAT leaves and unhinted stitches keep the replay trim.
+Wherever merges may be trimmed, ``combine_all`` validates every leaf
+and trims each merge from the hints its children carry:
+``trim(formula, merged, cube=path, hints=...)`` marks from the hints
+and judges the input and every candidate with the hint checker, against
+the formula plus the path's units. These tests hold that path to the
+replay trim's outputs in size, to a full replay in validity, and to
+rejection, never a returned proof, when the hints it is given are
+broken; the replay trims are those of ``helpers.eager_combine_all``
+with validate off. RAT leaves, and stitches whose leaves leave no
+hints, keep the replay trim.
 Inside combine_all each trim is also told which input steps an earlier
 check propagated; it must give what a trim judging its input in full
 gives, and hints handed up broken must still make it raise.
@@ -46,7 +49,7 @@ from dratstitch import stitcher
 from dratstitch.checker import KIND_RAT, STRICT
 from dratstitch.formats import Cube
 
-from helpers import bundle_for, rat_corpus, stitched_instance
+from helpers import bundle_for, eager_combine_all, rat_corpus, stitched_instance
 from test_acceptance import _instances
 from test_hints import _insert, depth_one_rat_bundles
 
@@ -231,7 +234,7 @@ def test_a_merge_whose_instance_propagates_to_a_conflict_trims_to_the_empty_clau
     assert out == Refutation([ProofStep(ADD, EMPTY_CLAUSE)])
     assert out.hints == [(1, 2, 0)]  # the root conflict: (-3 4) falsified by (-4) and (3)
     assert check_refutation(formula, out, STRICT, hints=out.hints).valid
-    assert combine_all(formula, tree, cl_avg=0, validate=False) == out
+    assert eager_combine_all(formula, tree, cl_avg=0, validate=False) == out
 
 
 def test_a_widened_value_is_named_by_its_oldest_live_copy():
@@ -245,7 +248,7 @@ def test_a_widened_value_is_named_by_its_oldest_live_copy():
     tree = _depth_one(formula, "1 -3 0\n1 0\nd 1 -3 0\n1 2 0\n0\n", "1 0\n0\n", var=3)
     out = combine_all(formula, tree, cl_avg=0)
     assert out == parse_drat("1 -3 0\n-3 0\nd 1 -3 0\n1 3 0\n0\n")
-    assert out == combine_all(formula, tree, cl_avg=0, validate=False)
+    assert out == eager_combine_all(formula, tree, cl_avg=0, validate=False)
     assert check_refutation(formula, out, STRICT, hints=out.hints).valid
 
 
@@ -261,7 +264,7 @@ def test_a_judged_step_names_a_widened_value_by_its_oldest_live_copy():
     tree = _depth_one(formula, "1 -3 0\n2 0\n1 0\nd 1 -3 0\n0\n", "1 0\n0\n", var=3)
     out = combine_all(formula, tree, cl_avg=0)
     assert out == parse_drat("1 -3 0\n2 -3 0\n-3 0\nd 1 -3 0\nd 2 -3 0\n1 3 0\n0\n")
-    assert out == combine_all(formula, tree, cl_avg=0, validate=False)
+    assert out == eager_combine_all(formula, tree, cl_avg=0, validate=False)
     assert check_refutation(formula, out, STRICT, hints=out.hints).valid
 
 
@@ -305,7 +308,7 @@ def test_hint_trimmed_stitches_verify_and_match_the_replay_trims_in_size(cl_avg,
         assert check_refutation(formula, out, STRICT, hints=out.hints).valid
         assert len(out) <= len(combine_all(formula, tree, cl_avg=-1, validate=False))
         hinted += len(out)
-        replayed += len(combine_all(formula, tree, cl_avg=cl_avg, validate=False))
+        replayed += len(eager_combine_all(formula, tree, cl_avg=cl_avg, validate=False))
         trimmed += sum(r.trimmed for r in records)
     with capsys.disabled():
         print(
@@ -332,7 +335,7 @@ def test_depth_one_rat_bundles_take_the_replay_trim(monkeypatch):
             except InvalidSubProofError:
                 continue
         assert [hints for *_, hints in calls] == [None]
-        assert out == combine_all(formula, tree, cl_avg=0, validate=False)
+        assert out == eager_combine_all(formula, tree, cl_avg=0, validate=False)
         assert check_refutation(formula, out, STRICT).valid
         assert check_refutation(formula, out, STRICT, hints=out.hints).valid
         count += 1

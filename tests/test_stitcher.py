@@ -284,12 +284,16 @@ def test_combine_all_unbalanced_tree_matches_hand_composition():
     inner = stitch(negative, 2, p2, p3)
     assert combine_all(formula, tree, cl_avg=-1) == stitch(formula, 1, p1, inner)
 
-    # without hints every merge is trimmed by replay
+    # a leaf step after its empty clause leaves the stitch without hints,
+    # so every merge is trimmed by replay
+    trailing = Refutation(p1.steps + EMPTY_PROOF.steps)
+    unhinted = Inner(1, Leaf(cubes[0], trailing), tree.neg_child)
     records = []
-    got = combine_all(formula, tree, cl_avg=0, validate=False, on_record=records.append)
+    got = combine_all(formula, unhinted, cl_avg=0, on_record=records.append)
+    assert got.hints is None
     assert [(r.path, r.trimmed) for r in records] == [((-1,), True), ((), True)]
     inner, _ = trim(negative, inner)
-    root, _ = trim(formula, stitch(formula, 1, p1, inner))
+    root, _ = trim(formula, stitch(formula, 1, trailing, inner))
     assert got == root
 
     # validated, every merge is trimmed from its children's hints
@@ -418,9 +422,9 @@ def _spy_leaf_checks(monkeypatch):
     calls = []
     real = stitcher.annotate_refutation
 
-    def spy(formula, proof, mode=PERMISSIVE, *, resume=None, cube=()):
+    def spy(formula, proof, mode=PERMISSIVE, *, cube=()):
         calls.append((formula, tuple(cube), mode))
-        return real(formula, proof, mode=mode, resume=resume, cube=cube)
+        return real(formula, proof, mode=mode, cube=cube)
 
     monkeypatch.setattr(stitcher, "annotate_refutation", spy)
     return calls
@@ -451,7 +455,11 @@ def test_combine_all_carries_hints_only_when_every_leaf_was_judged_in_full():
     # where merges may be trimmed, through (-1) and the hints of (1),
     # so that a trim drops (1)
     assert combine_all(SQUARE, tree, cl_avg=10).hints == [(3, 2), (3, 2), (1, 0), (5, 1, 0)]
-    assert combine_all(SQUARE, tree, validate=False).hints is None
+    # where merges may be trimmed every leaf is replayed, validate or not
+    assert combine_all(SQUARE, tree, cl_avg=10, validate=False).hints == [
+        (3, 2), (3, 2), (1, 0), (5, 1, 0)
+    ]
+    assert combine_all(SQUARE, tree, cl_avg=-1, validate=False).hints is None
     # the leaf's step after its empty clause was never judged
     trailing = build_cube_tree(bundle(SQUARE, entry((1,), "0\n2 0\n"), entry((-1,))))
     assert combine_all(SQUARE, trailing).hints is None
@@ -462,6 +470,11 @@ def test_combine_all_trust_mode_defers_to_final_check():
     tree = build_cube_tree(bundle(sat_side, entry((1,)), entry((-1,))))
     out = combine_all(sat_side, tree, validate=False)
     assert not check_refutation(sat_side, out, mode=STRICT).valid
+    # only at cl_avg -1: where merges may be trimmed every leaf is checked
+    for cl_avg in (0, 10):
+        with pytest.raises(InvalidSubProofError) as info:
+            combine_all(sat_side, tree, cl_avg=cl_avg, validate=False)
+        assert str(info.value).startswith("cube -1.proof: ")
 
 
 # ------------------------------------------- lazy merges against eager stitching
@@ -482,6 +495,12 @@ def _differential_corpus():
         yield formula, build_cube_tree(bundle)
 
 
+def _eager(formula, tree, cl_avg, validate):
+    """_composed of eager stitching, validated where combine_all validates:
+    at cl_avg >= 0 it checks every leaf whatever validate says."""
+    return _composed(eager_combine_all, formula, tree, cl_avg, validate or cl_avg >= 0)
+
+
 def _composed(compose, formula, tree, cl_avg, validate):
     """(bytes, hints, records without timings) of one composition, or
     the type of the error it raised."""
@@ -499,7 +518,7 @@ def test_combine_all_matches_eager_stitching_in_bytes_hints_and_records():
     for formula, tree in _differential_corpus():
         for cl_avg, validate in itertools.product((-1, 0, 2, 4), (True, False)):
             lazy = _composed(combine_all, formula, tree, cl_avg, validate)
-            assert lazy == _composed(eager_combine_all, formula, tree, cl_avg, validate)
+            assert lazy == _eager(formula, tree, cl_avg, validate)
             if isinstance(lazy, tuple):
                 compared += 1
                 trimmed += sum(r.trimmed for r in lazy[2])
@@ -521,9 +540,10 @@ def test_widening_appends_no_ancestor_decision_a_leaf_lemma_already_holds():
     )
     expected = [(-1, 3, -2), (-2, -1), (-2, -1), (2, -1), (-1,), (2, 1), (1,), ()]
     for cl_avg, validate in itertools.product((-1, 10), (True, False)):
+        lazy = _composed(combine_all, formula, tree, cl_avg, validate)
+        assert lazy == _eager(formula, tree, cl_avg, validate)
         out = combine_all(formula, tree, cl_avg=cl_avg, validate=validate)
         assert [step.clause.literals for step in out] == expected
-        assert out == eager_combine_all(formula, tree, cl_avg=cl_avg, validate=validate)
         assert check_refutation(formula, out, STRICT).valid
 
 
@@ -535,7 +555,7 @@ def test_a_hand_built_tree_deciding_a_variable_twice_matches_eager_stitching():
     tree = Inner(1, inner, leaf((-1,), "2 0\n0\n"))
     for cl_avg, validate in itertools.product((-1, 0, 2), (True, False)):
         lazy = _composed(combine_all, SQUARE, tree, cl_avg, validate)
-        assert lazy == _composed(eager_combine_all, SQUARE, tree, cl_avg, validate)
+        assert lazy == _eager(SQUARE, tree, cl_avg, validate)
     out = combine_all(SQUARE, tree, validate=False)
     assert out.steps[2].clause.literals == (1, 2, -1)
 

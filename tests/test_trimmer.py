@@ -317,8 +317,8 @@ CHAIN = F(
 
 
 def test_broken_candidate_after_a_shared_prefix_raises_internal_error(monkeypatch):
-    # the candidate starts like the input, so its replay resumes after {1},
-    # and must still judge the {5} that lost {3}
+    # the candidate starts like the input, and its replay must judge the
+    # {5} that lost {3}, not carry over the input's verdicts
     monkeypatch.setattr(
         trimmer._Analysis,
         "marked_adds",
