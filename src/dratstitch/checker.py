@@ -809,17 +809,23 @@ def _hint_table(formula):
     return literals, values, count, dict(zip(values[1:], range(1, len(values))))
 
 
-def _check_hinted(formula, refutation, mode, hints, cube=(), needed=None, judged=None):
+def _check_hinted(
+    formula, refutation, mode, hints, cube=(), needed=None, judged=None, applied=None
+):
     """Judge every step from its hints alone; see check_refutation.
 
-    Returns the report and whether some addition passed only as RAT.
-    When needed is a list, it gets per judged step the hints the step
-    needed: for an addition that passed as AT, the clauses that became
-    unit and then the falsified one, listed from the falsified one back,
-    as a replay lists them; the given hints for any other step. A needed
-    clause is named as the replay engine names it: by the id its value
-    took when its live copies last went from none to one, and not at all
-    while a cube unit keeps it live.
+    Returns the report and, per addition that passed only as RAT, the
+    values of its live neighbours (the clauses holding its negated
+    pivot), as the replay engine's annotations give them. When needed is
+    a list, it gets per judged step the hints the step needed: for an
+    addition that passed as AT, the clauses that became unit and then the
+    falsified one, listed from the falsified one back, as a replay lists
+    them; for one that passed only as RAT, those of every resolvent's
+    conflict; the given hints for a deletion. A needed clause is named as
+    the replay engine names it: by the id its value took when its live
+    copies last went from none to one, and not at all while a cube unit
+    keeps it live. When applied is a set, it gets the numbers of the
+    deletions that removed a clause.
 
     judged, when given, holds the numbers of additions that an earlier
     check has propagated to a conflict over their hints, as AT. Their
@@ -859,7 +865,7 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), needed=None, judged
     units = list(unit_keys.values())
     record = needed is not None
     derived = 0
-    rat = False
+    rat = {}  # step -> its live neighbours' values
 
     def report(valid, step=None, reason=None, checked=0):
         rep = CheckReport(
@@ -884,6 +890,8 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), needed=None, judged
             k = keys.get(clause)
             if k is not None and count[k]:
                 count[k] -= 1
+                if applied is not None:
+                    applied.add(i)
                 if k in unit_keys and not count[k]:
                     units = [l for u, l in unit_keys.items() if count[u]]
             elif mode == STRICT:
@@ -906,30 +914,28 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), needed=None, judged
             if true is not None:
                 used, n = _hinted_conflict(true, hinted, literals)
                 derived += n
-        if used is not None:
-            if record:
-                ids = [named[key[h]] for h in reversed(used)]
-                if None in ids:
-                    ids = [h for h in ids if h is not None]
-                needed.append(tuple(ids))
-        elif not lits:
-            return report(False, i, NOT_AT, i)
-        else:
+        if used is None and lits:
             # RAT on the pivot: every resolvent with a live clause
             # holding its negation is a tautology or conflicts
-            rat = True
-            if record:
-                needed.append(hint)
             pivot = lits[0]
-            for k, value in enumerate(values):
-                if not count[k] or -pivot not in value:
-                    continue
+            neighbours = [v for k, v in enumerate(values) if count[k] and -pivot in v]
+            used = {}  # what the resolvents' conflicts used, in order
+            for value in neighbours:
                 true = _assumed(lits + tuple(m for m in value if m != -pivot), units)
                 if true is not None:
-                    used, n = _hinted_conflict(true, hinted, literals)
+                    conflict, n = _hinted_conflict(true, hinted, literals)
                     derived += n
-                    if used is None:
+                    if conflict is None:
                         return report(False, i, NOT_RAT, i)
+                    used.update(dict.fromkeys(conflict))
+            rat[i] = tuple(neighbours)
+        if used is None:
+            return report(False, i, NOT_AT, i)
+        if record:
+            ids = [named[key[h]] for h in reversed(used)]
+            if None in ids:
+                ids = [h for h in ids if h is not None]
+            needed.append(tuple(ids))
         if not lits:
             if i < total:
                 log.warning("empty clause at step %d; ignoring %d trailing steps", i, total - i)

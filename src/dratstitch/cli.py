@@ -127,8 +127,7 @@ def cmd_stitch(args):
 
     if not args.no_verify:
         # hints are None when no leaf was replayed (--trust-subproofs at
-        # --cl-avg -1) or one has steps after its empty clause; the proof
-        # is then replayed
+        # --cl-avg -1); the proof is then replayed
         report = checker.check_refutation(
             bundle.instance, combined, mode=mode, hints=combined.hints
         )

@@ -24,11 +24,12 @@ therefore carry over to the merged proof as hints for
 ``check_refutation``: the root needs no second full replay, and a merge
 is trimmed from its hints, with no replay either.
 
-For the same reason a lemma needs its propagation judged only once per
-stitch. Once a leaf replay, or the final check of a trim below, has
+For the same reason an AT lemma needs its propagation judged only once
+per stitch. Once a leaf replay, or the final check of a trim below, has
 propagated it to a conflict over its hinted clauses, it propagates to
 one over the same clauses, widened, under every path above, so a
-trim's input check does not propagate it again. What widening can
+trim's input check does not propagate it again. A RAT lemma is judged
+at every trim, as widening changes its neighbours. What widening can
 change is which clauses are live when, and which copy names a value
 that two widened lemmas now share, so liveness, deletions and naming
 are checked again at every trim, over every step. Each trim's
@@ -263,7 +264,7 @@ class _Part(NamedTuple):
     their clauses, deepest first. length counts its steps, count its
     additions and total their literals, all as widened; occ maps the
     negation of each literal of its path to the number of additions
-    that hold it. hints, rat and fresh are combine_all's.
+    that hold it. hints and fresh are combine_all's.
     """
 
     runs: list
@@ -272,7 +273,6 @@ class _Part(NamedTuple):
     total: int
     occ: dict
     hints: Optional[list]
-    rat: bool
     fresh: tuple
 
 
@@ -284,6 +284,12 @@ def _tally(steps, path):
     adds = [clause for op, clause in steps if op == ADD]
     lits = Counter(chain.from_iterable(clause.literals for clause in adds))
     return len(adds), sum(lits.values()), {-p: lits[-p] for p in path}
+
+
+def _through_empty_clause(proof):
+    """The proof up to its first empty clause, where every check stops."""
+    ends = (i for i, (op, clause) in enumerate(proof, 1) if op == ADD and not len(clause))
+    return Refutation(proof.steps[: next(ends, len(proof))])
 
 
 def _steps(runs):
@@ -325,9 +331,9 @@ def combine_all(
     children's proofs and stitches them, or else by the root. A merge's
     merge_seconds holds its bookkeeping and whatever steps it builds.
 
-    With every leaf checked, and every leaf proof ending at the empty
-    clause its replay stopped at, the result carries hints: the ids each
-    leaf's replay used, with the positive child's ids kept and the
+    Each leaf proof is cut at its first empty clause, where every check
+    stops. With every leaf checked, the result carries hints: the ids
+    each leaf's replay used, with the positive child's ids kept and the
     negative child's shifted past it. A merge's empty clause is hinted by
     the positive child's final clause ``(-x)`` and, when cl_avg lets
     merges be trimmed, the hints of the negative child's final clause
@@ -335,38 +341,37 @@ def combine_all(
     itself. Without them, the result's hints are None.
 
     A trimmed merge is trimmed from these hints against its path's cube
-    and takes the trim's output hints. Hints cannot serve it when a leaf
-    below it has a step that passed only as RAT, or when there are none
-    because a leaf has steps after its empty clause: then it is trimmed
-    by replay, and takes its ids, if there are hints, from the trim's
-    final replay. A trim from hints is told which of its input's
-    additions were already propagated: every leaf step, and every step a
-    trim below output. Only the empty clauses of the untrimmed merges
-    since the last trim, its own included, are propagated by its input
-    check; its candidates are checked in full.
+    and takes the trim's output hints. The trim is told which of its
+    input's additions were already propagated as AT: every leaf step and
+    every step a trim below output, except those that passed only as
+    RAT. Only those RAT steps and the empty clauses of the untrimmed
+    merges since the last trim, its own included, are propagated by its
+    input check; its candidates are checked in full.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
 
     # per node, its hints as (shift, hint tuples) runs: ids from
     # n_formula up name steps and move by shift, lower ids are clauses
-    # of the formula; whether a leaf below it has a RAT step; and the
-    # numbers of its additions that no check has propagated: a leaf's
-    # replay propagated all of its steps and so did a trim's final check,
-    # but an untrimmed merge adds its own empty clause unjudged
+    # of the formula; and the numbers of its additions that no check has
+    # propagated as AT: its RAT steps, whose hints name no derivation of
+    # their own, and the empty clauses of untrimmed merges
     n_formula = len(formula.counts())
-    leaf_hints = None
-    if validate or cl_avg >= 0:
-        leaf_hints = {}
-        for leaf, path in _leaves(tree):
-            annotations = _require_sub_proof(
-                formula, path, leaf.refutation, "cube %s" % leaf.cube.filename(), mode
-            )
-            if leaf_hints is not None and len(annotations) == len(leaf.refutation):
-                rat = any(sv.kind == KIND_RAT for sv in annotations)
-                leaf_hints[path] = ([(0, _local_hints(formula, path, annotations))], rat)
-            else:
-                leaf_hints = None  # steps past the empty clause were not judged
+
+    def built(steps, path, hints, fresh):
+        return _Part([(steps, ())], len(steps), *_tally(steps, path), hints, fresh)
+
+    hinted = validate or cl_avg >= 0
+    leaves = {}  # path -> the leaf's part
+    for leaf, path in _leaves(tree):
+        proof = _through_empty_clause(leaf.refutation)
+        hints, rat = None, ()
+        if hinted:
+            label = "cube %s" % leaf.cube.filename()
+            annotations = _require_sub_proof(formula, path, proof, label, mode)
+            hints = [(0, _local_hints(formula, path, annotations))]
+            rat = tuple(sv.index for sv in annotations if sv.kind == KIND_RAT)
+        leaves[path] = built(proof.steps, path, hints, rat)
 
     def shifted(runs):
         out = []
@@ -376,13 +381,9 @@ def combine_all(
             out += run
         return out
 
-    def built(steps, path, hints, rat, fresh):
-        return _Part([(steps, ())], len(steps), *_tally(steps, path), hints, rat, fresh)
-
     def merge(node, path):
         if isinstance(node, Leaf):
-            hints, rat = leaf_hints[path] if leaf_hints else (None, False)
-            return built(node.refutation.steps, path, hints, rat, ())
+            return leaves[path]
         x = node.var
         pos = merge(node.pos_child, path + (x,))
         neg = merge(node.neg_child, path + (-x,))
@@ -393,10 +394,9 @@ def combine_all(
         # integer comparison; cl_avg = 0 fires on anything with a literal
         wants_trim = cl_avg >= 0 and total > cl_avg * count
         length = pos.length + neg.length + 1
-        rat = pos.rat or neg.rat
         fresh = pos.fresh + tuple(i + pos.length for i in neg.fresh) + (length,)
         hints = None
-        if leaf_hints:
+        if hinted:
             shift = pos.length
             if cl_avg < 0:
                 # nothing is marked, and (x) is the cheapest hint
@@ -420,17 +420,9 @@ def combine_all(
         trim_seconds = 0.0
         if wants_trim:
             t1 = time.perf_counter()
-            if hints and not rat:
-                judged = set(range(1, length + 1)).difference(fresh)
-                out, report = trim(
-                    formula, merged, cube=path, hints=shifted(hints), _judged=judged
-                )
-                hints = [(0, report.hints)]
-            else:
-                out, report = trim(formula, merged, cube=path)
-                if hints:
-                    hints = [(0, _local_hints(formula, path, report.annotations))]
-            part = built(out.steps, path, hints, rat, ())
+            judged = set(range(1, length + 1)).difference(fresh)
+            out, report = trim(formula, merged, cube=path, hints=shifted(hints), _judged=judged)
+            part = built(out.steps, path, [(0, report.hints)], report.rat_steps)
             trim_seconds = time.perf_counter() - t1
         else:
             # p is x or -x only in a hand-built tree that decides x twice
@@ -438,7 +430,7 @@ def combine_all(
                 -p: (pos.count if p == x else pos.occ[-p]) + (neg.count if p == -x else neg.occ[-p])
                 for p in path
             }
-            part = _Part(runs, length, count, total, occ, hints, rat, fresh)
+            part = _Part(runs, length, count, total, occ, hints, fresh)
         record = StitchRecord(
             depth=len(path),
             path=path,
@@ -457,6 +449,7 @@ def combine_all(
         return part
 
     root = merge(tree, ())
+    del merge  # a reference cycle that would hold every part until the next collection
     return StitchedRefutation(_steps(root.runs), shifted(root.hints) if root.hints else None)
 
 

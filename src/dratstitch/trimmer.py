@@ -29,18 +29,20 @@ already propagated to a conflict over their hints: those are not
 propagated again, but their hints must still name live, older clauses,
 and each is charged with the clauses its hints name. That checker
 accepts an addition only when unit propagation over the clauses its
-hints name, all live and older, reaches a conflict, so a broken hint
-makes a check reject, never accept, and a rejection raises
-TrimInternalError. A broken hint on a step judged earlier reaches no
-output unchecked: if the output keeps the step, the output's own check
-propagates it. Two
-rules keep its output at the replay's size. An instance (formula plus
+hints name, all live and older, reaches a conflict (from every
+resolvent, for a RAT step), so a broken hint makes a check reject,
+never accept, and a rejection raises TrimInternalError. A broken hint
+on a step judged earlier reaches no output unchecked: if the output
+keeps the step, the output's own check propagates it. Two rules keep
+its output at the replay's size. An instance (formula plus
 cube units) that propagates to a conflict by itself trims to the empty
 clause alone, hinted by that conflict, which is what a replay finds
 too. And the hint checker names each clause a check needed by the id
 the replay engine would use, below, so a hinted and a replayed analysis
-charge uses alike. Hints cannot show which clauses a RAT check relied
-on, so an input with a step that passes only as RAT is replayed.
+charge uses alike. For a RAT step it also gives the neighbours it
+found, so the RAT rule below marks from either source. A hinted
+candidate may pass only as RAT the additions its source passed so; any
+other such addition raises TrimInternalError.
 
 The loop terminates. Additions only shrink, because each candidate's
 additions are a subsequence of the previous one's. While resynthesis is
@@ -115,8 +117,8 @@ class TrimReport:
     wall_time: float
     # builds the core; a merge's trim never reads it
     build_core: Callable[[], Formula] = field(compare=False, repr=False)
-    # a replayed trim: the final strict analysis's annotations, one per output step
-    annotations: tuple = field(default=(), compare=False, repr=False)
+    # the numbers of the output's additions that passed only as RAT
+    rat_steps: tuple = field(default=(), compare=False, repr=False)
     # a hinted trim: the output's hints, one tuple of ids per output step
     hints: Optional[tuple] = field(default=None, compare=False, repr=False)
 
@@ -142,7 +144,6 @@ class _Analysis:
         report, ann = annotate_refutation(formula, refutation, mode, cube=cube)
         if not report.valid:
             raise InvalidProofError("input proof is %s" % report.failure_text())
-        self.ann = ann
         born = {}  # clause id -> the first addition carrying it
         rat_neighbors = {}  # RAT step -> its neighbours
         applied = set()  # deletions that removed a clause
@@ -162,13 +163,15 @@ class _Analysis:
             applied,
         )
 
-    def _mark(self, steps, used, born, formula, rat_neighbors=None, applied=()):
+    def _mark(self, steps, used, born, formula, rat_neighbors, applied):
         """Mark backwards from the final empty clause.
 
         steps are the judged steps, ending at it, and used[i] the ids the
         check of steps[i] used. Ids below the formula's distinct clause
         count are its clauses, and born maps any other id to the index of
-        the addition that issued it.
+        the addition that issued it. rat_neighbors maps each addition that
+        passed only as RAT to its neighbours' values, and applied holds
+        the deletions that removed a clause.
         """
         self.steps = steps
         self.used = used
@@ -178,12 +181,12 @@ class _Analysis:
         self.final_index = final_index = len(steps)
         assert steps[-1].is_add and len(steps[-1].clause) == 0
         self.applied = applied
-        self.any_rat = bool(rat_neighbors)
+        self.rat = rat_neighbors
 
         self.marked_steps = marked = {final_index}
         self.last_use = last_use = {}  # marked clause id -> its last marked use
         self.whole = whole = set()  # values with every formula copy in the core
-        if self.any_rat:
+        if rat_neighbors:
             # deletions stay, so additions of deleted values must stay too
             adds = {}  # clause value -> indices of its additions
             for i, step in enumerate(steps, 1):
@@ -202,7 +205,7 @@ class _Analysis:
                     last_use[cid] = i
                     if cid >= n_formula:
                         marked.add(born[cid])
-            if self.any_rat and i in rat_neighbors:
+            if i in rat_neighbors:
                 # the check used every live copy of each neighbour
                 for value in rat_neighbors[i]:
                     whole.add(value)
@@ -221,7 +224,7 @@ class _Analysis:
 
     def emit(self):
         """The candidate without resynthesis: kept_steps with RAT steps, else marked_adds."""
-        return self.kept_steps() if self.any_rat else self.marked_adds()
+        return self.kept_steps() if self.rat else self.marked_adds()
 
     def with_deletions(self):
         """Marked adds interleaved with one deletion per kept non-original
@@ -252,25 +255,24 @@ class _Analysis:
 class _HintedAnalysis(_Analysis):
     """The same analysis from a hint check instead of a replay.
 
-    Its uses are, per addition that passed as AT, the hints its check
-    needed; rat says whether some addition passed only as RAT, whose
-    neighbours the hints do not name, and then nothing is marked.
-    judged, as _check_hinted takes it, names the additions an earlier
-    check propagated, which this one does not propagate again.
+    Its uses are the hints each addition's check needed, those of every
+    resolvent for one that passed only as RAT, and the check also gives
+    the RAT steps' neighbours and the applied deletions, so the module's
+    RAT rule marks as it does for a replay. judged, as _check_hinted
+    takes it, names the additions an earlier check propagated, which
+    this one does not propagate again.
     """
-
-    ann = ()
 
     def __init__(self, formula, refutation, mode, hints, cube, judged=None):
         needed = []
-        report, self.rat = _check_hinted(formula, refutation, mode, hints, cube, needed, judged)
-        if not report.valid:
-            raise TrimInternalError("hinted proof is %s" % report.failure_text())
-        if not self.rat:
-            n = len(formula.counts())
-            steps = refutation.steps[: len(needed)]
-            born = {n + i: i + 1 for i, step in enumerate(steps) if step.is_add}
-            self._mark(steps, needed, born, formula)
+        applied = set()
+        rep, rat = _check_hinted(formula, refutation, mode, hints, cube, needed, judged, applied)
+        if not rep.valid:
+            raise TrimInternalError("hinted proof is %s" % rep.failure_text())
+        n = len(formula.counts())
+        steps = refutation.steps[: len(needed)]
+        born = {n + i: i + 1 for i, step in enumerate(steps) if step.is_add}
+        self._mark(steps, needed, born, formula, rat, applied)
 
     def hints_of(self, candidate):
         """The hints of a candidate of marked additions, deletions between
@@ -304,7 +306,7 @@ def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, 
         if conflict is not None:
             again = [ProofStep(ADD, EMPTY_CLAUSE)]
         else:
-            again = analysis.with_deletions() if resynthesize and not analysis.any_rat else None
+            again = analysis.with_deletions() if resynthesize and not analysis.rat else None
             if again is not None and (
                 len(again) > input_steps or drat_size(again, sizes) > input_bytes
             ):
@@ -316,11 +318,14 @@ def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, 
         steps = again
         if hinted:
             hints = [conflict] if conflict is not None else analysis.hints_of(steps)
+            marked, rat = analysis.marked_steps, analysis.rat
             analysis = _HintedAnalysis(formula, Refutation(steps), STRICT, hints, cube)
             if analysis.rat:
-                # each kept addition keeps the hints it passed as AT with,
-                # unless an earlier check handed up hints that fall short
-                raise TrimInternalError("internal trim candidate passed only as RAT")
+                adds = (j for j, step in enumerate(steps, 1) if step.is_add)
+                allowed = {j for j, i in zip(adds, sorted(marked)) if i in rat}
+                if not analysis.rat.keys() <= allowed:
+                    # its source passed the step as AT: hints handed up from below fall short
+                    raise TrimInternalError("internal trim candidate passed only as RAT")
             continue
         try:
             analysis = _Analysis(formula, Refutation(steps), STRICT, cube=cube)
@@ -359,9 +364,9 @@ def trim(
     that rejects raises TrimInternalError. When the formula plus the
     cube's units propagates to a conflict, the output is the empty clause
     alone. The report then carries the output's hints, and its core is
-    the formula clauses they name (no cube unit). Without hints, or when
-    an addition of the input passes only as RAT, every analysis is a
-    replay, and the report carries the final replay's annotations.
+    the formula clauses they name (no cube unit). Without hints every
+    analysis is a replay. Either way the report's rat_steps number the
+    output's additions that passed only as RAT.
 
     _judged is for combine_all alone: the numbers of the input's
     additions that an earlier check has already propagated over their
@@ -374,12 +379,9 @@ def trim(
     sizes = {}  # clause value -> its line's bytes, for every size below
     input_bytes = drat_size(refutation, sizes)
 
-    analysis = None
     if hints is not None:
         analysis = _HintedAnalysis(formula, refutation, mode, hints, cube, _judged)
-        if analysis.rat:
-            analysis = None  # hints do not show what a RAT check relied on
-    if analysis is None:
+    else:
         analysis = _Analysis(formula, refutation, mode, cube=cube)
     steps, analysis = _converge(
         formula, analysis, input_steps, input_bytes, sizes, resynthesize_deletions, cube
@@ -396,7 +398,7 @@ def trim(
         output_bytes=output_bytes,
         wall_time=time.perf_counter() - start,
         build_core=analysis.core,
-        annotations=analysis.ann,
+        rat_steps=tuple(sorted(analysis.rat)),
         hints=tuple(analysis.used) if isinstance(analysis, _HintedAnalysis) else None,
     )
     return trimmed, report

@@ -460,7 +460,7 @@ class ReferenceAnalysis:
         self.deps = {}  # add step index -> instance ids its checks consumed
         self.uses = {}  # instance id -> [add step indices that consumed it]
         self.birth = {}  # instance id (added) -> add step index
-        self.any_rat = False
+        self.rat = {}  # RAT step -> its neighbours
         self.applied_delete_values = set()
 
         for sv in ann:
@@ -471,7 +471,7 @@ class ReferenceAnalysis:
                     assert ids, "checker used a dead clause value"
                     dep_ids.append(ids[0])
                 if sv.kind == KIND_RAT:
-                    self.any_rat = True
+                    self.rat[sv.index] = sv.rat_neighbors
                     for value in sv.rat_neighbors:
                         dep_ids.extend(alive.get(value, ()))
                 deps = []
@@ -500,7 +500,7 @@ class ReferenceAnalysis:
         marked_steps = {final.index}
         marked_instances = set()
 
-        if self.any_rat:
+        if self.rat:
             # deletions stay, so additions of deleted values must stay too
             for sv in self.ann:
                 if sv.op == ADD and sv.clause in self.applied_delete_values:
@@ -541,7 +541,7 @@ class ReferenceAnalysis:
 
     def emit(self):
         """The next fixpoint candidate: kept_steps with RAT steps, else marked_adds."""
-        return self.kept_steps() if self.any_rat else self.marked_adds()
+        return self.kept_steps() if self.rat else self.marked_adds()
 
     def with_deletions(self):
         """Marked adds interleaved with one deletion per kept non-original
@@ -672,38 +672,39 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
     """combine_all as it was before merges were composed lazily: every
     merge builds its proof with stitch() right away, and is trimmed, when
     the gate fires, by the same trim call. Kept as the reference that
-    combine_all must match in steps, hints and records (timings aside)."""
+    combine_all must match in steps, hints and records (timings aside).
+
+    With validate off no leaf is replayed, there are no hints, and every
+    trimmed merge is trimmed by replay: the reference for the hint trims'
+    sizes."""
     n_formula = len(formula.counts())
-    leaf_hints = None
-    if validate:
-        leaf_hints = {}
-        for leaf, path in stitcher._leaves(tree):
+    leaves = {}
+    for leaf, path in stitcher._leaves(tree):
+        proof = stitcher._through_empty_clause(leaf.refutation)
+        hints, rat = None, ()
+        if validate:
             annotations = stitcher._require_sub_proof(
-                formula, path, leaf.refutation, "cube %s" % leaf.cube.filename(), mode
+                formula, path, proof, "cube %s" % leaf.cube.filename(), mode
             )
-            if leaf_hints is not None and len(annotations) == len(leaf.refutation):
-                rat = any(sv.kind == KIND_RAT for sv in annotations)
-                leaf_hints[path] = (stitcher._local_hints(formula, path, annotations), rat)
-            else:
-                leaf_hints = None
+            hints = stitcher._local_hints(formula, path, annotations)
+            rat = tuple(sv.index for sv in annotations if sv.kind == KIND_RAT)
+        leaves[path] = proof, hints, rat
 
     def shift(hints, by):
         return [tuple(h + by if h >= n_formula else h for h in ids) for ids in hints]
 
     def merge(node, path):
         if isinstance(node, Leaf):
-            hints, rat = leaf_hints[path] if leaf_hints else (None, False)
-            return node.refutation, hints, rat, ()
-        pos_ref, pos_hints, pos_rat, pos_fresh = merge(node.pos_child, path + (node.var,))
-        neg_ref, neg_hints, neg_rat, neg_fresh = merge(node.neg_child, path + (-node.var,))
+            return leaves[path]
+        pos_ref, pos_hints, pos_fresh = merge(node.pos_child, path + (node.var,))
+        neg_ref, neg_hints, neg_fresh = merge(node.neg_child, path + (-node.var,))
         merged = stitch(formula, node.var, pos_ref, neg_ref, validate=False)
         adds = [step.clause for step in merged if step.is_add]
         total = sum(map(len, adds))
         wants_trim = cl_avg >= 0 and total > cl_avg * len(adds)
-        rat = pos_rat or neg_rat
         fresh = pos_fresh + tuple(i + len(pos_ref) for i in neg_fresh) + (len(merged),)
         hints = None
-        if leaf_hints:
+        if validate:
             # step k's id is n_formula + k - 1; the children's final
             # clauses are steps len(pos_ref) and len(merged) - 1
             neg_hints = shift(neg_hints, len(pos_ref))
@@ -711,15 +712,13 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
             hints = pos_hints + neg_hints + [(n_formula + len(pos_ref) - 1,) + final]
         out = merged
         if wants_trim:
-            if hints and not rat:
+            if validate:
                 judged = set(range(1, len(merged) + 1)).difference(fresh)
                 out, report = trim(formula, merged, cube=path, hints=hints, _judged=judged)
                 hints = list(report.hints)
             else:
                 out, report = trim(formula, merged, cube=path)
-                if hints:
-                    hints = stitcher._local_hints(formula, path, report.annotations)
-            fresh = ()
+            fresh = report.rat_steps
         if on_record is not None:
             on_record(
                 StitchRecord(
@@ -736,7 +735,7 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
                     trim_seconds=0.0,
                 )
             )
-        return out, hints, rat, fresh
+        return out, hints, fresh
 
-    combined, hints, *_ = merge(tree, ())
+    combined, hints, _ = merge(tree, ())
     return StitchedRefutation(combined, hints)

@@ -570,6 +570,27 @@ def test_stitch_duplicate_cube_exits_one(tmp_path, capsys):
     assert "twice" in capsys.readouterr().err
 
 
+def test_stitch_cuts_each_leaf_at_its_empty_clause(tmp_path, capsys, monkeypatch):
+    # the step after the positive leaf's empty clause deletes a clause
+    # that is not there; no check reads past the empty clause, so neither
+    # does the stitch, validated or trusting
+    cnf = write(tmp_path / "f.cnf", SQUARE_CNF)
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    write(proof_dir / "1.proof", "2 0\n0\nd 5 0\n")
+    write(proof_dir / "-1.proof", "2 0\n0\n")
+    out = tmp_path / "combined.drat"
+    calls = _spy_root_checks(monkeypatch)
+    for trust in ((), ("--trust-subproofs",)):
+        argv = ["stitch", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(out), "--strict"]
+        assert main(argv + list(trust)) == EXIT_OK
+        assert out.read_text() == "2 -1 0\n-1 0\n2 1 0\n1 0\n0\n"
+        assert "verify=valid steps_checked=5 " in capsys.readouterr().out
+    # validated, the root is verified from its hints; trusting, by replay
+    validated, trusting = calls["hints"]
+    assert validated is not None and trusting is None
+
+
 def test_stitch_rejects_bad_subproof(tmp_path, capsys):
     # The -1 branch of this satisfiable instance cannot have a real
     # refutation, so its fabricated one is caught before stitching.

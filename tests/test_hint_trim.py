@@ -8,8 +8,8 @@ the formula plus the path's units. These tests hold that path to the
 replay trim's outputs in size, to a full replay in validity, and to
 rejection, never a returned proof, when the hints it is given are
 broken; the replay trims are those of ``helpers.eager_combine_all``
-with validate off. RAT leaves, and stitches whose leaves leave no
-hints, keep the replay trim.
+with validate off. A step that passed only as RAT is trimmed from hints
+too: the hint check gives its neighbours, and no trim replays.
 Inside combine_all each trim is also told which input steps an earlier
 check propagated; it must give what a trim judging its input in full
 gives, and hints handed up broken must still make it raise.
@@ -45,7 +45,7 @@ from dratstitch import (
     trim,
     write_drat,
 )
-from dratstitch import stitcher
+from dratstitch import checker, stitcher
 from dratstitch.checker import KIND_RAT, STRICT
 from dratstitch.formats import Cube
 
@@ -206,7 +206,7 @@ def test_a_hinted_candidate_that_fails_its_check_raises(monkeypatch):
 def test_trimming_a_hint_trimmed_merge_with_its_own_hints_returns_it_unchanged(monkeypatch):
     for formula, proof, cube, hints in hinted_merges(monkeypatch):
         out, report = trim(formula, proof, cube=cube, hints=hints)
-        assert report.annotations == () and len(report.hints) == len(out)
+        assert report.rat_steps == () and len(report.hints) == len(out)
         assert check_refutation(formula, out, STRICT, cube=cube).valid
         assert check_refutation(formula, out, STRICT, cube=cube, hints=report.hints).valid
         again, second = trim(formula, out, cube=cube, hints=report.hints)
@@ -287,7 +287,7 @@ def test_a_depth_one_merge_drops_the_negative_final_clause():
     assert dropped >= 10
 
 
-# parity with the replay trim, and where the replay trim stays
+# parity with the replay trim, RAT steps included
 
 
 def _stitches():
@@ -319,39 +319,115 @@ def test_hint_trimmed_stitches_verify_and_match_the_replay_trims_in_size(cl_avg,
     assert hinted <= replayed * 1.02
 
 
-def test_depth_one_rat_bundles_take_the_replay_trim(monkeypatch):
+@contextlib.contextmanager
+def counted_replays(monkeypatch):
+    """Record, per call of the replay engine, whether a trim of
+    combine_all's was running."""
+    calls = []
+    in_trim = []
+    replay = checker._replay
+    real = stitcher.trim
+
+    def replay_(*args, **kwargs):
+        calls.append(bool(in_trim))
+        return replay(*args, **kwargs)
+
+    def trim_(*args, **kwargs):
+        in_trim.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            in_trim.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(checker, "_replay", replay_)
+        m.setattr(stitcher, "trim", trim_)
+        yield calls
+
+
+def test_depth_one_rat_bundles_trim_from_hints(monkeypatch, capsys):
     count = 0
-    for formula, bundle in depth_one_rat_bundles():
-        if not any(
-            sv.kind == KIND_RAT
-            for e in bundle.entries
-            for sv in annotate_refutation(formula, e.refutation, cube=e.cube.literals)[1]
-        ):
-            continue
-        tree = build_cube_tree(bundle)
-        with recorded_trims(monkeypatch) as calls:
-            try:
-                out = combine_all(formula, tree, cl_avg=0)
-            except InvalidSubProofError:
+    for cl_avg in (0, 2):
+        hinted = replayed = 0
+        for formula, bundle in depth_one_rat_bundles():
+            if not any(
+                sv.kind == KIND_RAT
+                for e in bundle.entries
+                for sv in annotate_refutation(formula, e.refutation, cube=e.cube.literals)[1]
+            ):
                 continue
-        assert [hints for *_, hints in calls] == [None]
-        assert out == eager_combine_all(formula, tree, cl_avg=0, validate=False)
-        assert check_refutation(formula, out, STRICT).valid
-        assert check_refutation(formula, out, STRICT, hints=out.hints).valid
-        count += 1
-    assert count > 50
+            tree = build_cube_tree(bundle)
+            with recorded_trims(monkeypatch) as calls, counted_replays(monkeypatch) as replays:
+                try:
+                    out = combine_all(formula, tree, cl_avg=cl_avg)
+                except InvalidSubProofError:
+                    continue
+            assert all(hints is not None for *_, hints in calls)
+            assert replays == [False, False]  # one per leaf, none inside a trim
+            assert check_refutation(formula, out, STRICT).valid
+            assert check_refutation(formula, out, STRICT, hints=out.hints).valid
+            hinted += len(out)
+            replayed += len(eager_combine_all(formula, tree, cl_avg=cl_avg, validate=False))
+            count += 1
+        with capsys.disabled():
+            print(
+                "\ncl_avg=%d: RAT bundles trimmed from hints to %d steps, by replay to %d"
+                % (cl_avg, hinted, replayed)
+            )
+        assert hinted <= replayed * 1.02
+    assert count > 100
 
 
-def test_a_trim_given_hints_of_a_rat_proof_replays():
-    count = 0
+def test_a_trim_given_hints_of_a_rat_proof_does_not_replay(monkeypatch):
+    def no_replay(*args, **kwargs):
+        raise AssertionError("a trim given hints replayed")
+
+    count = hinted = replayed = 0
     for formula, proof in rat_corpus():
         _, ann = annotate_refutation(formula, proof)
         if not any(sv.kind == KIND_RAT for sv in ann) or len(ann) < len(proof):
             continue
         hints = stitcher._local_hints(formula, (), ann)
-        assert trim(formula, proof, hints=hints)[0] == trim(formula, proof)[0]
+        with monkeypatch.context() as m:
+            m.setattr(checker, "_replay", no_replay)
+            out, report = trim(formula, proof, hints=hints)
+        assert check_refutation(formula, out, STRICT).valid
+        assert check_refutation(formula, out, STRICT, hints=report.hints).valid
+        hinted += len(out)
+        replayed += len(trim(formula, proof)[0])
         count += 1
     assert count > 50
+    assert hinted <= replayed * 1.02
+
+
+def test_a_rat_steps_needed_ids_name_the_oldest_live_copy_of_a_widened_value():
+    # Under the cube 3 the leaf adds (1 5 -3) and (1 5), deletes (1 5 -3),
+    # and adds (4) as RAT on 4: its one resolvent, with (-4 6), is (6),
+    # whose negation (-1 6), (-5 6) and (1 5) refute. Widened, (1 5) is a
+    # second copy of (1 5 -3), so the hint the leaf carries for (4 -3)
+    # names the younger copy; what its RAT check needed must name the
+    # older one, as the replay engine does
+    formula = Formula(
+        Clause(c)
+        for c in (
+            (1, 5, -3, 7), (1, 5, -3, -7), (-4, 6), (-1, 6), (-5, 6),
+            (-6, -3, 9), (-6, -3, -9), (3, 10), (3, -10),
+        )
+    )
+    tree = _depth_one(formula, "1 5 -3 0\n1 5 0\nd 1 5 -3 0\n4 0\n6 0\n0\n", "0\n", var=3)
+    stitched = combine_all(formula, tree)
+    n = len(formula.counts())
+    assert stitched[3] == ProofStep(ADD, Clause((4, -3))) and n + 1 in stitched.hints[3]
+    needed = []
+    _, rat = checker._check_hinted(formula, stitched, STRICT, stitched.hints, needed=needed)
+    assert rat == {4: (Clause((-4, 6)),)}
+    replayed = annotate_refutation(formula, stitched, STRICT)[1][3]
+    assert needed[3] == replayed.used_ids and n in needed[3] and n + 1 not in needed[3]
+    # trimmed from these hints, the RAT step stays and its output hints pass
+    out, report = trim(formula, stitched, hints=stitched.hints)
+    assert out[report.rat_steps[0] - 1] == stitched[3]
+    assert check_refutation(formula, out, STRICT).valid
+    assert check_refutation(formula, out, STRICT, hints=report.hints).valid
 
 
 # trims told which input steps an earlier check propagated
@@ -401,8 +477,6 @@ def test_trims_told_the_judged_steps_match_trims_that_judge_their_inputs_in_full
         in_full += len(write_drat(full))
         decisions = {r.var for r in records}
         for proof, _, _, judged in calls:
-            if judged is None:
-                continue  # a RAT subtree, trimmed by replay
             fresh = set(range(1, len(proof) + 1)) - judged
             assert len(proof) in fresh  # the merge's own empty clause
             if cl_avg == 0:
@@ -517,8 +591,6 @@ def test_a_broken_hint_on_an_untrimmed_merges_empty_clause_makes_the_trim_above_
         with judged_trims(monkeypatch) as calls:
             combine_all(formula, tree, cl_avg=4)
         for k, (proof, cube, hints, judged) in enumerate(calls):
-            if judged is None:
-                continue
             # the untrimmed merges' empty clauses, not the trim's own
             fresh = sorted(set(range(1, len(proof))) - judged)
             for i in random.Random(k).sample(fresh, min(3, len(fresh))):

@@ -284,17 +284,18 @@ def test_combine_all_unbalanced_tree_matches_hand_composition():
     inner = stitch(negative, 2, p2, p3)
     assert combine_all(formula, tree, cl_avg=-1) == stitch(formula, 1, p1, inner)
 
-    # a leaf step after its empty clause leaves the stitch without hints,
-    # so every merge is trimmed by replay
+    # a leaf's steps after its empty clause are cut before anything reads
+    # them, so the stitch is that of the leaf without them, hints and all;
+    # stitch() itself keeps every step
     trailing = Refutation(p1.steps + EMPTY_PROOF.steps)
-    unhinted = Inner(1, Leaf(cubes[0], trailing), tree.neg_child)
-    records = []
-    got = combine_all(formula, unhinted, cl_avg=0, on_record=records.append)
-    assert got.hints is None
-    assert [(r.path, r.trimmed) for r in records] == [((-1,), True), ((), True)]
-    inner, _ = trim(negative, inner)
-    root, _ = trim(formula, stitch(formula, 1, trailing, inner))
-    assert got == root
+    assert len(stitch(formula, 1, trailing, inner)) == len(trailing) + len(inner) + 1
+    cut = Inner(1, Leaf(cubes[0], trailing), tree.neg_child)
+    for cl_avg in (-1, 0):
+        records = []
+        got = combine_all(formula, cut, cl_avg=cl_avg, on_record=records.append)
+        want = combine_all(formula, tree, cl_avg=cl_avg)
+        assert got == want and got.hints == want.hints is not None
+        assert [(r.path, r.trimmed) for r in records] == [((-1,), cl_avg == 0), ((), cl_avg == 0)]
 
     # validated, every merge is trimmed from its children's hints
     n = len(formula.counts())
@@ -460,9 +461,10 @@ def test_combine_all_carries_hints_only_when_every_leaf_was_judged_in_full():
         (3, 2), (3, 2), (1, 0), (5, 1, 0)
     ]
     assert combine_all(SQUARE, tree, cl_avg=-1, validate=False).hints is None
-    # the leaf's step after its empty clause was never judged
-    trailing = build_cube_tree(bundle(SQUARE, entry((1,), "0\n2 0\n"), entry((-1,))))
-    assert combine_all(SQUARE, trailing).hints is None
+    # a leaf's steps after its empty clause are cut, so they cost no hints
+    trailing = build_cube_tree(bundle(SQUARE, entry((1,), "2 0\n0\nd 5 0\n"), entry((-1,))))
+    cut = combine_all(SQUARE, trailing)
+    assert cut == out and cut.hints == out.hints
 
 
 def test_combine_all_trust_mode_defers_to_final_check():

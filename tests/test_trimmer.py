@@ -322,7 +322,7 @@ def test_broken_candidate_after_a_shared_prefix_raises_internal_error(monkeypatc
     monkeypatch.setattr(
         trimmer._Analysis,
         "marked_adds",
-        lambda self: [ProofStep(ADD, sv.clause) for sv in self.ann if sv.clause != Clause((3,))],
+        lambda self: [step for step in self.steps if step.clause != Clause((3,))],
     )
     with pytest.raises(TrimInternalError, match="step 2 \\(not-rat\\)"):
         trim(CHAIN, parse_drat("1 0\n3 0\n5 0\n0\n"))
