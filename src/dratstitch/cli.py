@@ -13,6 +13,8 @@ from pathlib import Path
 
 from . import checker, formats, harness, stitcher, trimmer
 
+log = logging.getLogger(__name__)
+
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_IO = 2
@@ -23,13 +25,11 @@ _SEMANTIC_ERRORS = (
     stitcher.InconsistentDecisionOrderError,
     stitcher.InvalidSubProofError,
     stitcher.NonPreservingInputError,
-    stitcher.RepairError,
     trimmer.InvalidProofError,
     trimmer.TrimInternalError,
     harness.ResourceLimitError,
     harness.DepthTooLargeError,
     harness.GiveUpError,
-    checker.PivotNotInClauseError,
 )
 
 
@@ -81,20 +81,11 @@ def cmd_stitch(args):
     mode = _mode(args)
 
     if args.strip_deletions:
-        entries = []
-        for entry in bundle.entries:
-            if any(not s.is_add for s in entry.refutation):
-                instance = checker._instance_at(bundle.instance, entry.cube)
-                try:
-                    repaired = stitcher.strip_deletions(instance, entry.refutation)
-                except stitcher.RepairError as exc:
-                    raise stitcher.RepairError(
-                        "cube %s: %s" % (entry.cube.filename(), exc)
-                    ) from exc
-                entries.append(formats.BundleEntry(entry.cube, repaired, entry.source))
-            else:
-                entries.append(entry)
-        bundle = formats.ProofBundle(bundle.instance, tuple(entries))
+        entries = tuple(
+            formats.BundleEntry(e.cube, stitcher.strip_deletions(e.refutation), e.source)
+            for e in bundle.entries
+        )
+        bundle = formats.ProofBundle(bundle.instance, entries)
 
     tree = stitcher.build_cube_tree(bundle)
     records = []
@@ -102,7 +93,8 @@ def cmd_stitch(args):
         bundle.instance,
         tree,
         cl_avg=args.cl_avg,
-        validate=not args.trust_subproofs,
+        # a proof we rewrote is judged by the leaf check alone
+        validate=args.strip_deletions or not args.trust_subproofs,
         mode=mode,
         on_record=records.append,
     )
@@ -134,6 +126,7 @@ def cmd_stitch(args):
         if not report.valid and combined.hints is not None:
             # hints that fall short reject a valid proof; only a replay
             # tells that apart from an invalid one
+            log.warning("root hints: %s; replaying the proof in full", report.failure_text())
             report = checker.check_refutation(bundle.instance, combined, mode=mode)
         _print_check(report, label="verify")
         if not report.valid:
@@ -262,7 +255,8 @@ def build_parser():
     p.add_argument(
         "--strip-deletions",
         action="store_true",
-        help="drop deletion steps from input proofs when they still check without them",
+        help="drop every deletion step from the input proofs, which are then "
+        "validated even with --trust-subproofs",
     )
     _add_mode_flags(p)
     p.set_defaults(func=cmd_stitch)

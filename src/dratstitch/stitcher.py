@@ -70,10 +70,6 @@ class NonPreservingInputError(Exception):
     """An input refutation deletes some clause more often than it adds it."""
 
 
-class RepairError(Exception):
-    """Deletions could not be stripped without breaking the proof."""
-
-
 @dataclass(frozen=True)
 class Leaf:
     cube: Cube
@@ -144,7 +140,8 @@ def _require_sub_proof(formula, cube, proof, label, mode):
 def _local_hints(formula, cube, annotations):
     """Per step of a replayed proof of formula plus cube's units, the ids
     its check used, named as ``check_refutation``'s hints name them for the
-    proof alone against the formula.
+    proof alone against the formula, each step numbered by its place in
+    annotations.
 
     A formula clause keeps its id and a cube unit's id is dropped: the
     widened lemma's negation supplies the unit. A lemma id becomes the id
@@ -155,7 +152,7 @@ def _local_hints(formula, cube, annotations):
     n_instance = n_formula + len({l for l in cube if Clause((l,)) not in formula})
     born = {}  # engine id of a lemma -> the hint id of its first addition
     out = []
-    for sv in annotations:
+    for i, sv in enumerate(annotations, 1):
         if sv.op != ADD:
             out.append(())
             continue
@@ -167,8 +164,22 @@ def _local_hints(formula, cube, annotations):
             )
         )
         if sv.clause_id is not None and sv.clause_id >= n_instance:
-            born.setdefault(sv.clause_id, n_formula + sv.index - 1)
+            born.setdefault(sv.clause_id, n_formula + i - 1)
     return out
+
+
+def _checked_leaf(formula, cube, proof, label, mode):
+    """A leaf proof of formula plus cube's units, checked, as combine_all
+    keeps it: less the deletions its check skipped, which removed nothing
+    here but may remove a lemma once widened; the ids each step used, as
+    _local_hints has them; and the numbers of its steps that passed only
+    as RAT."""
+    annotations = _require_sub_proof(formula, cube, proof, label, mode)
+    annotations = [sv for sv in annotations if sv.applied]
+    if len(annotations) < len(proof):
+        proof = Refutation(ProofStep(sv.op, sv.clause) for sv in annotations)
+    rat = tuple(i for i, sv in enumerate(annotations, 1) if sv.kind == KIND_RAT)
+    return proof, _local_hints(formula, cube, annotations), rat
 
 
 def stitch(
@@ -332,7 +343,11 @@ def combine_all(
     merge_seconds holds its bookkeeping and whatever steps it builds.
 
     Each leaf proof is cut at its first empty clause, where every check
-    stops. With every leaf checked, the result carries hints: the ids
+    stops. A checked leaf also loses the deletions its check skipped in
+    permissive mode: each removed nothing there, but could remove a
+    lemma once widened. A proof that strip_deletions rewrote is judged
+    only by this check, so it must be stitched with validate on. With
+    every leaf checked, the result carries hints: the ids
     each leaf's replay used, with the positive child's ids kept and the
     negative child's shifted past it. A merge's empty clause is hinted by
     the positive child's final clause ``(-x)`` and, when cl_avg lets
@@ -368,9 +383,8 @@ def combine_all(
         hints, rat = None, ()
         if hinted:
             label = "cube %s" % leaf.cube.filename()
-            annotations = _require_sub_proof(formula, path, proof, label, mode)
-            hints = [(0, _local_hints(formula, path, annotations))]
-            rat = tuple(sv.index for sv in annotations if sv.kind == KIND_RAT)
+            proof, hints, rat = _checked_leaf(formula, path, proof, label, mode)
+            hints = [(0, hints)]
         leaves[path] = built(proof.steps, path, hints, rat)
 
     def shifted(runs):
@@ -453,22 +467,12 @@ def combine_all(
     return StitchedRefutation(_steps(root.runs), shifted(root.hints) if root.hints else None)
 
 
-def strip_deletions(instance: Formula, refutation: Refutation) -> Refutation:
-    """Drop all deletion steps from a proof of the given instance.
+def strip_deletions(refutation: Refutation) -> Refutation:
+    """The proof without its deletion steps.
 
-    Sound only when every addition still passes the plain propagation
-    check afterwards; if any step needs a resolution check, the repair
-    is rejected rather than risking an unsound widening.
+    Every clause then stays live, so each AT step stays AT, but a RAT
+    step or one that was redundant only once some clause was deleted
+    may fail: the proof is not checked here, but by combine_all's leaf
+    check, run with validate on.
     """
-    stripped = Refutation(s for s in refutation if s.is_add)
-    report, ann = annotate_refutation(instance, stripped, mode=STRICT)
-    if not report.valid:
-        raise RepairError(
-            "proof no longer checks without deletions: %s" % report.failure_text()
-        )
-    for sv in ann:
-        if sv.kind == KIND_RAT:
-            raise RepairError(
-                "step %d needs a resolution check once deletions are dropped" % sv.index
-            )
-    return stripped
+    return Refutation(s for s in refutation if s.is_add)

@@ -683,11 +683,9 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
         proof = stitcher._through_empty_clause(leaf.refutation)
         hints, rat = None, ()
         if validate:
-            annotations = stitcher._require_sub_proof(
+            proof, hints, rat = stitcher._checked_leaf(
                 formula, path, proof, "cube %s" % leaf.cube.filename(), mode
             )
-            hints = stitcher._local_hints(formula, path, annotations)
-            rat = tuple(sv.index for sv in annotations if sv.kind == KIND_RAT)
         leaves[path] = proof, hints, rat
 
     def shift(hints, by):

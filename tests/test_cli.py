@@ -481,7 +481,10 @@ def test_stitch_replays_the_root_when_its_hints_fall_short(tmp_path, capsys, mon
     assert main(stitch_args(fixture_dir, tmp_path / "combined.drat")) == EXIT_OK
     hinted, replayed = calls["hints"]
     assert hinted is not None and replayed is None
-    assert "verify=valid " in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "verify=valid " in captured.out
+    assert "WARNING root hints: invalid at step " in captured.err
+    assert captured.err.endswith("; replaying the proof in full\n")
 
 
 def test_stitch_verifies_the_root_from_hints_when_widening_merges_two_lemmas(
@@ -635,7 +638,22 @@ def test_stitch_trust_subproofs_fails_final_verify(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_stitch_strip_deletions(tmp_path, capsys):
+def _spy_replays(monkeypatch):
+    """Count the checker's full replays."""
+    from dratstitch import checker
+
+    calls = []
+    replay = checker._replay
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "_replay", spy)
+    return calls
+
+
+def test_stitch_strip_deletions(tmp_path, capsys, monkeypatch):
     cnf = write(tmp_path / "f.cnf", SQUARE_CNF)
     proof_dir = tmp_path / "proofs"
     proof_dir.mkdir()
@@ -648,15 +666,20 @@ def test_stitch_strip_deletions(tmp_path, capsys):
     assert "d " in kept.read_text()
 
     stripped = tmp_path / "stripped.drat"
-    rc = main(
-        ["stitch", "--cnf", cnf, "--proofs", str(proof_dir),
-         "-o", str(stripped), "--strip-deletions"]
-    )
+    argv = ["stitch", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(stripped)]
+    rc = main(argv + ["--strip-deletions"])
     assert rc == EXIT_OK
     capsys.readouterr()
     assert "d " not in stripped.read_text()
     formula = parse_dimacs(Path(cnf).read_bytes()).formula
     assert check_refutation(formula, parse_drat(stripped.read_bytes()), mode=STRICT).valid
+
+    # each leaf is judged once, by the leaf check, trusted or not
+    replays = _spy_replays(monkeypatch)
+    for trust in ((), ("--trust-subproofs",)):
+        replays.clear()
+        assert main(argv + ["--strip-deletions", "--no-verify", *trust]) == EXIT_OK
+        assert len(replays) == 2
 
 
 def test_stitch_strip_deletions_names_the_proof_it_cannot_repair(tmp_path, capsys):
@@ -672,11 +695,56 @@ def test_stitch_strip_deletions_names_the_proof_it_cannot_repair(tmp_path, capsy
          "-o", str(out), "--strip-deletions"]
     )
     assert rc == EXIT_SEMANTIC
-    assert capsys.readouterr().err == (
-        "error: cube 1.proof: proof no longer checks without deletions: "
-        "invalid at step 1 (not-rat)\n"
-    )
+    assert capsys.readouterr().err == "error: cube 1.proof: invalid at step 1 (not-rat)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cl_avg", ["-1", "0"])
+def test_stitch_strip_deletions_keeps_rat_steps(tmp_path, capsys, cl_avg):
+    # stripped, the positive leaf adds (9) as RAT on 9, which no clause negates
+    cnf = write(tmp_path / "f.cnf", "p cnf 9 5\n2 3 0\n2 -3 0\n-2 3 0\n-2 -3 0\n1 -1 0\n")
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    write(proof_dir / "1.proof", "9 0\nd 9 0\n2 0\n0\n")
+    write(proof_dir / "-1.proof", "2 0\n0\n")
+    out = tmp_path / "combined.drat"
+    argv = ["stitch", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(out)]
+    assert main(argv + ["--strip-deletions", "--cl-avg", cl_avg]) == EXIT_OK
+    assert "verify=valid " in capsys.readouterr().out
+    proof = parse_drat(out.read_bytes())
+    assert not any(step.op == DELETE for step in proof if step.clause == Clause((9, -1)))
+    formula = parse_dimacs(Path(cnf).read_bytes()).formula
+    assert check_refutation(formula, proof, mode=STRICT).valid
+
+
+@pytest.mark.parametrize("cl_avg", ["-1", "0"])
+def test_stitch_drops_the_deletions_a_permissive_leaf_check_skipped(
+    tmp_path, capsys, monkeypatch, cl_avg
+):
+    # (2) is absent under the cube 1, so the leaf check skips its
+    # deletion; widened to (2 -1) it would delete the leaf's first lemma,
+    # which the later steps' hints name
+    cnf = write(tmp_path / "f.cnf", "p cnf 6 4\n2 3 0\n2 -3 0\n-2 6 0\n-6 -2 0\n")
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    write(proof_dir / "1.proof", "2 -1 0\nd 2 0\n6 0\n2 0\n0\n")
+    write(proof_dir / "-1.proof", "2 0\n0\n")
+    out = tmp_path / "combined.drat"
+    calls = _spy_root_checks(monkeypatch)
+    replays = _spy_replays(monkeypatch)
+    argv = ["stitch", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(out)]
+    assert main(argv + ["--cl-avg", cl_avg]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "verify=valid " in captured.out
+    assert "deletion of absent clause" in captured.err
+    assert "root hints" not in captured.err
+    # the root is verified from its hints alone, after the two leaf checks
+    (hints,) = calls["hints"]
+    assert hints is not None and len(replays) == 2
+    if cl_avg == "-1":
+        assert "d 2 -1 0" not in out.read_text()
+    formula = parse_dimacs(Path(cnf).read_bytes()).formula
+    assert check_refutation(formula, parse_drat(out.read_bytes()), mode=STRICT).valid
 
 
 def test_stitch_strict_mode_forwarded(tmp_path, capsys):

@@ -24,7 +24,6 @@ from dratstitch import (
     ProofBundle,
     ProofStep,
     Refutation,
-    RepairError,
     average_clause_length,
     build_cube_tree,
     check_refutation,
@@ -39,7 +38,7 @@ from dratstitch import (
     write_drat,
 )
 from dratstitch import stitcher
-from dratstitch.checker import PERMISSIVE, STRICT, annotate_refutation
+from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
 from dratstitch.stitcher import _local_hints
 from dratstitch.trimmer import InvalidProofError
 
@@ -593,36 +592,51 @@ def test_untrimmed_merges_call_no_stitch_and_trimmed_ones_one_each(monkeypatch):
 def test_strip_deletions_drops_harmless_deletes():
     proof = parse_drat("-1 0\n1 0\nd -1 2 0\n0\n")
     assert check_refutation(SQUARE, proof, mode=STRICT).valid
-    stripped = strip_deletions(SQUARE, proof)
+    stripped = strip_deletions(proof)
     assert stripped == parse_drat("-1 0\n1 0\n0\n")
     assert check_refutation(SQUARE, stripped, mode=STRICT).valid
 
 
 def test_strip_deletions_noop_on_addition_only_proofs():
     proof = parse_drat("-1 0\n1 0\n0\n")
-    assert strip_deletions(SQUARE, proof) == proof
+    assert strip_deletions(proof) == proof
 
 
-def test_strip_deletions_rejects_load_bearing_deletes():
-    # {5} is only vacuously redundant once {-5,6} is gone
+def _stripped_tree(pos_text, neg_text):
+    """The depth-one tree on 3 over the two proofs, stripped of deletions."""
+    pos, neg = (strip_deletions(parse_drat(text)) for text in (pos_text, neg_text))
+    return Inner(3, Leaf(Cube((3,)), pos), Leaf(Cube((-3,)), neg))
+
+
+def test_stripped_load_bearing_deletes_fail_the_leaf_check():
+    # under the cube 3, {5} is only vacuously redundant once {-5,6} is gone
     formula = SQUARE.add(Clause((-5, 6)))
-    proof = parse_drat("d -5 6 0\n5 0\n-1 0\n1 0\n0\n")
-    assert check_refutation(formula, proof, mode=STRICT).valid
-    with pytest.raises(RepairError):
-        strip_deletions(formula, proof)
+    pos = "d -5 6 0\n5 0\n-1 0\n1 0\n0\n"
+    neg = "-1 0\n1 0\n0\n"
+    assert check_refutation(formula, parse_drat(pos), mode=STRICT, cube=(3,)).valid
+    tree = Inner(3, Leaf(Cube((3,)), parse_drat(pos)), Leaf(Cube((-3,)), parse_drat(neg)))
+    with pytest.raises(NonPreservingInputError):
+        combine_all(formula, tree)
+    for cl_avg in (-1, 0):
+        with pytest.raises(InvalidSubProofError) as info:
+            combine_all(formula, _stripped_tree(pos, neg), cl_avg=cl_avg)
+        assert str(info.value) == "cube 3.proof: invalid at step 1 (not-rat)"
 
 
-def test_strip_deletions_names_no_step_when_the_empty_clause_is_missing():
-    proof = parse_drat("-1 0\nd 1 2 0\n")
-    with pytest.raises(RepairError) as info:
-        strip_deletions(SQUARE, proof)
-    assert str(info.value) == (
-        "proof no longer checks without deletions: invalid (missing-empty-clause)"
-    )
+def test_stripped_leaf_without_its_empty_clause_fails_the_leaf_check_at_no_step():
+    with pytest.raises(InvalidSubProofError) as info:
+        combine_all(SQUARE, _stripped_tree("-1 0\nd 1 2 0\n", "-1 0\n1 0\n0\n"))
+    assert str(info.value) == "cube 3.proof: invalid (missing-empty-clause)"
 
 
-def test_strip_deletions_rejects_resolution_steps():
-    proof = parse_drat("9 0\n-1 0\n1 0\n0\n")
-    assert check_refutation(SQUARE, proof, mode=STRICT).valid
-    with pytest.raises(RepairError):
-        strip_deletions(SQUARE, proof)
+@pytest.mark.parametrize("cl_avg", [-1, 0])
+def test_stripped_rat_steps_stitch_and_verify(cl_avg):
+    # (9) passes only as RAT on 9, which no clause negates
+    tree = _stripped_tree("9 0\nd 9 0\n-1 0\n1 0\n0\n", "-1 0\n1 0\n0\n")
+    leaf = tree.pos_child.refutation
+    assert leaf == parse_drat("9 0\n-1 0\n1 0\n0\n")
+    assert annotate_refutation(SQUARE, leaf, STRICT, cube=(3,))[1][0].kind == KIND_RAT
+    combined = combine_all(SQUARE, tree, cl_avg=cl_avg)
+    assert combined.hints is not None
+    assert check_refutation(SQUARE, combined, mode=STRICT, hints=combined.hints).valid
+    assert check_refutation(SQUARE, combined, mode=STRICT).valid
