@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .core import ADD, DELETE, Clause, Formula, Refutation
+from .core import ADD, DELETE, Clause, Formula, ProofStep, Refutation
 
 log = logging.getLogger(__name__)
 
@@ -627,14 +627,6 @@ def is_preserving(refutation: Refutation) -> bool:
     return first_violation(refutation) is None
 
 
-def _instance_at(formula, cube):
-    """The formula plus one unit clause per cube literal."""
-    out = formula
-    for lit in cube:
-        out = out.add(Clause((lit,)))
-    return out
-
-
 # the last formula used, its as-built database, its hint table, its open cubes
 _base = (None, None, None, None)
 
@@ -821,11 +813,11 @@ def _check_hinted(
     addition that passed as AT, the clauses that became unit and then the
     falsified one, listed from the falsified one back, as a replay lists
     them; for one that passed only as RAT, those of every resolvent's
-    conflict; the given hints for a deletion. A needed clause is named as
-    the replay engine names it: by the id its value took when its live
-    copies last went from none to one, and not at all while a cube unit
-    keeps it live. When applied is a set, it gets the numbers of the
-    deletions that removed a clause.
+    conflict; the given hints for a deletion. A needed clause is named,
+    as _as_hinted names a replay's, by the id its value took when its
+    live copies last went from none to one, and not at all while a cube
+    unit keeps it live. When applied is a set, it gets the numbers of
+    the deletions that removed a clause.
 
     judged, when given, holds the numbers of additions that an earlier
     check has propagated to a conflict over their hints, as AT. Their
@@ -948,6 +940,46 @@ def _check_hinted(
             if k in unit_keys:
                 units = [l for u, l in unit_keys.items() if count[u]]
     return report(False, None, MISSING_EMPTY_CLAUSE, total)
+
+
+def _as_hinted(formula, cube, annotations):
+    """A record-mode replay of a proof of formula plus cube's units, as a
+    hint check of it gives its outcome: (steps, needed, rat, applied).
+
+    steps are the judged steps less the deletions the replay skipped,
+    which removed nothing. needed holds per step the ids its check used,
+    named as check_refutation's hints name them for steps against the
+    formula: a formula clause keeps its id, a cube unit the formula
+    lacks is left out, and a lemma is named by the step that made its
+    value live, n_formula + i - 1 for step i. rat maps each addition
+    that passed only as RAT to its neighbours' values, and applied
+    holds the numbers of the deletions, all of which removed a clause.
+    """
+    n_formula = len(formula.counts())
+    n_instance = n_formula + len({l for l in cube if Clause((l,)) not in formula})
+    named = {}  # engine id of a lemma value -> the hint id of the step that made it live
+    steps, needed, rat, applied = [], [], {}, set()
+    for sv in annotations:
+        if not sv.applied:
+            continue
+        steps.append(ProofStep(sv.op, sv.clause))
+        i = len(steps)
+        if sv.op != ADD:
+            needed.append(())
+            applied.add(i)
+            continue
+        needed.append(
+            tuple(
+                u if u < n_formula else named[u]
+                for u in sv.used_ids
+                if not n_formula <= u < n_instance
+            )
+        )
+        if sv.kind == KIND_RAT:
+            rat[i] = sv.rat_neighbors
+        if sv.clause_id is not None and sv.clause_id >= n_instance:
+            named.setdefault(sv.clause_id, n_formula + i - 1)
+    return steps, needed, rat, applied
 
 
 def check_refutation(

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 from . import checker, formats, harness, stitcher, trimmer
+from .core import Clause, Formula
 
 log = logging.getLogger(__name__)
 
@@ -211,7 +212,7 @@ def cmd_fixture(args):
     cnf_path = out_dir / "instance.cnf"
     cnf_path.write_text(formats.write_dimacs(formula))
     for i, cube in enumerate(cubes):
-        sub = checker._instance_at(formula, cube)
+        sub = formula.union(Formula(Clause((lit,)) for lit in cube))
         outcome = harness.solve_drup(sub, seed=args.seed + i + 1)
         assert not outcome.sat, "cube of an unsatisfiable instance cannot be satisfiable"
         (out_dir / cube.filename()).write_text(formats.write_drat(outcome.refutation))

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Union
 
-from .checker import KIND_RAT, STRICT, annotate_refutation, first_violation
-from .core import ADD, EMPTY_CLAUSE, Clause, Formula, ProofStep, Refutation
+from .checker import STRICT, _as_hinted, annotate_refutation, first_violation
+from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation
 from .formats import Cube, ProofBundle
 from .trimmer import trim
 
@@ -137,49 +137,18 @@ def _require_sub_proof(formula, cube, proof, label, mode):
     return annotations
 
 
-def _local_hints(formula, cube, annotations):
-    """Per step of a replayed proof of formula plus cube's units, the ids
-    its check used, named as ``check_refutation``'s hints name them for the
-    proof alone against the formula, each step numbered by its place in
-    annotations.
-
-    A formula clause keeps its id and a cube unit's id is dropped: the
-    widened lemma's negation supplies the unit. A lemma id becomes the id
-    of the first addition that carried it, as the trimmer's born rule
-    has it. Deletions get no ids.
-    """
-    n_formula = len(formula.counts())
-    n_instance = n_formula + len({l for l in cube if Clause((l,)) not in formula})
-    born = {}  # engine id of a lemma -> the hint id of its first addition
-    out = []
-    for i, sv in enumerate(annotations, 1):
-        if sv.op != ADD:
-            out.append(())
-            continue
-        out.append(
-            tuple(
-                u if u < n_formula else born[u]
-                for u in sv.used_ids
-                if not n_formula <= u < n_instance
-            )
-        )
-        if sv.clause_id is not None and sv.clause_id >= n_instance:
-            born.setdefault(sv.clause_id, n_formula + i - 1)
-    return out
-
-
 def _checked_leaf(formula, cube, proof, label, mode):
     """A leaf proof of formula plus cube's units, checked, as combine_all
     keeps it: less the deletions its check skipped, which removed nothing
-    here but may remove a lemma once widened; the ids each step used, as
-    _local_hints has them; and the numbers of its steps that passed only
-    as RAT."""
+    here but may remove a lemma once widened; the ids each step used,
+    named as hints for the proof against the formula alone, where the
+    widened lemma's negation supplies each cube unit; and the numbers of
+    its steps that passed only as RAT."""
     annotations = _require_sub_proof(formula, cube, proof, label, mode)
-    annotations = [sv for sv in annotations if sv.applied]
-    if len(annotations) < len(proof):
-        proof = Refutation(ProofStep(sv.op, sv.clause) for sv in annotations)
-    rat = tuple(i for i, sv in enumerate(annotations, 1) if sv.kind == KIND_RAT)
-    return proof, _local_hints(formula, cube, annotations), rat
+    steps, hints, rat, _ = _as_hinted(formula, cube, annotations)
+    if len(steps) < len(proof):
+        proof = Refutation(steps)
+    return proof, hints, tuple(rat)
 
 
 def stitch(

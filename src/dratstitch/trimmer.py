@@ -2,23 +2,28 @@
 
 An analysis judges every step of a proof and records which clauses each
 check consumed; a backward sweep from the final empty clause then marks
-the additions actually needed, and everything unmarked is dropped. One
-loop serves two analysis sources: a replay by the checker's engine,
-or, when the caller has hints (ids of the clauses each addition needs,
-as ``check_refutation`` takes them), a check by the hint checker, whose
-record of uses is the hints each check needed. Each analysis proposes
-one candidate: its kept steps when it has RAT steps (below); otherwise,
-while resynthesis is on, its marked additions with each kept lemma
-deleted right after its last marked use, if that deletes anything and
-fits in the input's steps and bytes; otherwise its marked additions.
-The first resynthesized candidate that does not fit turns resynthesis
-off. Every candidate is judged strictly by its analysis source, and one
-that fails is an internal error. A replayed candidate is judged from
-its first step; a hinted candidate carries the hints of its kept
-additions, renumbered to its steps. The loop ends when an analysis
-proposes its own proof again, so its last analysis is the strict
-re-check of the output, deletions included, and trimming is idempotent
-rather than merely shrinking.
+the additions actually needed, and everything unmarked is dropped. An
+analysis has one of two sources: a replay by the checker's engine, or,
+when the caller has hints (ids of the clauses each addition needs, as
+``check_refutation`` takes them), a check by the hint checker. Both
+give the same record, and one class marks it: the judged steps, the ids
+each check used, the RAT steps with their neighbours, and the deletions
+that removed a clause (the checker turns a replay's annotations into
+that record). Each analysis proposes one candidate: its kept steps when
+it has RAT steps (below); otherwise, while resynthesis is on, its
+marked additions with each kept lemma deleted right after its last
+marked use, if that deletes anything and fits in the input's steps and
+bytes; otherwise its marked additions. The first resynthesized
+candidate that does not fit turns resynthesis off. Every candidate is
+judged strictly by the source that judged the input, and one that fails
+is an internal error. An instance (formula plus cube units) that
+propagates to a conflict by itself proposes the empty clause alone,
+hinted by that conflict. A replayed candidate is judged from its first
+step; a hinted candidate carries the hints of its kept additions,
+renumbered to its steps. The loop ends when an analysis proposes its
+own proof again, so its last analysis is the strict re-check of the
+output, deletions included, and trimming is idempotent rather than
+merely shrinking.
 
 The hint source needs no replay, and its output need not trust the
 hints: the input is judged by the hint checker before anything is
@@ -33,16 +38,11 @@ hints name, all live and older, reaches a conflict (from every
 resolvent, for a RAT step), so a broken hint makes a check reject,
 never accept, and a rejection raises TrimInternalError. A broken hint
 on a step judged earlier reaches no output unchecked: if the output
-keeps the step, the output's own check propagates it. Two rules keep
-its output at the replay's size. An instance (formula plus
-cube units) that propagates to a conflict by itself trims to the empty
-clause alone, hinted by that conflict, which is what a replay finds
-too. And the hint checker names each clause a check needed by the id
-the replay engine would use, below, so a hinted and a replayed analysis
-charge uses alike. For a RAT step it also gives the neighbours it
-found, so the RAT rule below marks from either source. A hinted
-candidate may pass only as RAT the additions its source passed so; any
-other such addition raises TrimInternalError.
+keeps the step, the output's own check propagates it. For a RAT step
+the hint checker gives the neighbours it found, as a replay does, so
+the RAT rule below marks from either source. A hinted candidate may
+pass only as RAT the additions its source passed so; any other such
+addition raises TrimInternalError.
 
 The loop terminates. Additions only shrink, because each candidate's
 additions are a subsequence of the previous one's. While resynthesis is
@@ -61,15 +61,15 @@ marking, with the lemma still live, finds shorter derivations and drops
 them: one RAT proof of the tests keeps 7 additions with resynthesis and
 5 without.
 
-Uses are charged to the checker's clause ids. A value holds one id from
-the moment its count leaves 0 until it is 0 again, and deletions remove
-the youngest instance first, so the id names the oldest live instance:
-the one a use keeps alive. An id below the formula's distinct clause
-count is a formula clause, and any other id was issued by the first
-addition that carries it, which is the addition a use of it marks. The
-core is the formula clauses that marked steps used, in formula order;
-with hints, that is the formula clauses the output's hints name, and a
-cube unit, which hints never name, is not in it.
+Uses are charged to hint ids, whichever source judged the proof. An id
+below the formula's distinct clause count is a formula clause, and id
+n_formula + i - 1 is step i's. A use of a lemma names the step that
+made its value live, which is the addition the use marks and the lemma
+a resynthesized deletion removes; the name holds while the value has a
+live copy, since a deletion removes one copy of a value, whichever one.
+A cube unit has no id, as a hint check supplies it unnamed. The core is
+the formula clauses that marked steps used, in formula order, which are
+the formula clauses the output's hints name, and it has no cube unit.
 
 Steps that passed only the resolution check are handled conservatively:
 deleting clauses can enlarge the set of resolution obligations, so when
@@ -85,14 +85,13 @@ keeps only marked additions, so trimming a RAT proof is idempotent too.
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 from .checker import (
-    KIND_RAT,
     PERMISSIVE,
     STRICT,
+    _as_hinted,
     _check_hinted,
-    _instance_at,
     _root_conflict,
     annotate_refutation,
 )
@@ -119,8 +118,8 @@ class TrimReport:
     build_core: Callable[[], Formula] = field(compare=False, repr=False)
     # the numbers of the output's additions that passed only as RAT
     rat_steps: tuple = field(default=(), compare=False, repr=False)
-    # a hinted trim: the output's hints, one tuple of ids per output step
-    hints: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # the output's hints, one tuple of ids per output step, as check_refutation takes them
+    hints: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def core(self) -> Formula:
@@ -134,59 +133,31 @@ class TrimReport:
 
 
 class _Analysis:
-    """One replay of a valid proof, its uses charged to the engine's clause ids.
+    """The record of one check of a valid proof, and the marking over it.
 
-    The proof refutes the formula plus one unit clause per cube literal,
-    and that instance's clauses are the formula clauses here.
+    steps are the judged steps, ending at the final empty clause, and
+    used[i] the ids the check of steps[i] used, named as
+    ``check_refutation``'s hints name them: ids below the formula's
+    distinct clause count are its clauses, and id n_formula + i - 1 is
+    step i's. rat maps each addition that passed only as RAT to its
+    neighbours' values, and applied holds the deletions that removed a
+    clause.
     """
 
-    def __init__(self, formula, refutation, mode, cube=()):
-        report, ann = annotate_refutation(formula, refutation, mode, cube=cube)
-        if not report.valid:
-            raise InvalidProofError("input proof is %s" % report.failure_text())
-        born = {}  # clause id -> the first addition carrying it
-        rat_neighbors = {}  # RAT step -> its neighbours
-        applied = set()  # deletions that removed a clause
-        for sv in ann:
-            if sv.op == ADD:
-                born.setdefault(sv.clause_id, sv.index)
-                if sv.kind == KIND_RAT:
-                    rat_neighbors[sv.index] = sv.rat_neighbors
-            elif sv.applied:
-                applied.add(sv.index)
-        self._mark(
-            [ProofStep(sv.op, sv.clause) for sv in ann],
-            [sv.used_ids for sv in ann],
-            born,
-            _instance_at(formula, cube),
-            rat_neighbors,
-            applied,
-        )
-
-    def _mark(self, steps, used, born, formula, rat_neighbors, applied):
-        """Mark backwards from the final empty clause.
-
-        steps are the judged steps, ending at it, and used[i] the ids the
-        check of steps[i] used. Ids below the formula's distinct clause
-        count are its clauses, and born maps any other id to the index of
-        the addition that issued it. rat_neighbors maps each addition that
-        passed only as RAT to its neighbours' values, and applied holds
-        the deletions that removed a clause.
-        """
+    def __init__(self, formula, steps, used, rat, applied):
         self.steps = steps
         self.used = used
-        self.born = born
         self.formula = formula
         self.n_formula = n_formula = len(formula.counts())  # ids below this are formula clauses
         self.final_index = final_index = len(steps)
         assert steps[-1].is_add and len(steps[-1].clause) == 0
         self.applied = applied
-        self.rat = rat_neighbors
+        self.rat = rat
 
         self.marked_steps = marked = {final_index}
         self.last_use = last_use = {}  # marked clause id -> its last marked use
         self.whole = whole = set()  # values with every formula copy in the core
-        if rat_neighbors:
+        if rat:
             # deletions stay, so additions of deleted values must stay too
             adds = {}  # clause value -> indices of its additions
             for i, step in enumerate(steps, 1):
@@ -204,10 +175,10 @@ class _Analysis:
                 if cid not in last_use:
                     last_use[cid] = i
                     if cid >= n_formula:
-                        marked.add(born[cid])
-            if i in rat_neighbors:
+                        marked.add(cid - n_formula + 1)
+            if i in rat:
                 # the check used every live copy of each neighbour
-                for value in rat_neighbors[i]:
+                for value in rat[i]:
                     whole.add(value)
                     marked.update(j for j in adds.get(value, ()) if j < i)
 
@@ -227,15 +198,16 @@ class _Analysis:
         return self.kept_steps() if self.rat else self.marked_adds()
 
     def with_deletions(self):
-        """Marked adds interleaved with one deletion per kept non-original
-        clause id, placed right after its last marked use; None when there
-        is nothing to delete."""
+        """Marked adds interleaved with one deletion per kept lemma id,
+        placed right after its last marked use; None when there is
+        nothing to delete."""
         steps = self.steps
+        n = self.n_formula
         deletions = [
-            (last, 1, cid, ProofStep(DELETE, steps[self.born[cid] - 1].clause))
+            (last, 1, cid, ProofStep(DELETE, steps[cid - n].clause))
             for cid, last in self.last_use.items()
             # deleting after the final empty clause is dead weight
-            if cid >= self.n_formula and last < self.final_index
+            if cid >= n and last < self.final_index
         ]
         if not deletions:
             return None
@@ -250,29 +222,6 @@ class _Analysis:
             for cid, (clause, k) in enumerate(self.formula.counts())
             if clause in self.whole or cid in self.last_use
         )
-
-
-class _HintedAnalysis(_Analysis):
-    """The same analysis from a hint check instead of a replay.
-
-    Its uses are the hints each addition's check needed, those of every
-    resolvent for one that passed only as RAT, and the check also gives
-    the RAT steps' neighbours and the applied deletions, so the module's
-    RAT rule marks as it does for a replay. judged, as _check_hinted
-    takes it, names the additions an earlier check propagated, which
-    this one does not propagate again.
-    """
-
-    def __init__(self, formula, refutation, mode, hints, cube, judged=None):
-        needed = []
-        applied = set()
-        rep, rat = _check_hinted(formula, refutation, mode, hints, cube, needed, judged, applied)
-        if not rep.valid:
-            raise TrimInternalError("hinted proof is %s" % rep.failure_text())
-        n = len(formula.counts())
-        steps = refutation.steps[: len(needed)]
-        born = {n + i: i + 1 for i, step in enumerate(steps) if step.is_add}
-        self._mark(steps, needed, born, formula, rat, applied)
 
     def hints_of(self, candidate):
         """The hints of a candidate of marked additions, deletions between
@@ -291,16 +240,34 @@ class _HintedAnalysis(_Analysis):
         return out
 
 
-def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, cube):
+def _replayed(formula, refutation, mode, cube):
+    """The analysis of a replay of refutation against formula plus cube's units."""
+    report, annotations = annotate_refutation(formula, refutation, mode, cube=cube)
+    if not report.valid:
+        raise InvalidProofError("input proof is %s" % report.failure_text())
+    return _Analysis(formula, *_as_hinted(formula, cube, annotations))
+
+
+def _hinted(formula, refutation, mode, hints, cube, judged=None):
+    """The analysis of a hint check of refutation, judged as _check_hinted
+    takes it; a check that rejects raises TrimInternalError."""
+    needed = []
+    applied = set()
+    rep, rat = _check_hinted(formula, refutation, mode, hints, cube, needed, judged, applied)
+    if not rep.valid:
+        raise TrimInternalError("hinted proof is %s" % rep.failure_text())
+    return _Analysis(formula, refutation.steps[: len(needed)], needed, rat, applied)
+
+
+def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, cube, hinted):
     """Iterate marking until stable; returns (steps, analysis of them).
 
     analysis is the input's, judged in the caller's mode, and every
-    candidate is judged the same way, replayed or from hints, strictly.
+    candidate is judged strictly, from hints when hinted, else replayed.
     The candidate rule is the module's. The returned analysis checks
     exactly the returned steps, and its core and hints pair with them.
     """
-    hinted = isinstance(analysis, _HintedAnalysis)
-    conflict = _root_conflict(formula, cube) if hinted else None
+    conflict = _root_conflict(formula, cube)
     steps = None  # the input itself still needs its strict check
     while True:
         if conflict is not None:
@@ -316,21 +283,23 @@ def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, 
         if again == steps:
             return steps, analysis
         steps = again
-        if hinted:
-            hints = [conflict] if conflict is not None else analysis.hints_of(steps)
-            marked, rat = analysis.marked_steps, analysis.rat
-            analysis = _HintedAnalysis(formula, Refutation(steps), STRICT, hints, cube)
-            if analysis.rat:
-                adds = (j for j, step in enumerate(steps, 1) if step.is_add)
-                allowed = {j for j, i in zip(adds, sorted(marked)) if i in rat}
-                if not analysis.rat.keys() <= allowed:
-                    # its source passed the step as AT: hints handed up from below fall short
-                    raise TrimInternalError("internal trim candidate passed only as RAT")
+        if not hinted:
+            try:
+                analysis = _replayed(formula, Refutation(steps), STRICT, cube)
+            except InvalidProofError as exc:
+                raise TrimInternalError(
+                    "internal trim candidate failed to check: %s" % exc
+                ) from exc
             continue
-        try:
-            analysis = _Analysis(formula, Refutation(steps), STRICT, cube=cube)
-        except InvalidProofError as exc:
-            raise TrimInternalError("internal trim candidate failed to check: %s" % exc) from exc
+        hints = [conflict] if conflict is not None else analysis.hints_of(steps)
+        marked, rat = analysis.marked_steps, analysis.rat
+        analysis = _hinted(formula, Refutation(steps), STRICT, hints, cube)
+        if analysis.rat:
+            adds = (j for j, step in enumerate(steps, 1) if step.is_add)
+            allowed = {j for j, i in zip(adds, sorted(marked)) if i in rat}
+            if not analysis.rat.keys() <= allowed:
+                # its source passed the step as AT: hints handed up from below fall short
+                raise TrimInternalError("internal trim candidate passed only as RAT")
 
 
 def trim(
@@ -354,19 +323,21 @@ def trim(
 
     cube is a sequence of literals, as for check_refutation: the proof
     then refutes the formula plus one unit clause per cube literal, and
-    steps and report, core included, are those of a trim against that
-    instance built out. Every replay copies the formula's kept database,
-    so the trims of many sub-problems of one formula index it once.
+    steps and sizes are those of a trim against that instance built
+    out. The core is the formula's clauses the output relied on and has
+    no cube unit. When the formula plus the cube's units propagates to a
+    conflict, the output is the empty clause alone. Every replay copies
+    the formula's kept database, so the trims of many sub-problems of
+    one formula index it once.
 
     hints, as check_refutation takes them (with the cube's units
     unnamed), make every analysis a hint check instead of a replay: the
     input is checked in mode and each candidate strictly, and a check
-    that rejects raises TrimInternalError. When the formula plus the
-    cube's units propagates to a conflict, the output is the empty clause
-    alone. The report then carries the output's hints, and its core is
-    the formula clauses they name (no cube unit). Without hints every
-    analysis is a replay. Either way the report's rat_steps number the
-    output's additions that passed only as RAT.
+    that rejects raises TrimInternalError. Without hints every analysis
+    is a replay. Either way the report's hints are the output's, one
+    tuple per output step, which check_refutation accepts with the same
+    cube, its core is the formula clauses they name, and its rat_steps
+    number the output's additions that passed only as RAT.
 
     _judged is for combine_all alone: the numbers of the input's
     additions that an earlier check has already propagated over their
@@ -379,12 +350,13 @@ def trim(
     sizes = {}  # clause value -> its line's bytes, for every size below
     input_bytes = drat_size(refutation, sizes)
 
-    if hints is not None:
-        analysis = _HintedAnalysis(formula, refutation, mode, hints, cube, _judged)
+    hinted = hints is not None
+    if hinted:
+        analysis = _hinted(formula, refutation, mode, hints, cube, _judged)
     else:
-        analysis = _Analysis(formula, refutation, mode, cube=cube)
+        analysis = _replayed(formula, refutation, mode, cube)
     steps, analysis = _converge(
-        formula, analysis, input_steps, input_bytes, sizes, resynthesize_deletions, cube
+        formula, analysis, input_steps, input_bytes, sizes, resynthesize_deletions, cube, hinted
     )
     trimmed = Refutation(steps)
 
@@ -399,7 +371,7 @@ def trim(
         wall_time=time.perf_counter() - start,
         build_core=analysis.core,
         rat_steps=tuple(sorted(analysis.rat)),
-        hints=tuple(analysis.used) if isinstance(analysis, _HintedAnalysis) else None,
+        hints=tuple(analysis.used),
     )
     return trimmed, report
 

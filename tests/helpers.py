@@ -160,14 +160,19 @@ def random_proofs():
         yield rng, formula, Refutation(steps)
 
 
+def instance_at(formula, cube):
+    """The formula plus one unit clause per cube literal, built out."""
+    out = formula
+    for lit in cube:
+        out = out.add(Clause((lit,)))
+    return out
+
+
 def bundle_for(formula, depth, seed=0):
     """Split the formula and refute every cube with the bundled solver."""
     entries = []
     for cube in split(formula, depth):
-        sub = formula
-        for lit in cube.literals:
-            sub = sub.add(Clause((lit,)))
-        outcome = solve_drup(sub, seed=seed)
+        outcome = solve_drup(instance_at(formula, cube), seed=seed)
         assert not outcome.sat, "cube %r left a satisfiable sub-problem" % (cube,)
         entries.append(BundleEntry(cube, outcome.refutation, cube.filename()))
     return ProofBundle(formula, tuple(entries))
@@ -423,16 +428,19 @@ class ReferenceClauseDb:
 
 
 class ReferenceAnalysis:
-    """The trimmer's analysis as it was before it charged uses to engine ids.
+    """The trimmer's analysis as it was before it charged uses to clause ids.
 
     It replays the clause multiset a second time, numbering every clause
     instance, and charges each use to the oldest alive instance of its
     value, deleting the youngest first. Kept as the reference for the
-    trim differential tests: they swap it in for trimmer._Analysis and
-    require the same trimmed bytes and the same core multiset. The proof
-    refutes the formula plus one unit clause per cube literal; the
+    trim differential tests: they swap it in for the trimmer's replay
+    source and require the same trimmed bytes and the same core
+    multiset, once the cube units the formula lacks are dropped. The
+    proof refutes the formula plus one unit clause per cube literal; the
     original instances are that instance's.
     """
+
+    used = ()  # it names no hints; the differentials compare bytes and cores
 
     def __init__(self, formula, refutation, mode, cube=()):
         report, ann = annotate_refutation(formula, refutation, mode, cube=cube)

@@ -474,10 +474,13 @@ def test_stitch_replays_the_root_when_its_hints_fall_short(tmp_path, capsys, mon
 
     fixture_dir = make_fixture(tmp_path)
     calls = _spy_root_checks(monkeypatch)
-    local = stitcher._local_hints
-    monkeypatch.setattr(
-        stitcher, "_local_hints", lambda *args: [() for _ in local(*args)]
-    )
+    as_hinted = stitcher._as_hinted
+
+    def without_hints(*args):
+        steps, needed, rat, applied = as_hinted(*args)
+        return steps, [() for _ in needed], rat, applied
+
+    monkeypatch.setattr(stitcher, "_as_hinted", without_hints)
     assert main(stitch_args(fixture_dir, tmp_path / "combined.drat")) == EXIT_OK
     hinted, replayed = calls["hints"]
     assert hinted is not None and replayed is None

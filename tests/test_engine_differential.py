@@ -37,11 +37,11 @@ from dratstitch import (
 )
 from dratstitch import checker
 from dratstitch.checker import PERMISSIVE, STRICT
-from dratstitch.checker import _instance_at
 
 from helpers import (
     ReferenceClauseDb,
     bundle_for,
+    instance_at,
     random_proofs,
     rat_corpus,
     stitched_instance,
@@ -364,7 +364,7 @@ def _no_time(report):
 
 
 def _built_from_scratch(formula, cube, record):
-    return checker._ClauseDb(_instance_at(formula, cube), record=record)
+    return checker._ClauseDb(instance_at(formula, cube), record=record)
 
 
 def _cube_replays(formula, proof, cube, mode):
@@ -382,7 +382,7 @@ def _fresh_cube_replays(monkeypatch, formula, proof, cube, mode):
 def assert_cube_replay_matches(monkeypatch, formula, proof, cube):
     """Through a copy, in both engines and modes, a replay of proof against
     formula plus the cube's units equals one on a fresh build."""
-    instance = _instance_at(formula, cube)
+    instance = instance_at(formula, cube)
     by_engine = []
     for swap in (False, True):
         with reference_engine(monkeypatch) if swap else contextlib.nullcontext() as built:
@@ -596,7 +596,7 @@ def test_copies_leave_the_kept_base_untouched(monkeypatch):
 
 
 def _fresh_root_conflict(formula, cube):
-    db = checker._ClauseDb(_instance_at(formula, cube), record=True)
+    db = checker._ClauseDb(instance_at(formula, cube), record=True)
     if not db.root_conflict:
         return None
     return tuple(u for u in db.root_used if u < len(formula.counts()))

@@ -195,7 +195,7 @@ def test_a_hinted_candidate_that_fails_its_check_raises(monkeypatch):
     from dratstitch import trimmer
 
     (formula, proof, cube, hints), *_ = [m for m in hinted_merges(monkeypatch) if len(m[1]) > 3]
-    monkeypatch.setattr(trimmer._HintedAnalysis, "hints_of", lambda self, steps: [()] * len(steps))
+    monkeypatch.setattr(trimmer._Analysis, "hints_of", lambda self, steps: [()] * len(steps))
     with pytest.raises(TrimInternalError):
         trim(formula, proof, cube=cube, hints=hints)
 
@@ -387,7 +387,8 @@ def test_a_trim_given_hints_of_a_rat_proof_does_not_replay(monkeypatch):
         _, ann = annotate_refutation(formula, proof)
         if not any(sv.kind == KIND_RAT for sv in ann) or len(ann) < len(proof):
             continue
-        hints = stitcher._local_hints(formula, (), ann)
+        steps, hints, _, _ = checker._as_hinted(formula, (), ann)
+        assert steps == list(proof.steps)
         with monkeypatch.context() as m:
             m.setattr(checker, "_replay", no_replay)
             out, report = trim(formula, proof, hints=hints)

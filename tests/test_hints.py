@@ -39,9 +39,9 @@ from dratstitch import (
     solve_drup,
     trim,
 )
-from dratstitch.checker import PERMISSIVE, STRICT
+from dratstitch.checker import PERMISSIVE, STRICT, _as_hinted
 from dratstitch.formats import Cube
-from dratstitch.stitcher import InvalidSubProofError, _local_hints
+from dratstitch.stitcher import InvalidSubProofError
 
 from helpers import bundle_for, random_proofs, rat_corpus, stitched_instance
 from test_acceptance import _instances
@@ -54,11 +54,20 @@ def _verdict(report):
     return (report.valid, report.failing_step, report.reason, report.steps_checked)
 
 
-def plain_hints(formula, proof, mode=STRICT):
-    """Hints from the proof's own replay; steps it never judged get none."""
-    _, annotations = annotate_refutation(formula, proof, mode=mode)
-    hints = _local_hints(formula, (), annotations)
-    return hints + [()] * (len(proof) - len(hints))
+def plain_hints(formula, proof, mode=STRICT, cube=()):
+    """Hints for the proof from its own replay against formula plus cube's
+    units. That replay's record drops the deletions it skipped, so its
+    ids are renumbered to the proof's steps; the deletions it skipped and
+    the steps it never judged get no hints."""
+    _, annotations = annotate_refutation(formula, proof, mode=mode, cube=cube)
+    steps, needed, _, _ = _as_hinted(formula, cube, annotations)
+    number = [sv.index for sv in annotations if sv.applied]  # each record step's in proof
+    assert steps == [proof[i - 1] for i in number]
+    n = len(formula.counts())
+    hints = [()] * len(proof)
+    for i, ids in zip(number, needed):
+        hints[i - 1] = tuple(h if h < n else n + number[h - n] - 1 for h in ids)
+    return hints
 
 
 def assert_same_verdict(formula, proof, hints=None):
@@ -194,9 +203,7 @@ def test_leaf_proofs_under_their_cubes_match_the_replay():
             for proof in proofs:
                 for mode in MODES:
                     replay = check_refutation(formula, proof, mode=mode, cube=cube)
-                    _, annotations = annotate_refutation(formula, proof, mode=mode, cube=cube)
-                    hints = _local_hints(formula, cube, annotations)
-                    hints += [()] * (len(proof) - len(hints))
+                    hints = plain_hints(formula, proof, mode, cube)
                     hinted = check_refutation(formula, proof, mode=mode, cube=cube, hints=hints)
                     assert _verdict(hinted) == _verdict(replay), (cube, mode, proof)
                     compared += 1

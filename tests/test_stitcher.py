@@ -38,8 +38,7 @@ from dratstitch import (
     write_drat,
 )
 from dratstitch import stitcher
-from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
-from dratstitch.stitcher import _local_hints
+from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, _as_hinted, annotate_refutation
 from dratstitch.trimmer import InvalidProofError
 
 from helpers import bundle_for, eager_combine_all, random_clause
@@ -298,10 +297,12 @@ def test_combine_all_unbalanced_tree_matches_hand_composition():
 
     # validated, every merge is trimmed from its children's hints
     n = len(formula.counts())
-    h1, h2, h3 = (
-        _local_hints(formula, c, annotate_refutation(formula, p, STRICT, cube=c)[1])
+    hinted = [
+        _as_hinted(formula, c, annotate_refutation(formula, p, STRICT, cube=c)[1])
         for c, p in zip((c.literals for c in cubes), proofs)
-    )
+    ]
+    assert [steps for steps, *_ in hinted] == [list(p.steps) for p in proofs]
+    h1, h2, h3 = (needed for _, needed, *_ in hinted)
     merged = stitch(formula, 2, p2, p3, validate=False)
     inner, report = trim(formula, merged, cube=(-1,), hints=_merged(n, h2, h3))
     merged = stitch(formula, 1, p1, inner, validate=False)

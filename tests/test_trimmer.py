@@ -24,11 +24,12 @@ from dratstitch import (
     write_drat,
 )
 from dratstitch import checker, stitcher, trimmer
-from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, _instance_at, annotate_refutation
+from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
 from dratstitch.cli import EXIT_OK, main
 
 from helpers import (
     ReferenceAnalysis,
+    instance_at,
     last_use_corpus,
     random_proofs,
     rat_corpus,
@@ -354,9 +355,10 @@ def test_broken_resynthesized_candidate_raises_internal_error(monkeypatch):
         trim(CHAIN, parse_drat(CHAIN_LAST_USE))
 
 
-# The analysis charges each use to the engine's clause id. The reference
-# analysis numbers every clause instance in a second replay of the
-# multiset; trims through either must agree.
+# The analysis charges each use to a hint id. The reference analysis
+# numbers every clause instance in a second replay of the multiset;
+# trims through either must agree, the reference's core once the cube
+# units the formula lacks are dropped from it.
 
 # every hand-written trim input above
 HAND_TRIMS = [
@@ -382,22 +384,27 @@ HAND_TRIMS = [
 
 @contextlib.contextmanager
 def reference_analysis(monkeypatch):
-    """Swap the reference analysis in; yields the list of analyses it makes."""
+    """Swap the reference analysis in for the replay source; yields the
+    list of analyses it makes."""
     made = []
-    init = ReferenceAnalysis.__init__
 
-    def counted(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
+    def counted(*args):
+        made.append(ReferenceAnalysis(*args))
+        return made[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(trimmer, "_Analysis", ReferenceAnalysis)
-        m.setattr(ReferenceAnalysis, "__init__", counted)
+        m.setattr(trimmer, "_replayed", counted)
         yield made
+
+
+def _new_units(formula, cube):
+    """The unit clauses of cube that formula lacks."""
+    return {Clause((lit,)) for lit in cube if Clause((lit,)) not in formula}
 
 
 def _trims(formula, proof, cube=()):
     """Trimmed bytes and core, or the error, for each mode and flag."""
+    new = _new_units(formula, cube)
     out = []
     for mode in (STRICT, PERMISSIVE):
         for resynthesize in (True, False):
@@ -406,7 +413,8 @@ def _trims(formula, proof, cube=()):
             except InvalidProofError as exc:
                 out.append(str(exc))
             else:
-                out.append((write_drat(trimmed), report.core))
+                core = Formula.from_counts(c for c in report.core.counts() if c[0] not in new)
+                out.append((write_drat(trimmed), core))
     return out
 
 
@@ -460,20 +468,21 @@ def test_last_use_deletion_trims_match_the_reference_analysis(monkeypatch):
 
 # Trims against a formula plus a cube's units: trim(F, p, cube=c) must give
 # the steps and report, core and its order included, of trim on F with the
-# units added.
+# units added, once the units F lacks are dropped from that trim's core.
 
 
-def _trim_outcome(formula, proof, **kwargs):
+def _trim_outcome(formula, proof, cube=(), drop=()):
+    """Trimmed bytes, report and core less the clauses in drop; or the error."""
     try:
-        trimmed, report = trim(formula, proof, **kwargs)
+        trimmed, report = trim(formula, proof, cube=cube)
     except InvalidProofError as exc:
         return str(exc)
-    core = list(report.core.counts())
+    core = [c for c in report.core.counts() if c[0] not in drop]
     return write_drat(trimmed), dataclasses.replace(report, wall_time=0.0), core
 
 
 def assert_cube_trim_matches(formula, proof, cube):
-    built = _trim_outcome(_instance_at(formula, cube), proof)
+    built = _trim_outcome(instance_at(formula, cube), proof, drop=_new_units(formula, cube))
     assert _trim_outcome(formula, proof, cube=cube) == built, cube
     return built
 
@@ -535,3 +544,38 @@ def test_cube_trims_of_merges_match_the_reference_analysis(monkeypatch):
             stitched_instance(seed, num_vars=11, depth=3, cl_avg=0)
     assert merges
     assert_trims_match_reference(monkeypatch, merges)
+
+
+def _named_clauses(formula, hints):
+    """The formula clauses that hints name."""
+    clauses = [clause for clause, _ in formula.counts()]
+    return {clauses[h] for ids in hints for h in ids if h < len(clauses)}
+
+
+def test_a_trim_without_hints_hands_out_hints_and_a_core_as_a_hinted_trim_does():
+    # a replay trim's report carries the output's hints, named as a hint
+    # check names them, and its core, like a hinted trim's, is the
+    # formula clauses those hints name (all copies of a RAT neighbour or
+    # a deleted value too), with no cube unit: the output refutes it
+    # with the cube's units
+    trims = 0
+    for formula, proof in rat_corpus() + last_use_corpus():
+        for cube in ((), (1,)):
+            try:
+                out, report = trim(formula, proof, cube=cube)
+            except InvalidProofError:
+                continue
+            assert len(report.hints) == len(out)
+            assert check_refutation(formula, out, STRICT, cube=cube, hints=report.hints).valid
+            _, annotations = annotate_refutation(formula, proof, cube=cube)
+            steps, needed, _, _ = checker._as_hinted(formula, cube, annotations)
+            hinted_out, hinted = trim(formula, Refutation(steps), cube=cube, hints=needed)
+            new = _new_units(formula, cube)
+            for output, rep in ((out, report), (hinted_out, hinted)):
+                named = _named_clauses(formula, rep.hints)
+                core = set(rep.core.distinct())
+                assert core == named if not rep.rat_steps else core >= named
+                assert new.isdisjoint(core)
+                assert check_refutation(rep.core, output, STRICT, cube=cube).valid
+            trims += 1
+    assert trims == 975
