@@ -7,6 +7,8 @@ codes, stdout/stderr text, and the files left behind.
 import contextlib
 import io
 import logging
+import os
+import re
 import shlex
 from pathlib import Path
 
@@ -395,6 +397,61 @@ def test_stitch_no_verify_skips_check(tmp_path, capsys):
     assert main(stitch_args(fixture_dir, out, "--no-verify")) == EXIT_OK
     assert "verify=" not in capsys.readouterr().out
     assert out.is_file()
+
+
+def _untimed(text):
+    return re.sub(r"_ms=[0-9.]+", "_ms=", text)
+
+
+def test_a_forked_stitch_prints_the_warnings_of_a_serial_one_in_leaf_order(tmp_path, capfd):
+    from dratstitch import formats, stitcher
+    from test_leaf_workers import leaf_checks
+
+    fixture_dir = make_fixture(tmp_path, num_vars=18, ratio=4.3, depth=2, seed=1)
+    bundle = formats.load_bundle(fixture_dir / "instance.cnf", fixture_dir)
+    leaves = list(stitcher._leaves(stitcher.build_cube_tree(bundle)))
+    # each leaf first deletes a lemma it adds later, which is absent then
+    expected = []
+    for leaf, _ in leaves:
+        lemma = next(s.clause for s in leaf.refutation if s.clause not in bundle.instance)
+        path = fixture_dir / leaf.cube.filename()
+        path.write_text("d %s0\n" % "".join("%d " % l for l in lemma) + path.read_text())
+        expected.append("WARNING step 1: deletion of absent clause %r skipped\n" % lemma)
+    with leaf_checks("forked"):
+        sizes = [len(leaf.refutation) + 1 for leaf, _ in leaves]
+        assert len(stitcher._shares(sizes)) == 2
+
+    capfd.readouterr()
+    out = tmp_path / "combined.drat"
+    runs = []
+    for path in ("serial", "forked"):
+        with leaf_checks(path) as forks:
+            assert main(stitch_args(fixture_dir, out)) == EXIT_OK
+        captured = capfd.readouterr()
+        runs.append((_untimed(captured.out), captured.err, out.read_bytes(), len(forks)))
+    (serial_out, serial_err, serial_bytes, _), forked = runs
+    assert serial_err == "".join(expected)
+    assert forked == (serial_out, serial_err, serial_bytes, 1)
+
+
+def test_a_forked_stitch_that_fails_leaves_no_child_behind(tmp_path, capfd):
+    from dratstitch import formats, stitcher
+    from test_leaf_workers import leaf_checks
+
+    fixture_dir = make_fixture(tmp_path, num_vars=18, ratio=4.3, depth=2, seed=1)
+    bundle = formats.load_bundle(fixture_dir / "instance.cnf", fixture_dir)
+    (leaf, _), *_ = reversed(list(stitcher._leaves(stitcher.build_cube_tree(bundle))))
+    path = fixture_dir / leaf.cube.filename()
+    path.write_text(path.read_text().replace("\n0\n", "\n"))  # the worker's last leaf
+    capfd.readouterr()
+    for mode in ("serial", "forked"):
+        with leaf_checks(mode) as forks:
+            assert main(stitch_args(fixture_dir, tmp_path / "combined.drat")) == EXIT_SEMANTIC
+        assert len(forks) == (mode == "forked")
+        err = capfd.readouterr().err
+        assert err == "error: cube %s: invalid (missing-empty-clause)\n" % leaf.cube.filename()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _spy_root_checks(monkeypatch):

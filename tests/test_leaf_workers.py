@@ -1,0 +1,302 @@
+"""combine_all's leaf checks in forked workers against the serial checks.
+
+Each path is forced: two CPUs and a share size of one step fork a
+worker for every bundle of two leaves or more, and one CPU keeps the
+checks in the parent. The two must stitch the same bytes, hints and
+records, raise the same error, and leave no child process behind.
+"""
+
+import contextlib
+import dataclasses
+import itertools
+import os
+import signal
+import threading
+import time
+
+import pytest
+
+from dratstitch import (
+    ADD,
+    Clause,
+    DELETE,
+    Formula,
+    InvalidSubProofError,
+    NonPreservingInputError,
+    ProofStep,
+    Refutation,
+    build_cube_tree,
+    check_refutation,
+    combine_all,
+    gen_random_unsat,
+    write_drat,
+)
+from dratstitch import checker, stitcher
+
+from helpers import bundle_for
+from test_acceptance import _instances
+from test_hint_trim import _deep_splits
+from test_hints import depth_one_rat_bundles
+
+
+@contextlib.contextmanager
+def leaf_checks(path):
+    """Force the "serial" or the "forked" leaf checks; yields the pids of
+    the workers forked meanwhile."""
+    forks = []
+    with pytest.MonkeyPatch.context() as m:
+        if path == "serial":
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            m.setattr(stitcher, "_SHARE_STEPS", 1)
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            fork = os.fork
+
+            def counted():
+                pid = fork()
+                if pid:
+                    forks.append(pid)
+                return pid
+
+            m.setattr(os, "fork", counted)
+        yield forks
+
+
+def outcome(formula, tree, cl_avg, **kwargs):
+    """(bytes, hints, records without timings) of a stitch, or the type
+    and message of the error it raised."""
+    records = []
+    try:
+        out = combine_all(formula, tree, cl_avg=cl_avg, on_record=records.append, **kwargs)
+    except (InvalidSubProofError, NonPreservingInputError) as exc:
+        return type(exc), str(exc)
+    untimed = [dataclasses.replace(r, merge_seconds=0.0, trim_seconds=0.0) for r in records]
+    return write_drat(out), out.hints, untimed
+
+
+def both_paths(formula, tree, cl_avg, **kwargs):
+    """outcome on the serial path, then on the forked path, and the
+    number of workers the forked one started."""
+    with leaf_checks("serial") as forks:
+        serial = outcome(formula, tree, cl_avg, **kwargs)
+    assert not forks
+    with leaf_checks("forked") as forks:
+        forked = outcome(formula, tree, cl_avg, **kwargs)
+    return serial, forked, len(forks)
+
+
+def _corpus():
+    for formula, bundle in _instances():
+        yield formula, build_cube_tree(bundle)
+    yield from _deep_splits()
+    for formula, bundle in itertools.islice(depth_one_rat_bundles(), 0, 400, 10):
+        yield formula, build_cube_tree(bundle)
+
+
+def test_forked_leaf_checks_stitch_what_serial_ones_do():
+    stitched = failed = workers = 0
+    for formula, tree in _corpus():
+        for cl_avg in (-1, 0, 2):
+            serial, forked, forks = both_paths(formula, tree, cl_avg)
+            assert forked == serial
+            workers += forks
+            if isinstance(serial[0], str):
+                stitched += 1
+            else:
+                failed += 1
+    # every bundle has two leaves or more, so every forced stitch forks
+    assert workers == stitched + failed
+    assert stitched > 300 and failed > 0
+
+
+def test_leaves_fork_in_balanced_runs_only_with_enough_steps_per_cpu(monkeypatch):
+    monkeypatch.setattr(stitcher, "_SHARE_STEPS", 600)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert stitcher._shares([100] * 11 + [99]) == [range(12)]
+    assert stitcher._shares([100] * 12) == [range(6), range(6, 12)]
+    assert stitcher._shares([900, 100, 200]) == [range(1), range(1, 3)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert stitcher._shares([100] * 18) == [range(6), range(6, 12), range(12, 18)]
+    assert stitcher._shares([100] * 24) == [range(k, k + 6) for k in range(0, 24, 6)]
+    # serial on one CPU, without fork, and beside another thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert stitcher._shares([100] * 24) == [range(24)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert stitcher._shares([100] * 24) == [range(24)]
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert stitcher._shares([100] * 24) == [range(24)]
+    finally:
+        done.set()
+        other.join(10)
+    assert not other.is_alive()
+
+
+# broken leaves in either share
+
+
+def _split():
+    """A split whose leaves all have lemmas, the leaves in stitching order
+    and their two shares."""
+    formula = gen_random_unsat(18, 4.3, seed=1)
+    tree = build_cube_tree(bundle_for(formula, 2, seed=1))
+    leaves = list(stitcher._leaves(tree))
+    with leaf_checks("forked"):
+        shares = stitcher._shares([len(leaf.refutation) for leaf, _ in leaves])
+    assert len(shares) == 2
+    return formula, tree, leaves, shares
+
+
+def _replaced(tree, path, proof):
+    """The tree with the leaf at path given another proof."""
+    if isinstance(tree, stitcher.Leaf):
+        return stitcher.Leaf(tree.cube, proof)
+    x = tree.var
+    if path[0] == x:
+        return stitcher.Inner(x, _replaced(tree.pos_child, path[1:], proof), tree.neg_child)
+    return stitcher.Inner(x, tree.pos_child, _replaced(tree.neg_child, path[1:], proof))
+
+
+def _invalid_at_a_step(formula, path, proof):
+    """The proof with a first step that its check rejects."""
+    for lit in sorted(formula.variables()):
+        for unit in (lit, -lit):
+            broken = Refutation((ProofStep(ADD, Clause((unit,))),) + proof.steps)
+            report = check_refutation(formula, broken, cube=path)
+            if report.failing_step == 1:
+                return broken
+    raise AssertionError("every unit passes under %r" % (path,))
+
+
+def _breakers(formula):
+    """Ways to break a leaf proof, each with the error it must raise."""
+    first = next(iter(formula.distinct()))
+    return [
+        (InvalidSubProofError, lambda path, proof: Refutation(proof.steps[:-1])),
+        (InvalidSubProofError, lambda path, proof: _invalid_at_a_step(formula, path, proof)),
+        (
+            NonPreservingInputError,
+            lambda path, proof: Refutation((ProofStep(DELETE, first),) + proof.steps),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("where", ["parent", "worker", "both"])
+def test_a_broken_leaf_raises_what_the_serial_check_raises(where):
+    formula, tree, leaves, (mine, theirs) = _split()
+    # the parent's first leaf and the worker's last, each with lemmas
+    picks = {
+        "parent": [min(i for i in mine if len(leaves[i][0].refutation) > 1)],
+        "worker": [max(i for i in theirs if len(leaves[i][0].refutation) > 1)],
+    }
+    picks["both"] = picks["parent"] + picks["worker"]
+    for error, breaker in _breakers(formula):
+        broken = tree
+        sizes = [len(leaf.refutation) for leaf, _ in leaves]
+        for i in picks[where]:
+            leaf, path = leaves[i]
+            proof = breaker(path, leaf.refutation)
+            broken = _replaced(broken, path, proof)
+            sizes[i] = len(proof)
+        with leaf_checks("forked"):
+            assert stitcher._shares(sizes) == [mine, theirs]
+        for cl_avg in (-1, 0):
+            serial, forked, forks = both_paths(formula, broken, cl_avg)
+            assert forked == serial and forks == 1
+            assert serial[0] is error
+            first = leaves[picks[where][0]][0].cube.filename()
+            assert serial[1].startswith("cube %s: " % first)
+
+
+def test_no_worker_outlives_a_stitch_that_raises_or_returns():
+    formula, tree, leaves, (_, theirs) = _split()
+    leaf, path = leaves[theirs[-1]]
+    broken = _replaced(tree, path, Refutation(leaf.refutation.steps[:-1]))
+    with leaf_checks("forked") as forks:
+        with pytest.raises(InvalidSubProofError):
+            combine_all(formula, broken)
+        combine_all(formula, tree)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_stitch_that_fails_in_the_parent_does_not_wait_for_its_workers(monkeypatch):
+    formula, tree, leaves, (mine, _) = _split()
+    leaf, path = leaves[mine[0]]
+    broken = _replaced(tree, path, Refutation(leaf.refutation.steps[:-1]))
+    monkeypatch.setattr(stitcher, "_share_outcomes", lambda *args: time.sleep(60))
+    start = time.perf_counter()
+    with leaf_checks("forked") as forks:
+        with pytest.raises(InvalidSubProofError):
+            combine_all(formula, broken)
+    assert len(forks) == 1 and time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupted_stitch_reaps_its_workers(monkeypatch):
+    formula, tree, _, _ = _split()
+    real = stitcher._leaf_outcome
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    parent = os.getpid()
+    monkeypatch.setattr(stitcher, "_leaf_outcome", interrupted)
+    with leaf_checks("forked") as forks:
+        with pytest.raises(KeyboardInterrupt):
+            combine_all(formula, tree)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_a_share_whose_worker_ends_without_a_result_is_checked_in_the_parent(
+    monkeypatch, broken
+):
+    formula, tree, leaves, (_, theirs) = _split()
+    if broken:
+        leaf, path = leaves[theirs[-1]]
+        tree = _replaced(tree, path, Refutation(leaf.refutation.steps[:-1]))
+    with leaf_checks("serial"):
+        serial = outcome(formula, tree, -1)
+    checked = []
+    real = stitcher._leaf_outcome
+
+    def counted(formula, cube, *args):
+        checked.append(cube)
+        return real(formula, cube, *args)
+
+    def killed(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(stitcher, "_leaf_outcome", counted)
+    monkeypatch.setattr(stitcher, "_share_outcomes", killed)
+    with leaf_checks("forked") as forks:
+        assert outcome(formula, tree, -1) == serial
+    assert len(forks) == 1
+    # every leaf was checked here, the worker's share too
+    assert checked == [path for _, path in leaves]
+
+
+def test_the_parent_keeps_the_open_cubes_its_workers_found():
+    formula, tree, leaves, (_, theirs) = _split()
+    with leaf_checks("serial"):
+        combine_all(formula, tree)
+        serial = set(checker._kept(formula, 3))
+    # an equal formula under another object starts the memo afresh
+    formula = Formula.from_counts(formula.counts())
+    with leaf_checks("forked"):
+        combine_all(formula, tree)
+        forked = set(checker._kept(formula, 3))
+    assert forked == serial
+    # a worker's leaf checks recorded some of them
+    assert any(frozenset(leaves[i][1]) in forked for i in theirs)
