@@ -38,20 +38,16 @@ handed up on a step the output keeps is caught there, and a step the
 trim drops reaches no output.
 """
 
-import contextlib
-import gc
 import logging
-import marshal
 import os
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Union
 
-from .checker import STRICT, _as_hinted, _kept, annotate_refutation, first_violation
+from .checker import STRICT, _as_hinted, annotate_refutation, first_violation
 from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation
 from .formats import Cube, ProofBundle
 from .trimmer import trim
@@ -172,15 +168,19 @@ def _rebuilt(proof, outcome):
     return proof, hints, rat
 
 
-# Leaf checks are split over forked workers only when every share gets
-# at least this many leaf steps, so a bundle needs twice as many to fork
-# on two CPUs. In bench pairs on a 2-core box (Python 3.11, 10 s runs,
-# seed 7), two shares took stitch-verify's op_s (1443 leaf steps, 128
-# leaves) from 0.180 to 0.149 s in 4 of 4 pairs, but stitch-trim's (884
-# steps, 32 leaves, then 31 trims) only from 0.193 to 0.189 s, well
-# inside the 0.180-0.206 s its serial runs spread over, so a bundle of
-# stitch-trim's size stays serial.
-_SHARE_STEPS = 600
+# A stitch is split over forked workers only when every share weighs at
+# least this much, so a bundle needs twice as much to fork on two CPUs.
+# A leaf weighs its steps and a merge that will be trimmed a third of
+# its steps: serially, on stitch-trim at seed 7 on a 2-core box, a leaf
+# check took 0.076 ms per step and a trim 0.027 ms per input step. On
+# that box (Python 3.11), two forked shares of the subtrees of the seed-7
+# stitch-trim and stitch-verify trees, at cl_avg -1 and 0, took 2 to 7
+# ms longer than a serial stitch below a weight of 400, between 7 ms
+# longer and 6 ms shorter from 400 to 500, and 9 to 40 ms shorter from
+# 680 up. stitch-trim weighs 2391, and forked in two shares its bench
+# op_s read 0.167 s against 0.189 s for its serial stitch (medians of 10
+# alternating pairs, lower in all 10).
+_SHARE_STEPS = 350
 
 
 def _cpus():
@@ -191,157 +191,61 @@ def _cpus():
         return 1
 
 
-def _shares(sizes):
-    """Leaf numbers in contiguous runs balanced by the leaves' sizes, one
-    run per worker; a single run where the checks stay serial: on one
-    CPU, without fork, beside other threads, or for too few steps."""
-    total = sum(sizes)
+def _shares(sizes, merges=()):
+    """Leaf numbers in contiguous runs, one run per worker; a single run
+    where the stitch stays serial: on one CPU, without fork, beside other
+    threads, or for too little work.
+
+    sizes holds each leaf's weight, merges the (first leaf, end, weight)
+    of each merge that will be trimmed, its leaves being first to end - 1.
+    """
+    total = sum(sizes) + sum(w for *_, w in merges)
     n = min(_cpus(), total // _SHARE_STEPS, len(sizes))
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [range(len(sizes))]
-    cuts = [0]
-    done = 0  # steps before leaf i
-    for i, size in enumerate(sizes):
-        # a share ends before the first leaf whose middle is past its end
-        if len(cuts) < n and i > cuts[-1] and (2 * done + size) * n > 2 * total * len(cuts):
-            cuts.append(i)
-        done += size
-    cuts.append(len(sizes))
-    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    from . import workers  # see its docstring
+
+    return workers._split(sizes, merges, 0, len(sizes), n)
 
 
-class _Records(logging.Handler):
-    """Keeps the log records emitted through it as plain dicts, each with
-    its message formatted, as logging.makeLogRecord takes them."""
+def _weigh(node, path, counted, cl_avg, sizes, merges):
+    """The part of node as counted with no merge below it trimmed.
 
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        record.msg = record.getMessage()
-        record.args = None
-        self.records.append(record.__dict__)
-
-
-def _share_outcomes(formula, leaves, mode):
-    """A worker's checks of its (cube, proof, label) leaves: per leaf, in
-    order, up to the first that fails, the log records its check emitted
-    and its _leaf_outcome; and the open cubes the checks found, for the
-    parent's memo.
-
-    Runs in the worker, whose copy of the package logger it may change.
+    Appends to sizes the weight of each leaf below node, and to merges
+    the (first leaf, end, weight) of each merge below it that cl_avg
+    trims, as _shares takes them; counted holds every leaf's part as
+    counted before its check, in post order.
     """
-    package = logging.getLogger("dratstitch")
-    kept = _Records()
-    package.handlers = [kept]
-    package.propagate = False
-    out = []
-    for cube, proof, label in leaves:
-        try:
-            outcome = _leaf_outcome(formula, cube, proof, label, mode)
-        except Exception:
-            break  # the parent checks this leaf again, and raises
-        out.append((kept.records, outcome))
-        kept.records = []
-    return out, _kept(formula, 3)
+    if isinstance(node, Leaf):
+        part = counted[len(sizes)]
+        sizes.append(part.length)
+        return part
+    first = len(sizes)
+    x = node.var
+    pos = _weigh(node.pos_child, path + (x,), counted, cl_avg, sizes, merges)
+    neg = _weigh(node.neg_child, path + (-x,), counted, cl_avg, sizes, merges)
+    count, total, length, occ, wants_trim = _joined(pos, neg, x, path, cl_avg)
+    if wants_trim:
+        merges.append((first, len(sizes), length // 3))
+    return _Part(None, length, count, total, occ, None, ())
 
 
-class _Worker:
-    """A forked child that runs work() and pipes back its result, which
-    holds only the core types marshal writes: loaded already, unlike
-    pickle, which would cost the parent's import time and memory.
+def _checked_shares(walk, tree, leaves, mode):
+    """Fills walk.done with each leaf's part, checked, and with the parts
+    of the subtrees stitched in shares (see workers._stitched_share);
+    leaves holds the (path, proof, label, counted part) of every leaf, in
+    post order. With one share, the leaves are checked here in turn."""
+    sizes, merges = [], []
+    _weigh(tree, (), [counted for *_, counted in leaves], walk.cl_avg, sizes, merges)
+    shares = _shares(sizes, merges)
+    if len(shares) > 1:
+        from . import workers  # see its docstring
 
-    The child ends with os._exit, with status 0 only once the whole
-    result is written: it runs none of the parent's clean-up and flushes
-    none of its buffers.
-    """
-
-    def __init__(self, work):
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                gc.freeze()  # its collections then leave the pages it shares alone
-                os.close(r)
-                data = marshal.dumps(work())
-                with open(w, "wb") as pipe:
-                    pipe.write(data)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-        self.pid = pid
-        self.fd = r
-
-    def result(self):
-        """The child's result, or None if it ended without one; reaps it."""
-        with open(self.fd, "rb") as pipe:
-            self.fd = None  # the pipe closes it
-            data = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return marshal.loads(data) if status == 0 else None
-
-    def stop(self):
-        """Kill and reap the child, unless it was reaped already."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is not None:
-            # imported here, where a stitch failed or was interrupted:
-            # at the top it would cost every process 45 KB of memory
-            import signal
-
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
-def _checked_leaves(formula, leaves, mode):
-    """_checked_leaf of each (cube, proof, label) in leaves, in order.
-
-    With more than one share (see _shares), the parent checks the first
-    and a forked worker each other one. A worker hands back plain data
-    only, and the parent rebuilds each result from its own copy of the
-    proof; it also takes the worker's open cubes into its memo, which
-    the trims answer _root_conflict from, and emits the worker's log
-    records, so warnings come out as in a serial check. The parent
-    checks again the leaf a worker failed, which raises here what it
-    raised there, and every leaf of a share whose worker did not start
-    or ended without a result. Every worker is reaped before this
-    returns or raises.
-    """
-    shares = _shares([len(proof) for _, proof, _ in leaves])
-    if len(shares) == 1:
-        return [_checked_leaf(formula, *leaf, mode) for leaf in leaves]
-    _kept(formula, 1)  # built once, before the fork, for every worker
-    workers = {}  # share number -> its worker
-    try:
-        for k in range(1, len(shares)):
-            work = partial(_share_outcomes, formula, [leaves[i] for i in shares[k]], mode)
-            with contextlib.suppress(OSError):
-                workers[k] = _Worker(work)
-        out = []
-        for k, share in enumerate(shares):
-            result = workers[k].result() if k in workers else None
-            outcomes, open_cubes = result or ([], ())
-            _kept(formula, 3).update(open_cubes)
-            for i, (records, outcome) in zip(share, outcomes):
-                for record in map(logging.makeLogRecord, records):
-                    logging.getLogger(record.name).handle(record)
-                out.append(_rebuilt(leaves[i][1], outcome))
-            out += [_checked_leaf(formula, *leaves[i], mode) for i in share[len(outcomes) :]]
-        return out
-    finally:
-        for worker in workers.values():
-            worker.stop()
+        workers._stitched_shares(walk, tree, leaves, shares, mode)
+        return
+    for path, proof, label, counted in leaves:
+        checked = _checked_leaf(walk.formula, path, proof, label, mode)
+        walk.done[path] = (_leaf_part(counted, checked), ())
 
 
 def stitch(
@@ -388,7 +292,11 @@ class StitchRecord:
     """What one merge did; handed to combine_all's observer.
 
     merge_seconds is the merge's bookkeeping and the steps it builds:
-    none for an untrimmed merge other than the root.
+    none for an untrimmed merge other than the root. Records come in post
+    order whichever process made the merge. A merge made in a forked
+    worker (see combine_all) is timed there, so the seconds of merges
+    made at the same time in different processes overlap, and their sum
+    is not wall time.
     """
 
     depth: int
@@ -437,7 +345,7 @@ class _Part(NamedTuple):
     their clauses, deepest first. length counts its steps, count its
     additions and total their literals, all as widened; occ maps the
     negation of each literal of its path to the number of additions
-    that hold it. hints and fresh are combine_all's.
+    that hold it. hints and fresh are _merge's.
     """
 
     runs: list
@@ -476,6 +384,148 @@ def _steps(runs):
     return Refutation(out)
 
 
+def _built(steps, path, hints, fresh):
+    """The part of built steps at path."""
+    return _Part([(steps, ())], len(steps), *_tally(steps, path), hints, fresh)
+
+
+def _leaf_part(counted, checked):
+    """A leaf's part from its part as counted before its check, and the
+    (proof, hints, RAT steps) its check kept; the check drops deletions
+    only, so the counts stand."""
+    proof, hints, rat = checked
+    return counted._replace(
+        runs=[(proof.steps, ())],
+        length=len(proof),
+        hints=None if hints is None else [(0, hints)],
+        fresh=rat,
+    )
+
+
+def _shifted(runs, n_formula):
+    """The hint tuples of (shift, hint tuples) runs, each id from
+    n_formula up moved by its run's shift."""
+    out = []
+    for shift, run in runs:
+        if shift:
+            run = [tuple(h + shift if h >= n_formula else h for h in ids) for ids in run]
+        out += run
+    return out
+
+
+class _Walk(NamedTuple):
+    """What _merge reads besides the node and its path.
+
+    n_formula is the formula's distinct clause count, and hinted says
+    whether parts carry hints. done maps the path of each leaf, and of
+    each subtree stitched already, to its part and the (log records,
+    record as a tuple) pairs that its merges emitted, which _merge emits
+    again when it takes the part. emit is called with each merge's
+    record and part as the merge finishes.
+    """
+
+    formula: Formula
+    n_formula: int
+    cl_avg: int
+    hinted: bool
+    done: dict
+    emit: Callable
+
+
+def _joined(pos, neg, x, path, cl_avg):
+    """The merge of parts pos and neg on x at path, counted before any of
+    its steps are built: its count, total, length and occ as _Part has
+    them, and whether cl_avg trims it."""
+    # widening appends -x to each positive addition that lacks it, x to each negative one
+    count = pos.count + neg.count + 1
+    total = pos.total + pos.count - pos.occ[-x] + neg.total + neg.count - neg.occ[x]
+    # p is x or -x only in a hand-built tree that decides x twice
+    occ = {
+        -p: (pos.count if p == x else pos.occ[-p]) + (neg.count if p == -x else neg.occ[-p])
+        for p in path
+    }
+    # integer comparison; cl_avg = 0 fires on anything with a literal
+    wants_trim = cl_avg >= 0 and total > cl_avg * count
+    return count, total, pos.length + neg.length + 1, occ, wants_trim
+
+
+def _emit_logs(records):
+    """Emits log records kept by a workers._Records handler, as logged."""
+    for record in map(logging.makeLogRecord, records):
+        logging.getLogger(record.name).handle(record)
+
+
+def _merge(walk, node, path):
+    """The part of node, at path, merged bottom-up in post order: each
+    inner node right after both of its children, positive child first.
+
+    Hints are (shift, hint tuples) runs: ids from n_formula up name
+    steps and move by shift, lower ids are clauses of the formula. fresh
+    numbers the additions that no check has propagated as AT: the RAT
+    steps, whose hints name no derivation of their own, and the empty
+    clauses of untrimmed merges.
+    """
+    if path in walk.done:
+        part, events = walk.done.pop(path)
+        for records, record in events:
+            _emit_logs(records)
+            walk.emit(StitchRecord(*record), None)
+        return part
+    x = node.var
+    pos = _merge(walk, node.pos_child, path + (x,))
+    neg = _merge(walk, node.neg_child, path + (-x,))
+    t0 = time.perf_counter()
+    count, total, length, occ, wants_trim = _joined(pos, neg, x, path, walk.cl_avg)
+    fresh = pos.fresh + tuple(i + pos.length for i in neg.fresh) + (length,)
+    n_formula = walk.n_formula
+    hints = None
+    if walk.hinted:
+        shift = pos.length
+        if walk.cl_avg < 0:
+            # nothing is marked, and (x) is the cheapest hint
+            neg_final = (n_formula + shift + neg.length - 1,)
+        else:
+            last_shift, last_run = neg.hints[-1]
+            neg_final = tuple(h + shift + last_shift if h >= n_formula else h for h in last_run[-1])
+        hints = pos.hints + [(s + shift, h) for s, h in neg.hints]
+        hints.append((0, [(n_formula + shift - 1,) + neg_final]))
+    if wants_trim:
+        merged = stitch(walk.formula, x, _steps(pos.runs), _steps(neg.runs), validate=False)
+    else:
+        runs = [(s, suffix + (-x,)) for s, suffix in pos.runs]
+        runs += [(s, suffix + (x,)) for s, suffix in neg.runs]
+        runs.append((_CLOSING, ()))
+        if not path:
+            runs = [(_steps(runs).steps, ())]  # the root builds what no trim did
+    merge_seconds = time.perf_counter() - t0
+    trim_seconds = 0.0
+    if wants_trim:
+        t1 = time.perf_counter()
+        judged = set(range(1, length + 1)).difference(fresh)
+        out, report = trim(
+            walk.formula, merged, cube=path, hints=_shifted(hints, n_formula), _judged=judged
+        )
+        part = _built(out.steps, path, [(0, report.hints)], report.rat_steps)
+        trim_seconds = time.perf_counter() - t1
+    else:
+        part = _Part(runs, length, count, total, occ, hints, fresh)
+    record = StitchRecord(
+        depth=len(path),
+        path=path,
+        var=x,
+        add_count=count,
+        add_literal_total=total,
+        average_clause_length=total / count,
+        trimmed=wants_trim,
+        steps_before=length,
+        steps_after=part.length,
+        merge_seconds=merge_seconds,
+        trim_seconds=trim_seconds,
+    )
+    walk.emit(record, part)
+    return part
+
+
 def combine_all(
     formula: Formula,
     tree: CubeNode,
@@ -493,9 +543,9 @@ def combine_all(
     kept clause database. Every leaf is checked before any merge runs
     when validate is on, and whenever cl_avg lets merges be trimmed, so
     that a trimmed merge trusts no leaf: validate=False skips the checks
-    only at cl_avg -1. Merges run one at a time in post order: each
-    inner node merges right after both of its children, positive child
-    first, and on_record sees each merge as it finishes.
+    only at cl_avg -1. Merges are made in post order: each inner node
+    merges right after both of its children, positive child first, and
+    on_record sees each merge's record in that order.
 
     An untrimmed merge builds no steps: it keeps its children's steps
     as runs, each with the negated decisions its clauses still need,
@@ -521,121 +571,47 @@ def combine_all(
     and takes the trim's output hints. The trim is told which of its
     input's additions were already propagated as AT: every leaf step and
     every step a trim below output, except those that passed only as
-    RAT. Only those RAT steps and the empty clauses of the untrimmed
-    merges since the last trim, its own included, are propagated by its
-    input check; its candidates are checked in full.
+    RAT. Only those RAT steps and the empty clauses of untrimmed merges
+    since the last trim, its own included, are propagated by its input
+    check; its candidates are checked in full.
 
-    The leaf checks use the CPUs in the process's affinity mask once the
-    leaves hold enough steps (see _shares): the process checks one
-    share of the leaves and a forked worker each other share, with the
-    same result, warnings and first error as a serial check. One CPU,
-    as under ``taskset -c 0``, keeps them serial, as does a platform
-    without fork. No parameter selects this.
+    A checked stitch uses the CPUs in the process's affinity mask once
+    its leaves and the merges cl_avg will trim weigh enough (see
+    _SHARE_STEPS). The leaves are cut into contiguous shares in leaf
+    order where the estimated time is least (see _split). The process
+    does the first share and a forked worker each other one: each checks
+    its share's leaves and, when a merge can be trimmed, stitches every
+    subtree whose leaves all lie in its share, through the same merges.
+    The process then makes the merges that no share made and takes each
+    share's trimmed subtrees as they are. The result, the records and
+    their order, the warnings and their order, and the first error are
+    those of a serial stitch. One CPU, as under ``taskset -c 0``, keeps
+    the stitch serial, as does a platform without fork. No parameter
+    selects this.
     """
     if cl_avg < -1:
         raise ValueError("cl_avg must be -1 or a nonnegative threshold")
-
-    # per node, its hints as (shift, hint tuples) runs: ids from
-    # n_formula up name steps and move by shift, lower ids are clauses
-    # of the formula; and the numbers of its additions that no check has
-    # propagated as AT: its RAT steps, whose hints name no derivation of
-    # their own, and the empty clauses of untrimmed merges
-    n_formula = len(formula.counts())
-
-    def built(steps, path, hints, fresh):
-        return _Part([(steps, ())], len(steps), *_tally(steps, path), hints, fresh)
-
     hinted = validate or cl_avg >= 0
-    cut = [
-        (path, _through_empty_clause(leaf.refutation), "cube %s" % leaf.cube.filename())
-        for leaf, path in _leaves(tree)
-    ]
-    if hinted:
-        checked = _checked_leaves(formula, cut, mode)
-    else:
-        checked = [(proof, None, ()) for _, proof, _ in cut]
-    leaves = {}  # path -> the leaf's part
-    for (path, _, _), (proof, hints, rat) in zip(cut, checked):
-        leaves[path] = built(proof.steps, path, None if hints is None else [(0, hints)], rat)
 
-    def shifted(runs):
-        out = []
-        for shift, run in runs:
-            if shift:
-                run = [tuple(h + shift if h >= n_formula else h for h in ids) for ids in run]
-            out += run
-        return out
-
-    def merge(node, path):
-        if isinstance(node, Leaf):
-            return leaves[path]
-        x = node.var
-        pos = merge(node.pos_child, path + (x,))
-        neg = merge(node.neg_child, path + (-x,))
-        t0 = time.perf_counter()
-        # widening appends -x to each positive addition that lacks it, x to each negative one
-        count = pos.count + neg.count + 1
-        total = pos.total + pos.count - pos.occ[-x] + neg.total + neg.count - neg.occ[x]
-        # integer comparison; cl_avg = 0 fires on anything with a literal
-        wants_trim = cl_avg >= 0 and total > cl_avg * count
-        length = pos.length + neg.length + 1
-        fresh = pos.fresh + tuple(i + pos.length for i in neg.fresh) + (length,)
-        hints = None
-        if hinted:
-            shift = pos.length
-            if cl_avg < 0:
-                # nothing is marked, and (x) is the cheapest hint
-                neg_final = (n_formula + shift + neg.length - 1,)
-            else:
-                last_shift, last_run = neg.hints[-1]
-                neg_final = tuple(
-                    h + shift + last_shift if h >= n_formula else h for h in last_run[-1]
-                )
-            hints = pos.hints + [(s + shift, h) for s, h in neg.hints]
-            hints.append((0, [(n_formula + shift - 1,) + neg_final]))
-        if wants_trim:
-            merged = stitch(formula, x, _steps(pos.runs), _steps(neg.runs), validate=False)
-        else:
-            runs = [(s, suffix + (-x,)) for s, suffix in pos.runs]
-            runs += [(s, suffix + (x,)) for s, suffix in neg.runs]
-            runs.append((_CLOSING, ()))
-            if not path:
-                runs = [(_steps(runs).steps, ())]  # the root builds what no trim did
-        merge_seconds = time.perf_counter() - t0
-        trim_seconds = 0.0
-        if wants_trim:
-            t1 = time.perf_counter()
-            judged = set(range(1, length + 1)).difference(fresh)
-            out, report = trim(formula, merged, cube=path, hints=shifted(hints), _judged=judged)
-            part = built(out.steps, path, [(0, report.hints)], report.rat_steps)
-            trim_seconds = time.perf_counter() - t1
-        else:
-            # p is x or -x only in a hand-built tree that decides x twice
-            occ = {
-                -p: (pos.count if p == x else pos.occ[-p]) + (neg.count if p == -x else neg.occ[-p])
-                for p in path
-            }
-            part = _Part(runs, length, count, total, occ, hints, fresh)
-        record = StitchRecord(
-            depth=len(path),
-            path=path,
-            var=x,
-            add_count=count,
-            add_literal_total=total,
-            average_clause_length=total / count,
-            trimmed=wants_trim,
-            steps_before=length,
-            steps_after=part.length,
-            merge_seconds=merge_seconds,
-            trim_seconds=trim_seconds,
-        )
+    def emit(record, part):
         if on_record is not None:
             on_record(record)
-        return part
 
-    root = merge(tree, ())
-    del merge  # a reference cycle that would hold every part until the next collection
-    return StitchedRefutation(_steps(root.runs), shifted(root.hints) if root.hints else None)
+    n_formula = len(formula.counts())
+    walk = _Walk(formula, n_formula, cl_avg, hinted, {}, emit)
+    leaves = []
+    for leaf, path in _leaves(tree):
+        proof = _through_empty_clause(leaf.refutation)
+        counted = _Part(None, len(proof), *_tally(proof.steps, path), None, ())
+        leaves.append((path, proof, "cube %s" % leaf.cube.filename(), counted))
+    if hinted:
+        _checked_shares(walk, tree, leaves, mode)
+    else:
+        for path, proof, _, counted in leaves:
+            walk.done[path] = (_leaf_part(counted, (proof, None, ())), ())
+    root = _merge(walk, tree, ())
+    hints = _shifted(root.hints, n_formula) if root.hints else None
+    return StitchedRefutation(_steps(root.runs), hints)
 
 
 def strip_deletions(refutation: Refutation) -> Refutation:
