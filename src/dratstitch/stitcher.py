@@ -39,15 +39,13 @@ trim drops reaches no output.
 """
 
 import logging
-import os
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Union
 
-from .checker import STRICT, _as_hinted, annotate_refutation, first_violation
+from .checker import STRICT, _as_hinted, _share_count, annotate_refutation, first_violation
 from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation
 from .formats import Cube, ProofBundle
 from .trimmer import trim
@@ -173,35 +171,29 @@ def _rebuilt(proof, outcome):
 # A leaf weighs its steps and a merge that will be trimmed a third of
 # its steps: serially, on stitch-trim at seed 7 on a 2-core box, a leaf
 # check took 0.076 ms per step and a trim 0.027 ms per input step. On
-# that box (Python 3.11), two forked shares of the subtrees of the seed-7
-# stitch-trim and stitch-verify trees, at cl_avg -1 and 0, took 2 to 7
-# ms longer than a serial stitch below a weight of 400, between 7 ms
-# longer and 6 ms shorter from 400 to 500, and 9 to 40 ms shorter from
-# 680 up. stitch-trim weighs 2391, and forked in two shares its bench
-# op_s read 0.167 s against 0.189 s for its serial stitch (medians of 10
-# alternating pairs, lower in all 10).
+# that box (Python 3.11), two forked shares, pinned to their own CPUs,
+# of the subtrees down to depth 3 of the seed-7 stitch-trim and
+# stitch-verify trees, at cl_avg -1 and 0, took 0.3 to 5 ms longer than
+# a serial stitch below a weight of 120, between 4 ms longer and 8 ms
+# shorter from 120 to 340, 1 to 17 ms shorter from 380 to 500 and 3 to
+# 146 ms shorter from 600 up (medians of 9 alternating pairs); unpinned,
+# the cut-over had sat between 400 and 500. The share size stays above
+# that cut-over because, on a mask of more CPUs, it also sets how many
+# shares a bundle is cut into, and each cut leaves the trimmed merges
+# across it to the process, serially: two CPUs could not measure that.
 _SHARE_STEPS = 350
-
-
-def _cpus():
-    """The number of CPUs this process may run on; 1 where it cannot tell."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return 1
 
 
 def _shares(sizes, merges=()):
     """Leaf numbers in contiguous runs, one run per worker; a single run
-    where the stitch stays serial: on one CPU, without fork, beside other
-    threads, or for too little work.
+    where the stitch stays serial (see checker._share_count).
 
     sizes holds each leaf's weight, merges the (first leaf, end, weight)
     of each merge that will be trimmed, its leaves being first to end - 1.
     """
     total = sum(sizes) + sum(w for *_, w in merges)
-    n = min(_cpus(), total // _SHARE_STEPS, len(sizes))
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    n = min(_share_count(total, _SHARE_STEPS), len(sizes))
+    if n < 2:
         return [range(len(sizes))]
     from . import workers  # see its docstring
 
@@ -579,7 +571,9 @@ def combine_all(
     its leaves and the merges cl_avg will trim weigh enough (see
     _SHARE_STEPS). The leaves are cut into contiguous shares in leaf
     order where the estimated time is least (see _split). The process
-    does the first share and a forked worker each other one: each checks
+    does the first share and a forked worker each other one, each worker
+    pinned to a CPU of its own and the process to another until the
+    workers are reaped; no replay forks again meanwhile. Each checks
     its share's leaves and, when a merge can be trimmed, stitches every
     subtree whose leaves all lie in its share, through the same merges.
     The process then makes the merges that no share made and takes each

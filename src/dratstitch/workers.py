@@ -1,16 +1,32 @@
-"""Stitching shares of a cube tree in forked workers, for combine_all.
+"""Work split over forked workers: the shares of a cube tree for
+combine_all, and the shares of a large replay's additions for the
+checker.
 
-A share is a contiguous run of leaves in post order, so it covers a
-sequence of maximal subtrees. The process does the first share and a
+A stitch share is a contiguous run of leaves in post order, so it covers
+a sequence of maximal subtrees. The process does the first share and a
 forked worker each other one: each checks its share's leaves and, when
 a merge can be trimmed, stitches the subtrees that lie in its share
 through stitcher._merge. The process then hands every result to the one
 post-order walk of combine_all.
 
-stitcher imports this module where a stitch first forks, so that a
-process that never forks does not compile it: where no bytecode is
-written, as under PYTHONDONTWRITEBYTECODE, compiling these functions
-with stitcher.py raised the memory peak of importing the package.
+A replay share is every K-th addition of a proof. Every process applies
+every step, but judges only its own additions and adds the others
+unjudged, as if they passed; the process judges the first share and
+builds the report and annotations meanwhile, and takes the rest from
+its workers. A verdict, its annotation and its propagation count depend
+only on the database at its step (see checker), so the outcome is the
+serial one.
+
+Either way each worker is pinned to a CPU of its own in the affinity
+mask, and the process to the first, until the workers are reaped: left
+to the scheduler, a child forked for a few tens of milliseconds of work
+mostly shared its parent's CPU.
+
+The checker and stitcher import this module where a process first
+forks, so that a process that never forks does not compile it: where
+no bytecode is written, as under PYTHONDONTWRITEBYTECODE, compiling
+these functions with stitcher.py raised the memory peak of importing
+the package.
 """
 
 import contextlib
@@ -22,9 +38,9 @@ import signal
 from dataclasses import astuple
 from functools import partial
 
-from . import stitcher
-from .checker import _kept
-from .core import Clause, ProofStep
+from . import checker, stitcher
+from .checker import NOT_AT, NOT_RAT, StepVerdict, _kept
+from .core import ADD, Clause, ProofStep
 
 
 def _split(sizes, merges, lo, hi, n):
@@ -187,12 +203,12 @@ class _Worker:
     holds only the core types marshal writes: loaded already, unlike
     pickle, which would cost the parent's import time and memory.
 
-    The child ends with os._exit, with status 0 only once the whole
-    result is written: it runs none of the parent's clean-up and flushes
-    none of its buffers.
+    The child pins itself to cpu and forks nothing more. It ends with
+    os._exit, with status 0 only once the whole result is written: it
+    runs none of the parent's clean-up and flushes none of its buffers.
     """
 
-    def __init__(self, work):
+    def __init__(self, work, cpu):
         r, w = os.pipe()
         try:
             pid = os.fork()
@@ -205,6 +221,8 @@ class _Worker:
             try:
                 gc.freeze()  # its collections then leave the pages it shares alone
                 os.close(r)
+                checker._sharing = True
+                _pin({cpu})
                 data = marshal.dumps(work())
                 with open(w, "wb") as pipe:
                     pipe.write(data)
@@ -235,6 +253,45 @@ class _Worker:
             self.pid = None
 
 
+def _pin(cpus):
+    """Run this process on cpus from now on, where the platform lets it."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
+
+
+@contextlib.contextmanager
+def _forked(works):
+    """A forked _Worker per work, in order, or None where fork failed;
+    the n-th is pinned to CPU n of the affinity mask and this process
+    to the first until the block ends. An interrupt waits until every
+    child forked is listed; the children keep it blocked, and are
+    killed. When the block ends, the mask is restored and every worker
+    that is still running is killed and reaped.
+    """
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    workers = []
+    try:
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for n, work in enumerate(works, 1):
+                try:
+                    workers.append(_Worker(work, cpus[n]))
+                except OSError:
+                    workers.append(None)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        checker._sharing = True
+        _pin({cpus[0]})
+        yield workers
+    finally:
+        checker._sharing = False
+        _pin(mask)
+        for worker in workers:
+            if worker is not None:
+                worker.stop()
+
+
 def _stitched_shares(walk, tree, leaves, shares, mode):
     """stitcher._checked_shares with more than one share: a forked worker
     does the work of each share but the first, which the process does
@@ -261,23 +318,14 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
         (walk, [leaves[i] for i in share], [sub[1:] for sub in sorted(subs)], mode)
         for share, subs in zip(shares, subtrees)
     ]
-    workers = {}  # share number -> its worker
-    try:
-        # an interrupt waits until every child forked is listed for the
-        # finally below; the children keep it blocked, and are killed
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for k in range(1, len(shares)):
-                with contextlib.suppress(OSError):
-                    workers[k] = _Worker(partial(_share_outcomes, *work[k]))
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+    with _forked([partial(_share_outcomes, *w) for w in work[1:]]) as workers:
         stitched = []
         for k, share in enumerate(shares):
             if k == 0:
                 result = _stitched_share(*work[0])
             else:
-                result = workers[k].result() if k in workers else None
+                worker = workers[k - 1]
+                result = worker.result() if worker is not None else None
                 if result is not None:
                     _kept(formula, 3).update(result[2])
             outcomes, handed = result[:2] if result is not None else ([], [])
@@ -292,9 +340,91 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
                 checked = stitcher._checked_leaf(formula, path, proof, label, mode)
                 walk.done[path] = (stitcher._leaf_part(counted, checked), ())
             stitched += handed
-        for path, steps, hints, rat, events in stitched:
-            steps = [ProofStep(op, Clause(literals)) for op, literals in steps]
-            walk.done[path] = (stitcher._built(steps, path, [(0, hints)], rat), events)
-    finally:
-        for worker in workers.values():
-            worker.stop()
+    for path, steps, hints, rat, events in stitched:
+        steps = [ProofStep(op, Clause(literals)) for op, literals in steps]
+        walk.done[path] = (stitcher._built(steps, path, [(0, hints)], rat), events)
+
+
+def _share_verdicts(db, refutation, mode, share, shares):
+    """The additions of one share judged on db, while every step is
+    applied as checker._pass applies it with that many shares.
+
+    Returns (verdicts, failed): verdicts holds, per addition judged, in
+    order, its (step, kind, used ids, neighbour ids, propagations), the
+    ids being db's and the propagations those its check made; failed is
+    the step of the first that failed, its last entry, or None. Stops
+    there, at the first empty clause, or at a strict deletion of an
+    absent clause, where the process that applies it fails.
+    """
+    verdicts = []
+    ids = db.ids
+    n = -1
+    for i, (op, clause) in enumerate(refutation, 1):
+        if op != ADD:
+            if not db.remove(clause) and mode == checker.STRICT:
+                break
+            continue
+        n += 1
+        if n % shares != share:
+            if not clause:
+                break
+            db.add(clause)
+            continue
+        before = db.propagations
+        ok, kind, used, neighbors = checker._judged(db, clause)
+        neighbor_ids = tuple(ids[c] for c in neighbors)
+        verdicts.append((i, kind, tuple(used or ()), neighbor_ids, db.propagations - before))
+        if not ok:
+            return verdicts, i
+        if not clause:
+            break
+        db.add(clause)
+    return verdicts, None
+
+
+def _shared_replay(formula, cube, record, refutation, mode, shares):
+    """checker._replay's outcome with the proof's additions judged in
+    shares: a forked worker judges each share but the first, which
+    checker._pass judges here meanwhile. Returns (end, reason,
+    propagations, annotations, skipped) as _pass's end, reason and
+    skipped, for the proof as a serial replay judges it.
+
+    The verdict is the earliest failure of any share, or this process's
+    outcome. The propagations are this process's before that step, plus
+    the workers' up to it. Annotations of the workers' additions are
+    built here, their ids mapped through this database's clauses: ids
+    are never reused. A share whose worker did not start or ended
+    without a result is judged here on a new database.
+    """
+    db = checker._database(formula, cube, record)
+    works = [partial(_share_verdicts, db, refutation, mode, k, shares) for k in range(1, shares)]
+    with _forked(works) as workers:
+        end, reason, steps, skipped = checker._pass(db, refutation, mode, shares)
+        results = [worker.result() if worker is not None else None for worker in workers]
+    for k, result in enumerate(results, 1):
+        if result is None:
+            fresh = checker._database(formula, cube, record)
+            results[k - 1] = _share_verdicts(fresh, refutation, mode, k, shares)
+    failed = [f for _, f in results if f is not None]
+    if failed and (end is None or min(failed) <= end):
+        end = min(failed)
+        reason = NOT_AT if not refutation[end - 1].clause else NOT_RAT
+    mine = steps[end - 1] if end is not None else None
+    propagations = mine[0] if type(mine) is tuple else db.propagations
+    if end is not None:
+        del steps[end:]
+        skipped = [(i, clause) for i, clause in skipped if i < end]
+    clauses = db.clauses
+    for verdicts, _ in results:
+        for i, kind, used_ids, neighbor_ids, n in verdicts:
+            if end is not None and i > end:
+                break
+            propagations += n
+            if record:
+                clause = refutation[i - 1].clause
+                cid = steps[i - 1][1] if i != end or reason is None else None
+                used = tuple(clauses[u] for u in used_ids)
+                neighbors = tuple(clauses[u] for u in neighbor_ids)
+                verdict = StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
+                steps[i - 1] = verdict
+    return end, reason, propagations, steps if record else None, skipped
