@@ -43,14 +43,14 @@ verdicts and propagation counts.
 Whether an addition passes, the ids its check uses, its RAT neighbours
 and the propagations its check makes depend only on the database at its
 step, not on where the watches sit. So a replay with enough additions
-per CPU in the affinity mask (see _SHARE_ADDITIONS) is judged in
-interleaved shares, one per CPU: every process applies every step, but
-judges only the additions whose ordinal is its share number modulo the
-share count, and adds the others unjudged, as if they passed. The
-process judges share 0 and builds the report and annotations as it
-goes; forked workers, pinned to CPUs of their own, judge the rest (see
-workers). The earliest failure of any share is the verdict, and the
-report, annotations and warnings are the serial replay's.
+(see _SHARE_ADDITIONS), on a mask of two CPUs or more, is judged in two
+interleaved shares by one pass each (_pass): each process applies every
+step, but judges only the additions whose ordinal has its share's
+parity, and adds the others unjudged, as if they passed. The process
+judges share 0 and builds the report and annotations as it goes; a
+forked worker judges share 1 (see workers). The earliest failure of
+either share is the verdict, and the report, annotations and warnings
+are the serial replay's.
 
 A proof can also be judged from hints, in the manner of LRAT (Cruz-Filipe
 et al., "Efficient certified RAT verification", CADE 2017): each addition
@@ -706,6 +706,12 @@ def _root_conflict(formula, cube):
 # alternating pairs, with and without annotations).
 _SHARE_ADDITIONS = 200
 
+# A replay is cut into this many shares at most, whatever the size of
+# the mask: each share more repeats the unjudged pass (10 ms of the 57
+# ms serial seed-7 replay) and costs a fork, and only two shares, on two
+# CPUs, were measured.
+_REPLAY_SHARES = 2
+
 # True in a forked worker, and in its parent until the workers are reaped:
 # the CPUs are shared out already, so nothing in between forks again.
 _sharing = False
@@ -741,73 +747,79 @@ def _judged(db, clause):
     return ok, KIND_RAT, used, neighbors
 
 
-def _pass(db, refutation, mode, shares=1):
+def _pass(db, refutation, mode, share=0, shares=1):
     """Apply refutation's steps to db in order and judge its additions:
     with more than one share, only those whose ordinal among the
-    additions, from 0, is a multiple of shares, and every other one but
-    an empty clause is added unjudged. Stops at the first failure found
-    and at the first empty clause, judged or not.
+    additions, from 0, is share modulo shares, and every other one but
+    an empty clause is added unjudged, as if it passed. Stops at the
+    first failure found and at the first empty clause, judged or not.
 
-    Returns (end, reason, steps, skipped). end is the step it stopped at,
-    None past the last one; reason is the failure found there, None for
-    an empty clause that passed or was not judged. steps holds one entry
-    per step up to end: in record mode its StepVerdict, else None; with
-    more than one share, for an addition not judged here, the count of
-    propagations before it and its clause's id after it, None for an
-    empty clause. Serially out of record mode, steps is None. skipped
-    holds the (step, clause) of each deletion of an absent clause that
-    permissive mode skipped.
+    Returns (end, reason, steps, skipped, judged). end is the step it
+    stopped at, None past the last one; reason is the failure found
+    there, None for an empty clause that passed or was not judged. In
+    record mode, share 0's steps holds one entry per step up to end: its
+    StepVerdict, or None for an addition another share judges; steps is
+    None otherwise. skipped holds the (step, clause) of each deletion of
+    an absent clause that permissive mode skipped. With more than one
+    share, judged holds, in order, the (step, kind, used ids, neighbour
+    ids, id, propagations) of each addition judged here: the ids are
+    db's, the id is its clause's after the step, None where it was not
+    added, and the propagations are those its check made; judged is
+    None otherwise.
     """
-    record = db.record
-    steps = [] if record or shares > 1 else None
+    record = db.record and not share
+    steps = [] if record else None
+    judged = [] if shares > 1 else None
     skipped = []
     n = -1  # ordinal of the last addition
     for i, step in enumerate(refutation, 1):
         clause = step.clause
         if step.is_add:
             n += 1
-            if n % shares:
-                before = db.propagations
+            if n % shares != share:
+                if record:
+                    steps.append(None)
                 if not clause:
-                    steps.append((before, None))
-                    return i, None, steps, skipped
+                    return i, None, steps, skipped, judged
                 db.add(clause)
-                steps.append((before, db.ids[clause]))
                 continue
+            before = db.propagations
             ok, kind, used, neighbors = _judged(db, clause)
+            made = db.propagations - before
             added = ok and len(clause) > 0
             if added:
                 db.add(clause)
-            if record:
+            if record or judged is not None:
                 used_ids = tuple(used or ())
-                used = tuple(db.clauses[u] for u in used_ids)
                 cid = db.ids[clause] if added else None
-                verdict = StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
-                steps.append(verdict)
-            elif steps is not None:
-                steps.append(None)
+                if record:
+                    used = tuple(db.clauses[u] for u in used_ids)
+                    verdict = StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
+                    steps.append(verdict)
+                if judged is not None:
+                    neighbor_ids = tuple(db.ids[c] for c in neighbors)
+                    judged.append((i, kind, used_ids, neighbor_ids, cid, made))
             if not ok:
-                return i, NOT_AT if len(clause) == 0 else NOT_RAT, steps, skipped
+                return i, NOT_AT if len(clause) == 0 else NOT_RAT, steps, skipped, judged
             if len(clause) == 0:
-                return i, None, steps, skipped
+                return i, None, steps, skipped, judged
         else:
             applied = db.remove(clause)
             if record:
                 steps.append(StepVerdict(i, DELETE, clause, KIND_DELETE, applied, (), ()))
-            elif steps is not None:
-                steps.append(None)
             if not applied:
                 if mode == STRICT:
-                    return i, DELETION_ABSENT, steps, skipped
+                    return i, DELETION_ABSENT, steps, skipped, judged
                 skipped.append((i, clause))
-    return None, None, steps, skipped
+    return None, None, steps, skipped, judged
 
 
 def _replay(formula, refutation, mode, record, cube=()):
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     start = time.perf_counter()
-    shares = _share_count(sum(1 for _ in refutation.adds()), _SHARE_ADDITIONS)
+    additions = sum(1 for _ in refutation.adds())
+    shares = min(_REPLAY_SHARES, _share_count(additions, _SHARE_ADDITIONS))
     if shares > 1:
         from . import workers  # see its docstring
 
@@ -815,7 +827,7 @@ def _replay(formula, refutation, mode, record, cube=()):
         end, reason, propagations, annotations, skipped = outcome
     else:
         db = _database(formula, cube, record)
-        end, reason, annotations, skipped = _pass(db, refutation, mode)
+        end, reason, annotations, skipped, _ = _pass(db, refutation, mode)
         propagations = db.propagations
     for i, clause in skipped:
         log.warning("step %d: deletion of absent clause %r skipped", i, clause)
@@ -1100,8 +1112,8 @@ def check_refutation(
     from the last replay of the same formula object, with the units
     added.
 
-    A replay of a proof with enough additions per CPU is judged in
-    shares on forked workers (see the module docstring); its report and
+    A replay of a proof with enough additions is judged in two shares,
+    one on a forked worker (see the module docstring); its report and
     warnings are those of a serial replay, wall_time aside.
 
     hints, when given, holds one sequence of clause ids per proof step
@@ -1143,7 +1155,8 @@ def annotate_refutation(
     ``counts()`` first (the formula's clauses, then each cube unit the
     formula lacks, in cube order), so ids below the instance's distinct
     clause count are its clauses; a value keeps its id until its count is
-    0 again. Judged in shares, the annotations are the serial replay's.
+    0 again. Judged in two shares, the annotations are the serial
+    replay's.
     """
     rep, annotations = _replay(formula, refutation, mode, record=True, cube=cube)
     return rep, tuple(annotations)

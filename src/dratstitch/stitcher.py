@@ -573,11 +573,12 @@ def combine_all(
     order where the estimated time is least (see _split). The process
     does the first share and a forked worker each other one, each worker
     pinned to a CPU of its own and the process to another until the
-    workers are reaped; no replay forks again meanwhile. Each checks
-    its share's leaves and, when a merge can be trimmed, stitches every
-    subtree whose leaves all lie in its share, through the same merges.
-    The process then makes the merges that no share made and takes each
-    share's trimmed subtrees as they are. The result, the records and
+    workers are reaped where they fill the mask (see workers); no replay
+    forks again meanwhile. Each checks its share's leaves and, when a
+    merge can be trimmed, stitches every subtree whose leaves all lie in
+    its share, through the same merges. The process then makes the
+    merges that no share made and takes each share's trimmed subtrees as
+    they are. The result, the records and
     their order, the warnings and their order, and the first error are
     those of a serial stitch. One CPU, as under ``taskset -c 0``, keeps
     the stitch serial, as does a platform without fork. No parameter

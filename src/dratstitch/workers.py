@@ -9,18 +9,20 @@ a merge can be trimmed, stitches the subtrees that lie in its share
 through stitcher._merge. The process then hands every result to the one
 post-order walk of combine_all.
 
-A replay share is every K-th addition of a proof. Every process applies
-every step, but judges only its own additions and adds the others
-unjudged, as if they passed; the process judges the first share and
-builds the report and annotations meanwhile, and takes the rest from
-its workers. A verdict, its annotation and its propagation count depend
-only on the database at its step (see checker), so the outcome is the
-serial one.
+A replay share is every K-th addition of a proof, judged by
+checker._pass: every process applies every step, but judges only its
+own additions and adds the others unjudged, as if they passed. The
+process judges the first share and builds the report and annotations
+meanwhile, and takes the rest from its workers. A verdict, its
+annotation and its propagation count depend only on the database at its
+step (see checker), so the outcome is the serial one.
 
-Either way each worker is pinned to a CPU of its own in the affinity
-mask, and the process to the first, until the workers are reaped: left
-to the scheduler, a child forked for a few tens of milliseconds of work
-mostly shared its parent's CPU.
+Where the process and its workers fill the affinity mask, one per CPU,
+each worker is pinned to a CPU of its own and the process to the first
+until the workers are reaped: left to the scheduler, a child forked for
+a few tens of milliseconds of work mostly shared its parent's CPU. On a
+larger mask, where other processes may be running, they are left to
+the scheduler.
 
 The checker and stitcher import this module where a process first
 forks, so that a process that never forks does not compile it: where
@@ -39,7 +41,7 @@ from dataclasses import astuple
 from functools import partial
 
 from . import checker, stitcher
-from .checker import NOT_AT, NOT_RAT, StepVerdict, _kept
+from .checker import StepVerdict, _kept
 from .core import ADD, Clause, ProofStep
 
 
@@ -203,9 +205,10 @@ class _Worker:
     holds only the core types marshal writes: loaded already, unlike
     pickle, which would cost the parent's import time and memory.
 
-    The child pins itself to cpu and forks nothing more. It ends with
-    os._exit, with status 0 only once the whole result is written: it
-    runs none of the parent's clean-up and flushes none of its buffers.
+    The child pins itself to cpu, unless that is None, and forks
+    nothing more. It ends with os._exit, with status 0 only once the
+    whole result is written: it runs none of the parent's clean-up and
+    flushes none of its buffers.
     """
 
     def __init__(self, work, cpu):
@@ -222,7 +225,8 @@ class _Worker:
                 gc.freeze()  # its collections then leave the pages it shares alone
                 os.close(r)
                 checker._sharing = True
-                _pin({cpu})
+                if cpu is not None:
+                    _pin({cpu})
                 data = marshal.dumps(work())
                 with open(w, "wb") as pipe:
                     pipe.write(data)
@@ -261,32 +265,36 @@ def _pin(cpus):
 
 @contextlib.contextmanager
 def _forked(works):
-    """A forked _Worker per work, in order, or None where fork failed;
-    the n-th is pinned to CPU n of the affinity mask and this process
-    to the first until the block ends. An interrupt waits until every
-    child forked is listed; the children keep it blocked, and are
-    killed. When the block ends, the mask is restored and every worker
-    that is still running is killed and reaped.
+    """A forked _Worker per work, in order, or None where fork failed.
+    Where this process and the workers fill the affinity mask, one per
+    CPU, the n-th is pinned to CPU n of the mask and this process to the
+    first until the block ends; on a larger mask the scheduler places
+    them. An interrupt waits until every child forked is listed; the
+    children keep it blocked, and are killed. When the block ends, the
+    mask is restored and every worker that is still running is killed
+    and reaped.
     """
     mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
+    cpus = sorted(mask) if len(works) + 1 == len(mask) else None
     workers = []
     try:
         held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for n, work in enumerate(works, 1):
                 try:
-                    workers.append(_Worker(work, cpus[n]))
+                    workers.append(_Worker(work, cpus[n] if cpus else None))
                 except OSError:
                     workers.append(None)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
         checker._sharing = True
-        _pin({cpus[0]})
+        if cpus:
+            _pin({cpus[0]})
         yield workers
     finally:
         checker._sharing = False
-        _pin(mask)
+        if cpus:
+            _pin(mask)
         for worker in workers:
             if worker is not None:
                 worker.stop()
@@ -345,86 +353,59 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
         walk.done[path] = (stitcher._built(steps, path, [(0, hints)], rat), events)
 
 
-def _share_verdicts(db, refutation, mode, share, shares):
-    """The additions of one share judged on db, while every step is
-    applied as checker._pass applies it with that many shares.
-
-    Returns (verdicts, failed): verdicts holds, per addition judged, in
-    order, its (step, kind, used ids, neighbour ids, propagations), the
-    ids being db's and the propagations those its check made; failed is
-    the step of the first that failed, its last entry, or None. Stops
-    there, at the first empty clause, or at a strict deletion of an
-    absent clause, where the process that applies it fails.
-    """
-    verdicts = []
-    ids = db.ids
-    n = -1
-    for i, (op, clause) in enumerate(refutation, 1):
-        if op != ADD:
-            if not db.remove(clause) and mode == checker.STRICT:
-                break
-            continue
-        n += 1
-        if n % shares != share:
-            if not clause:
-                break
-            db.add(clause)
-            continue
-        before = db.propagations
-        ok, kind, used, neighbors = checker._judged(db, clause)
-        neighbor_ids = tuple(ids[c] for c in neighbors)
-        verdicts.append((i, kind, tuple(used or ()), neighbor_ids, db.propagations - before))
-        if not ok:
-            return verdicts, i
-        if not clause:
-            break
-        db.add(clause)
-    return verdicts, None
+def _judged_share(db, refutation, mode, share, shares):
+    """One share of a replay judged on db by checker._pass, as plain data
+    that marshal writes: (end, reason, propagations, judged), the
+    propagations being all those db made."""
+    end, reason, _, _, judged = checker._pass(db, refutation, mode, share, shares)
+    return end, reason, db.propagations, judged
 
 
 def _shared_replay(formula, cube, record, refutation, mode, shares):
     """checker._replay's outcome with the proof's additions judged in
-    shares: a forked worker judges each share but the first, which
-    checker._pass judges here meanwhile. Returns (end, reason,
-    propagations, annotations, skipped) as _pass's end, reason and
-    skipped, for the proof as a serial replay judges it.
+    shares: a forked worker judges each share but the first, which this
+    process judges meanwhile. Returns (end, reason, propagations,
+    annotations, skipped) as _pass's end, reason, steps and skipped, for
+    the proof as a serial replay judges it.
 
-    The verdict is the earliest failure of any share, or this process's
-    outcome. The propagations are this process's before that step, plus
-    the workers' up to it. Annotations of the workers' additions are
-    built here, their ids mapped through this database's clauses: ids
-    are never reused. A share whose worker did not start or ended
-    without a result is judged here on a new database.
+    The verdict is the earliest failure of any share; without one, every
+    share stopped at the same step. Applying a step makes the same
+    propagations in every share, so the count is that of the share the
+    verdict is from, plus those the other shares' checks made up to the
+    verdict. Annotations of the workers' additions are built here, their
+    ids mapped through this database's clauses: ids are never reused. A
+    share whose worker did not start or ended without a result is judged
+    here on a new database.
     """
     db = checker._database(formula, cube, record)
-    works = [partial(_share_verdicts, db, refutation, mode, k, shares) for k in range(1, shares)]
+    works = [partial(_judged_share, db, refutation, mode, k, shares) for k in range(1, shares)]
     with _forked(works) as workers:
-        end, reason, steps, skipped = checker._pass(db, refutation, mode, shares)
+        end, reason, steps, skipped, judged = checker._pass(db, refutation, mode, 0, shares)
         results = [worker.result() if worker is not None else None for worker in workers]
-    for k, result in enumerate(results, 1):
+    results = [(end, reason, db.propagations, judged)] + results
+    for k, result in enumerate(results):
         if result is None:
             fresh = checker._database(formula, cube, record)
-            results[k - 1] = _share_verdicts(fresh, refutation, mode, k, shares)
-    failed = [f for _, f in results if f is not None]
-    if failed and (end is None or min(failed) <= end):
-        end = min(failed)
-        reason = NOT_AT if not refutation[end - 1].clause else NOT_RAT
-    mine = steps[end - 1] if end is not None else None
-    propagations = mine[0] if type(mine) is tuple else db.propagations
+            results[k] = _judged_share(fresh, refutation, mode, k, shares)
+    failed = [result for result in results if result[1] is not None]
+    verdict = min(failed, key=lambda result: result[0]) if failed else results[0]
+    end, reason, propagations, _ = verdict
     if end is not None:
-        del steps[end:]
         skipped = [(i, clause) for i, clause in skipped if i < end]
+        if record:
+            del steps[end:]
     clauses = db.clauses
-    for verdicts, _ in results:
-        for i, kind, used_ids, neighbor_ids, n in verdicts:
+    for k, result in enumerate(results):
+        for i, kind, used_ids, neighbor_ids, cid, made in result[3]:
             if end is not None and i > end:
                 break
-            propagations += n
-            if record:
+            if result is not verdict:
+                propagations += made
+            if record and k:
                 clause = refutation[i - 1].clause
-                cid = steps[i - 1][1] if i != end or reason is None else None
                 used = tuple(clauses[u] for u in used_ids)
                 neighbors = tuple(clauses[u] for u in neighbor_ids)
-                verdict = StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
-                steps[i - 1] = verdict
-    return end, reason, propagations, steps if record else None, skipped
+                steps[i - 1] = StepVerdict(
+                    i, ADD, clause, kind, True, used, neighbors, cid, used_ids
+                )
+    return end, reason, propagations, steps, skipped

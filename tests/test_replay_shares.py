@@ -1,12 +1,12 @@
 """Replays judged in interleaved shares on forked workers against serial ones.
 
-Each path is forced: a share size of one addition and a mask of two or
-three CPUs fork a worker per share for every proof of two additions or
-more, and one CPU keeps the replay in the process. Every process applies
-every step and judges every K-th addition, so the two paths must give
-the same reports (wall time aside), annotations, warnings in the same
-order, trimmed bytes and cores, restore the affinity mask and leave no
-child process behind.
+Each path is forced: a share size of one addition, a mask of two or
+three CPUs and as many shares fork a worker per share but the first for
+every proof of two additions or more, and one CPU keeps the replay in
+the process. Every process applies every step and judges every K-th
+addition, so the two paths must give the same reports (wall time
+aside), annotations, warnings in the same order, trimmed bytes and
+cores, restore the affinity mask and leave no child process behind.
 """
 
 import contextlib
@@ -50,14 +50,16 @@ MODES = (STRICT, PERMISSIVE)
 
 
 @contextlib.contextmanager
-def replays(cpus):
-    """Replays on that many CPUs: serial on one, else forced into one
-    share per CPU; yields the pids of the workers forked meanwhile."""
+def replays(cpus, shares=None):
+    """Replays on that many CPUs: serial on one, else forced into shares,
+    by default one per CPU; yields the pids of the workers forked
+    meanwhile."""
     forks = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         if cpus > 1:
             m.setattr(checker, "_SHARE_ADDITIONS", 1)
+            m.setattr(checker, "_REPLAY_SHARES", shares or cpus)
         fork = os.fork
 
         def counted():
@@ -319,7 +321,7 @@ def test_an_instance_with_a_root_conflict():
 def test_the_share_of_a_worker_killed_is_judged_in_the_process(monkeypatch):
     parent = os.getpid()
     judged = []
-    real = workers._share_verdicts
+    real = workers._judged_share
 
     def killed(db, refutation, mode, share, shares):
         if os.getpid() != parent:
@@ -336,7 +338,7 @@ def test_the_share_of_a_worker_killed_is_judged_in_the_process(monkeypatch):
         with replays(1):
             serial = outcome(f, p, STRICT)
         with replays(3) as forks, monkeypatch.context() as m:
-            m.setattr(workers, "_share_verdicts", killed)
+            m.setattr(workers, "_judged_share", killed)
             judged.clear()
             assert outcome(f, p, STRICT) == serial
         assert len(forks) == 4 and sorted(judged) == [1, 1, 2, 2]
@@ -404,6 +406,34 @@ def test_the_mask_is_restored_and_the_workers_reaped_after_a_return_or_a_raise(
         assert len(forks) == 1 and pins == [{0}, {0, 1}]
         assert not checker._sharing
         assert no_children()
+
+
+def test_a_replay_takes_two_shares_at_most_and_pins_only_a_mask_it_fills(
+    monkeypatch, tmp_path
+):
+    parent = os.getpid()
+    pinned = tmp_path / "pinned"
+
+    def pin(pid, cpus):
+        with open(pinned, "a") as out:
+            out.write("%s %s\n" % ("process" if os.getpid() == parent else "worker", sorted(cpus)))
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    formula, proof = stitched_instance(2, num_vars=11, depth=3)
+    with replays(1):
+        serial = outcome(formula, proof, STRICT)
+    # two shares on a mask of four CPUs: one worker per replay, left to
+    # the scheduler, as processes started side by side may share the mask
+    with replays(4, shares=checker._REPLAY_SHARES) as forks:
+        assert outcome(formula, proof, STRICT) == serial
+    assert len(forks) == 2 and not pinned.exists()
+    # the helper the stitch shares fork through pins by the same rule
+    for cpus in (3, 2):
+        with replays(cpus), workers._forked([os.getpid]) as (worker,):
+            assert worker.result() != parent
+    pins = sorted(pinned.read_text().splitlines())
+    assert pins == ["process [0, 1]", "process [0]", "worker [1]"]
+    assert no_children()
 
 
 def test_no_replay_forks_inside_a_stitch_worker_or_beside_one(monkeypatch, tmp_path):
