@@ -47,10 +47,12 @@ step, not on where the watches sit. So a replay with enough additions
 interleaved shares by one pass each (_pass): each process applies every
 step, but judges only the additions whose ordinal has its share's
 parity, and adds the others unjudged, as if they passed. The process
-judges share 0 and builds the report and annotations as it goes; a
-forked worker judges share 1 (see workers). The earliest failure of
-either share is the verdict, and the report, annotations and warnings
-are the serial replay's.
+judges share 0 and a forked worker share 1 (see workers). Each pass,
+and a serial one that records, lists per judged addition the ids its
+check used, and the process merges the two lists by step. The earliest
+failure of either share is the verdict, and the report, the
+annotations annotate_refutation builds from the merged list, and the
+warnings are the serial replay's.
 
 A proof can also be judged from hints, in the manner of LRAT (Cruz-Filipe
 et al., "Efficient certified RAT verification", CADE 2017): each addition
@@ -696,9 +698,9 @@ def _root_conflict(formula, cube):
     return tuple(u for u in db.root_used if u < n)
 
 
-# A replay is judged in shares on forked workers only when every share
-# holds at least this many additions, so a proof needs twice as many to
-# fork on two CPUs. On a 2-core box (Python 3.11), replays of prefixes
+# A replay is judged in two shares, one on a forked worker, only when
+# each holds at least this many additions, so a proof needs twice as
+# many to fork. On a 2-core box (Python 3.11), replays of prefixes
 # of the seed-3 and seed-7 mono-deletions proofs in two pinned shares
 # took 0.6 to 2.2 ms longer than serial ones at 150 additions, between
 # 3.4 ms longer and 3.5 ms shorter from 200 to 300, 3 to 6 ms shorter at
@@ -706,13 +708,7 @@ def _root_conflict(formula, cube):
 # alternating pairs, with and without annotations).
 _SHARE_ADDITIONS = 200
 
-# A replay is cut into this many shares at most, whatever the size of
-# the mask: each share more repeats the unjudged pass (10 ms of the 57
-# ms serial seed-7 replay) and costs a fork, and only two shares, on two
-# CPUs, were measured.
-_REPLAY_SHARES = 2
-
-# True in a forked worker, and in its parent until the workers are reaped:
+# True in a forked worker, and in its parent until the worker is reaped:
 # the CPUs are shared out already, so nothing in between forks again.
 _sharing = False
 
@@ -726,15 +722,19 @@ def _cpus():
 
 
 def _share_count(weight, share_weight):
-    """How many shares to split work of the given weight into: one per
-    CPU in the affinity mask, each weighing share_weight at least. 1
-    where the work stays serial: on one CPU, without fork, beside other
+    """How many shares to split work of the given weight into: 2 where
+    the affinity mask holds two CPUs or more and each share would weigh
+    share_weight at least, else 1: on one CPU, without fork, beside other
     threads, inside a share already, or for too little work.
     """
-    n = min(_cpus(), weight // share_weight)
-    if n < 2 or _sharing or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return n
+    serial = (
+        _cpus() < 2
+        or weight < 2 * share_weight
+        or _sharing
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+    )
+    return 1 if serial else 2
 
 
 def _judged(db, clause):
@@ -749,27 +749,22 @@ def _judged(db, clause):
 
 def _pass(db, refutation, mode, share=0, shares=1):
     """Apply refutation's steps to db in order and judge its additions:
-    with more than one share, only those whose ordinal among the
-    additions, from 0, is share modulo shares, and every other one but
-    an empty clause is added unjudged, as if it passed. Stops at the
-    first failure found and at the first empty clause, judged or not.
+    with two shares, only those whose ordinal among the additions, from
+    0, has share's parity, and every other one but an empty clause is
+    added unjudged, as if it passed. Stops at the first failure found
+    and at the first empty clause, judged or not.
 
-    Returns (end, reason, steps, skipped, judged). end is the step it
-    stopped at, None past the last one; reason is the failure found
-    there, None for an empty clause that passed or was not judged. In
-    record mode, share 0's steps holds one entry per step up to end: its
-    StepVerdict, or None for an addition another share judges; steps is
-    None otherwise. skipped holds the (step, clause) of each deletion of
-    an absent clause that permissive mode skipped. With more than one
-    share, judged holds, in order, the (step, kind, used ids, neighbour
-    ids, id, propagations) of each addition judged here: the ids are
-    db's, the id is its clause's after the step, None where it was not
-    added, and the propagations are those its check made; judged is
-    None otherwise.
+    Returns (end, reason, skipped, judged). end is the step it stopped
+    at, None past the last one; reason is the failure found there, None
+    for an empty clause that passed or was not judged. skipped holds the
+    (step, clause) of each deletion of an absent clause that permissive
+    mode skipped. judged holds, in order, the (step, kind, used ids,
+    neighbour ids, id, propagations) of each addition judged here, when
+    db records or there are two shares, and is None otherwise: the ids
+    are db's, the id is its clause's after the step, None where it was
+    not added, and the propagations are those its check made.
     """
-    record = db.record and not share
-    steps = [] if record else None
-    judged = [] if shares > 1 else None
+    judged = [] if db.record or shares > 1 else None
     skipped = []
     n = -1  # ordinal of the last addition
     for i, step in enumerate(refutation, 1):
@@ -777,10 +772,8 @@ def _pass(db, refutation, mode, share=0, shares=1):
         if step.is_add:
             n += 1
             if n % shares != share:
-                if record:
-                    steps.append(None)
                 if not clause:
-                    return i, None, steps, skipped, judged
+                    return i, None, skipped, judged
                 db.add(clause)
                 continue
             before = db.propagations
@@ -789,45 +782,38 @@ def _pass(db, refutation, mode, share=0, shares=1):
             added = ok and len(clause) > 0
             if added:
                 db.add(clause)
-            if record or judged is not None:
-                used_ids = tuple(used or ())
-                cid = db.ids[clause] if added else None
-                if record:
-                    used = tuple(db.clauses[u] for u in used_ids)
-                    verdict = StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
-                    steps.append(verdict)
-                if judged is not None:
-                    neighbor_ids = tuple(db.ids[c] for c in neighbors)
-                    judged.append((i, kind, used_ids, neighbor_ids, cid, made))
+            if judged is not None:
+                ids = db.ids
+                cid = ids[clause] if added else None
+                neighbor_ids = tuple(map(ids.__getitem__, neighbors))
+                judged.append((i, kind, tuple(used or ()), neighbor_ids, cid, made))
             if not ok:
-                return i, NOT_AT if len(clause) == 0 else NOT_RAT, steps, skipped, judged
+                return i, NOT_AT if len(clause) == 0 else NOT_RAT, skipped, judged
             if len(clause) == 0:
-                return i, None, steps, skipped, judged
-        else:
-            applied = db.remove(clause)
-            if record:
-                steps.append(StepVerdict(i, DELETE, clause, KIND_DELETE, applied, (), ()))
-            if not applied:
-                if mode == STRICT:
-                    return i, DELETION_ABSENT, steps, skipped, judged
-                skipped.append((i, clause))
-    return None, None, steps, skipped, judged
+                return i, None, skipped, judged
+        elif not db.remove(clause):
+            if mode == STRICT:
+                return i, DELETION_ABSENT, skipped, judged
+            skipped.append((i, clause))
+    return None, None, skipped, judged
 
 
 def _replay(formula, refutation, mode, record, cube=()):
+    """The report of a replay of refutation against formula plus cube's
+    units, and _pass's judged, skipped and the database's clauses, which
+    name every id in judged."""
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     start = time.perf_counter()
     additions = sum(1 for _ in refutation.adds())
-    shares = min(_REPLAY_SHARES, _share_count(additions, _SHARE_ADDITIONS))
-    if shares > 1:
+    db = _database(formula, cube, record)
+    if _share_count(additions, _SHARE_ADDITIONS) > 1:
         from . import workers  # see its docstring
 
-        outcome = workers._shared_replay(formula, cube, record, refutation, mode, shares)
-        end, reason, propagations, annotations, skipped = outcome
+        outcome = workers._shared_replay(formula, cube, db, refutation, mode)
+        end, reason, propagations, skipped, judged = outcome
     else:
-        db = _database(formula, cube, record)
-        end, reason, annotations, skipped, _ = _pass(db, refutation, mode)
+        end, reason, skipped, judged = _pass(db, refutation, mode)
         propagations = db.propagations
     for i, clause in skipped:
         log.warning("step %d: deletion of absent clause %r skipped", i, clause)
@@ -846,7 +832,7 @@ def _replay(formula, refutation, mode, record, cube=()):
         propagations=propagations,
         wall_time=time.perf_counter() - start,
     )
-    return report, annotations
+    return report, judged, skipped, db.clauses
 
 
 def _hinted_conflict(true, pending, literals):
@@ -1137,8 +1123,7 @@ def check_refutation(
     if hints is not None:
         rep, _ = _check_hinted(formula, refutation, mode, hints, cube)
         return rep
-    rep, _ = _replay(formula, refutation, mode, record=False, cube=cube)
-    return rep
+    return _replay(formula, refutation, mode, record=False, cube=cube)[0]
 
 
 def annotate_refutation(
@@ -1158,5 +1143,19 @@ def annotate_refutation(
     0 again. Judged in two shares, the annotations are the serial
     replay's.
     """
-    rep, annotations = _replay(formula, refutation, mode, record=True, cube=cube)
+    rep, judged, skipped, clauses = _replay(formula, refutation, mode, True, cube)
+    removed_nothing = {i for i, _ in skipped}
+    removed_nothing.add(rep.failing_step)  # a failing deletion is of an absent clause
+    judged = iter(judged)
+    named = clauses.__getitem__
+    annotations = []
+    for i, (op, clause) in enumerate(refutation.steps[: rep.steps_checked], 1):
+        if op != ADD:
+            sv = StepVerdict(i, DELETE, clause, KIND_DELETE, i not in removed_nothing, (), ())
+        else:
+            _, kind, used_ids, neighbor_ids, cid, _ = next(judged)
+            used = tuple(map(named, used_ids))
+            neighbors = tuple(map(named, neighbor_ids))
+            sv = StepVerdict(i, ADD, clause, kind, True, used, neighbors, cid, used_ids)
+        annotations.append(sv)
     return rep, tuple(annotations)

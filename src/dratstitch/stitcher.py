@@ -126,7 +126,13 @@ def _build(items, prefix):
 
 def _require_sub_proof(formula, cube, proof, label, mode):
     """The proof must be preserving and refute formula plus cube's units;
-    returns the annotations of its replay."""
+    returns the annotations of its replay.
+
+    In strict mode, each deletion must also remove a copy of a clause
+    the proof itself added and has not deleted since: widened, the
+    formula clause or cube unit it removed here is absent, and a strict
+    check of the merged proof would fail there.
+    """
     offender = first_violation(proof)
     if offender is not None:
         raise NonPreservingInputError(
@@ -135,6 +141,18 @@ def _require_sub_proof(formula, cube, proof, label, mode):
     report, annotations = annotate_refutation(formula, proof, mode=mode, cube=cube)
     if not report.valid:
         raise InvalidSubProofError("%s: %s" % (label, report.failure_text()))
+    if mode == STRICT and any(op != ADD for op, _ in proof):
+        added = Counter()
+        for i, (op, clause) in enumerate(proof, 1):
+            if op == ADD:
+                added[clause] += 1
+            elif added[clause]:
+                added[clause] -= 1
+            else:
+                raise NonPreservingInputError(
+                    "%s: step %d deletes %r before adding it; widened, it is absent"
+                    % (label, i, clause)
+                )
     return annotations
 
 
@@ -166,38 +184,35 @@ def _rebuilt(proof, outcome):
     return proof, hints, rat
 
 
-# A stitch is split over forked workers only when every share weighs at
-# least this much, so a bundle needs twice as much to fork on two CPUs.
-# A leaf weighs its steps and a merge that will be trimmed a third of
-# its steps: serially, on stitch-trim at seed 7 on a 2-core box, a leaf
-# check took 0.076 ms per step and a trim 0.027 ms per input step. On
-# that box (Python 3.11), two forked shares, pinned to their own CPUs,
-# of the subtrees down to depth 3 of the seed-7 stitch-trim and
+# A stitch is split over a forked worker only when each of its two
+# shares weighs at least this much, so a bundle needs twice as much to
+# fork. A leaf weighs its steps and a merge that will be trimmed a third
+# of its steps: serially, on stitch-trim at seed 7 on a 2-core box, a
+# leaf check took 0.076 ms per step and a trim 0.027 ms per input step.
+# On that box (Python 3.11), two forked shares, pinned to their own
+# CPUs, of the subtrees down to depth 3 of the seed-7 stitch-trim and
 # stitch-verify trees, at cl_avg -1 and 0, took 0.3 to 5 ms longer than
 # a serial stitch below a weight of 120, between 4 ms longer and 8 ms
 # shorter from 120 to 340, 1 to 17 ms shorter from 380 to 500 and 3 to
 # 146 ms shorter from 600 up (medians of 9 alternating pairs); unpinned,
-# the cut-over had sat between 400 and 500. The share size stays above
-# that cut-over because, on a mask of more CPUs, it also sets how many
-# shares a bundle is cut into, and each cut leaves the trimmed merges
-# across it to the process, serially: two CPUs could not measure that.
+# the cut-over had sat between 400 and 500.
 _SHARE_STEPS = 350
 
 
 def _shares(sizes, merges=()):
-    """Leaf numbers in contiguous runs, one run per worker; a single run
-    where the stitch stays serial (see checker._share_count).
+    """Leaf numbers in contiguous runs, one per process: two, cut by
+    workers._split, or one where the stitch stays serial (see
+    checker._share_count).
 
     sizes holds each leaf's weight, merges the (first leaf, end, weight)
     of each merge that will be trimmed, its leaves being first to end - 1.
     """
     total = sum(sizes) + sum(w for *_, w in merges)
-    n = min(_share_count(total, _SHARE_STEPS), len(sizes))
-    if n < 2:
+    if len(sizes) < 2 or _share_count(total, _SHARE_STEPS) < 2:
         return [range(len(sizes))]
     from . import workers  # see its docstring
 
-    return workers._split(sizes, merges, 0, len(sizes), n)
+    return workers._split(sizes, merges)
 
 
 def _weigh(node, path, counted, cl_avg, sizes, merges):
@@ -567,18 +582,17 @@ def combine_all(
     since the last trim, its own included, are propagated by its input
     check; its candidates are checked in full.
 
-    A checked stitch uses the CPUs in the process's affinity mask once
-    its leaves and the merges cl_avg will trim weigh enough (see
-    _SHARE_STEPS). The leaves are cut into contiguous shares in leaf
-    order where the estimated time is least (see _split). The process
-    does the first share and a forked worker each other one, each worker
-    pinned to a CPU of its own and the process to another until the
-    workers are reaped where they fill the mask (see workers); no replay
-    forks again meanwhile. Each checks its share's leaves and, when a
-    merge can be trimmed, stitches every subtree whose leaves all lie in
-    its share, through the same merges. The process then makes the
-    merges that no share made and takes each share's trimmed subtrees as
-    they are. The result, the records and
+    A checked stitch is cut in two once its leaves and the merges cl_avg
+    will trim weigh enough (see _SHARE_STEPS), on a mask of two CPUs or
+    more. The leaves are cut into two contiguous shares in leaf order
+    where the estimated time is least (see workers._split). The process
+    does the first share and a forked worker the second; on a mask of
+    exactly two CPUs each is pinned to one of them until the worker is
+    reaped (see workers). No replay forks again meanwhile. Each checks its
+    share's leaves and, when a merge can be trimmed, stitches every
+    subtree whose leaves all lie in its share, through the same merges.
+    The process then makes the merges that no share made and takes the
+    worker's trimmed subtrees as they are. The result, the records and
     their order, the warnings and their order, and the first error are
     those of a serial stitch. One CPU, as under ``taskset -c 0``, keeps
     the stitch serial, as does a platform without fork. No parameter

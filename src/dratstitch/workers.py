@@ -1,28 +1,27 @@
-"""Work split over forked workers: the shares of a cube tree for
-combine_all, and the shares of a large replay's additions for the
-checker.
+"""Work split over one forked worker: the two shares of a cube tree for
+combine_all, and the two shares of a large replay's additions for the
+checker. Only two shares were ever measured, so there are never more.
 
 A stitch share is a contiguous run of leaves in post order, so it covers
 a sequence of maximal subtrees. The process does the first share and a
-forked worker each other one: each checks its share's leaves and, when
-a merge can be trimmed, stitches the subtrees that lie in its share
-through stitcher._merge. The process then hands every result to the one
+forked worker the second: each checks its share's leaves and, when a
+merge can be trimmed, stitches the subtrees that lie in its share
+through stitcher._merge. The process then hands both results to the one
 post-order walk of combine_all.
 
-A replay share is every K-th addition of a proof, judged by
-checker._pass: every process applies every step, but judges only its
-own additions and adds the others unjudged, as if they passed. The
-process judges the first share and builds the report and annotations
-meanwhile, and takes the rest from its workers. A verdict, its
-annotation and its propagation count depend only on the database at its
-step (see checker), so the outcome is the serial one.
+A replay share is every other addition of a proof, judged by
+checker._pass: both processes apply every step, but each judges only
+its own additions and adds the others unjudged, as if they passed. Each
+records, per addition it judged, the ids its check used, and the
+process merges the two records by step. A verdict, its record and its
+propagation count depend only on the database at its step (see
+checker), so the outcome is the serial one.
 
-Where the process and its workers fill the affinity mask, one per CPU,
-each worker is pinned to a CPU of its own and the process to the first
-until the workers are reaped: left to the scheduler, a child forked for
-a few tens of milliseconds of work mostly shared its parent's CPU. On a
-larger mask, where other processes may be running, they are left to
-the scheduler.
+On a mask of exactly two CPUs, the worker is pinned to the second and
+the process to the first until the worker is reaped: left to the
+scheduler, a child forked for a few tens of milliseconds of work mostly
+shared its parent's CPU. On a larger mask, where other processes may be
+running, both are left to the scheduler.
 
 The checker and stitcher import this module where a process first
 forks, so that a process that never forks does not compile it: where
@@ -41,40 +40,31 @@ from dataclasses import astuple
 from functools import partial
 
 from . import checker, stitcher
-from .checker import StepVerdict, _kept
-from .core import ADD, Clause, ProofStep
+from .checker import _kept
+from .core import Clause, ProofStep
 
 
-def _split(sizes, merges, lo, hi, n):
-    """Leaves lo to hi - 1 in n contiguous runs: cut in two where the
-    stitch would take the least time, each side split again. That time is
-    the slower side's, each side's weight spread over its workers, plus
-    the weight of the merges across the cut, which wait for both sides."""
-    if n == 1:
-        return [range(lo, hi)]
-    left = n // 2
-    ended = [0] * (hi - lo + 1)  # weight of the merges that end at each leaf
-    begun = [0] * (hi - lo + 1)  # and of those that begin there
+def _split(sizes, merges):
+    """The leaves in two contiguous runs, cut where the stitch would take
+    the least time: the slower side's weight plus the weight of the
+    merges across the cut, which wait for both sides. The two sides and
+    the merges across add up to the same total at every cut, so that is
+    where the lighter side, its leaves and the merges wholly within it,
+    weighs the most."""
+    n = len(sizes)
+    ended = [0] * (n + 1)  # weight of the merges that end at each leaf
+    begun = [0] * (n + 1)  # and of those that begin there
     for first, end, w in merges:
-        if lo <= first and end <= hi:
-            ended[end - lo] += w
-            begun[first - lo] += w
-    before = [0] * (hi - lo + 1)  # weight of the leaves and merges before each cut
-    after = [0] * (hi - lo + 1)  # and after it
-    for c in range(1, hi - lo + 1):
-        before[c] = before[c - 1] + sizes[lo + c - 1] + ended[c]
-    for c in range(hi - lo - 1, -1, -1):
-        after[c] = after[c + 1] + sizes[lo + c] + begun[c]
-    # in units of 1 / (left * (n - left)) of a weight, to stay in integers
-    _, cut = min(
-        (
-            max(before[c] * (n - left), after[c] * left)
-            + (before[-1] - before[c] - after[c]) * left * (n - left),
-            lo + c,
-        )
-        for c in range(left, hi - lo - (n - left) + 1)
-    )
-    return _split(sizes, merges, lo, cut, left) + _split(sizes, merges, cut, hi, n - left)
+        ended[end] += w
+        begun[first] += w
+    before = [0] * (n + 1)  # weight of the leaves and merges before each cut
+    after = [0] * (n + 1)  # and after it
+    for c in range(1, n + 1):
+        before[c] = before[c - 1] + sizes[c - 1] + ended[c]
+    for c in range(n - 1, -1, -1):
+        after[c] = after[c + 1] + sizes[c] + begun[c]
+    cut = max(range(1, n), key=lambda c: min(before[c], after[c]))
+    return [range(cut), range(cut, n)]
 
 
 def _subtrees(node, path, first, share_of, out):
@@ -264,75 +254,69 @@ def _pin(cpus):
 
 
 @contextlib.contextmanager
-def _forked(works):
-    """A forked _Worker per work, in order, or None where fork failed.
-    Where this process and the workers fill the affinity mask, one per
-    CPU, the n-th is pinned to CPU n of the mask and this process to the
-    first until the block ends; on a larger mask the scheduler places
-    them. An interrupt waits until every child forked is listed; the
-    children keep it blocked, and are killed. When the block ends, the
-    mask is restored and every worker that is still running is killed
-    and reaped.
+def _forked(work):
+    """A forked _Worker that runs work, or None where fork failed. On a
+    mask of two CPUs, the worker is pinned to the second and this process
+    to the first until the block ends; on a larger mask the scheduler
+    places them. An interrupt waits until the child forked is kept; the
+    child keeps it blocked, and is killed. When the block ends, the mask
+    is restored and the worker, if still running, is killed and reaped.
     """
     mask = os.sched_getaffinity(0)
-    cpus = sorted(mask) if len(works) + 1 == len(mask) else None
-    workers = []
+    cpus = sorted(mask) if len(mask) == 2 else None
+    worker = None
     try:
         held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for n, work in enumerate(works, 1):
-                try:
-                    workers.append(_Worker(work, cpus[n] if cpus else None))
-                except OSError:
-                    workers.append(None)
+            worker = _Worker(work, cpus[1] if cpus else None)
+        except OSError:
+            pass
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
         checker._sharing = True
         if cpus:
             _pin({cpus[0]})
-        yield workers
+        yield worker
     finally:
         checker._sharing = False
         if cpus:
             _pin(mask)
-        for worker in workers:
-            if worker is not None:
-                worker.stop()
+        if worker is not None:
+            worker.stop()
 
 
 def _stitched_shares(walk, tree, leaves, shares, mode):
-    """stitcher._checked_shares with more than one share: a forked worker
-    does the work of each share but the first, which the process does
-    meanwhile.
+    """stitcher._checked_shares with two shares: a forked worker does the
+    work of the second while the process does the first.
 
     The parent rebuilds each result from plain data and its own copy of
-    the proofs; it also takes each worker's open cubes into its memo,
+    the proofs; it also takes the worker's open cubes into its memo,
     which the trims answer _root_conflict from, and emits the log records
     of the checks in leaf order, so warnings come out as in a serial
     stitch. It checks again the leaf a share failed, which raises here
-    what it raised there, and every leaf of a share whose worker did not
-    start or ended without a result; _merge stitches again whatever no
-    share stitched. Every worker is reaped before this returns or raises.
+    what it raised there, and every leaf of the second share if its
+    worker did not start or ended without a result; _merge stitches again
+    whatever no share stitched. The worker is reaped before this returns
+    or raises.
     """
     formula = walk.formula
-    # built once, before the fork, for every worker
+    # built once, before the fork, for the worker too
     _kept(formula, 1)
     if walk.cl_avg >= 0:
         _kept(formula, 2)
     share_of = [k for k, share in enumerate(shares) for _ in share]
-    subtrees = [[] for _ in shares]
+    subtrees = ([], [])
     _subtrees(tree, (), 0, share_of, subtrees)
     work = [
         (walk, [leaves[i] for i in share], [sub[1:] for sub in sorted(subs)], mode)
         for share, subs in zip(shares, subtrees)
     ]
-    with _forked([partial(_share_outcomes, *w) for w in work[1:]]) as workers:
+    with _forked(partial(_share_outcomes, *work[1])) as worker:
         stitched = []
         for k, share in enumerate(shares):
             if k == 0:
                 result = _stitched_share(*work[0])
             else:
-                worker = workers[k - 1]
                 result = worker.result() if worker is not None else None
                 if result is not None:
                     _kept(formula, 3).update(result[2])
@@ -353,59 +337,49 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
         walk.done[path] = (stitcher._built(steps, path, [(0, hints)], rat), events)
 
 
-def _judged_share(db, refutation, mode, share, shares):
-    """One share of a replay judged on db by checker._pass, as plain data
-    that marshal writes: (end, reason, propagations, judged), the
-    propagations being all those db made."""
-    end, reason, _, _, judged = checker._pass(db, refutation, mode, share, shares)
+def _judged_share(db, refutation, mode):
+    """The second of two shares of a replay judged on db by
+    checker._pass, as plain data that marshal writes: (end, reason,
+    propagations, judged), the propagations being all those db made."""
+    end, reason, _, judged = checker._pass(db, refutation, mode, 1, 2)
     return end, reason, db.propagations, judged
 
 
-def _shared_replay(formula, cube, record, refutation, mode, shares):
-    """checker._replay's outcome with the proof's additions judged in
-    shares: a forked worker judges each share but the first, which this
-    process judges meanwhile. Returns (end, reason, propagations,
-    annotations, skipped) as _pass's end, reason, steps and skipped, for
-    the proof as a serial replay judges it.
+def _shared_replay(formula, cube, db, refutation, mode):
+    """checker._replay's outcome with the proof's additions judged in two
+    shares: a forked worker judges the second on its copy of db, a new
+    database of formula plus cube, while this process judges the first
+    on db. Returns (end, reason, propagations, skipped, judged) as
+    _pass's end, reason, skipped and judged, for the proof as a serial
+    replay judges it.
 
-    The verdict is the earliest failure of any share; without one, every
-    share stopped at the same step. Applying a step makes the same
-    propagations in every share, so the count is that of the share the
-    verdict is from, plus those the other shares' checks made up to the
-    verdict. Annotations of the workers' additions are built here, their
-    ids mapped through this database's clauses: ids are never reused. A
-    share whose worker did not start or ended without a result is judged
-    here on a new database.
+    The verdict is the earliest failure of either share; without one,
+    both stopped at the same step. Applying a step makes the same
+    propagations in both shares, so the count is that of the share the
+    verdict is from, plus those the other share's checks made up to the
+    verdict. judged merges both shares' by step, up to the verdict: ids
+    are never reused, so db's clauses name the worker's ids too. If the
+    worker did not start or ended without a result, its share is judged
+    here on another new database.
     """
-    db = checker._database(formula, cube, record)
-    works = [partial(_judged_share, db, refutation, mode, k, shares) for k in range(1, shares)]
-    with _forked(works) as workers:
-        end, reason, steps, skipped, judged = checker._pass(db, refutation, mode, 0, shares)
-        results = [worker.result() if worker is not None else None for worker in workers]
-    results = [(end, reason, db.propagations, judged)] + results
-    for k, result in enumerate(results):
-        if result is None:
-            fresh = checker._database(formula, cube, record)
-            results[k] = _judged_share(fresh, refutation, mode, k, shares)
+    with _forked(partial(_judged_share, db, refutation, mode)) as worker:
+        end, reason, skipped, judged = checker._pass(db, refutation, mode, 0, 2)
+        theirs = worker.result() if worker is not None else None
+    if theirs is None:
+        theirs = _judged_share(checker._database(formula, cube, db.record), refutation, mode)
+    results = [(end, reason, db.propagations, judged), theirs]
     failed = [result for result in results if result[1] is not None]
     verdict = min(failed, key=lambda result: result[0]) if failed else results[0]
     end, reason, propagations, _ = verdict
     if end is not None:
         skipped = [(i, clause) for i, clause in skipped if i < end]
-        if record:
-            del steps[end:]
-    clauses = db.clauses
-    for k, result in enumerate(results):
-        for i, kind, used_ids, neighbor_ids, cid, made in result[3]:
-            if end is not None and i > end:
+    merged = []
+    for result in results:
+        for entry in result[3]:
+            if end is not None and entry[0] > end:
                 break
             if result is not verdict:
-                propagations += made
-            if record and k:
-                clause = refutation[i - 1].clause
-                used = tuple(clauses[u] for u in used_ids)
-                neighbors = tuple(clauses[u] for u in neighbor_ids)
-                steps[i - 1] = StepVerdict(
-                    i, ADD, clause, kind, True, used, neighbors, cid, used_ids
-                )
-    return end, reason, propagations, steps, skipped
+                propagations += entry[5]
+            merged.append(entry)
+    merged.sort()
+    return end, reason, propagations, skipped, merged

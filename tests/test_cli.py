@@ -823,6 +823,34 @@ def test_stitch_strict_mode_forwarded(tmp_path, capsys):
     assert "verify=valid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cl_avg", ["-1", "0"])
+def test_a_strict_stitch_rejects_a_leaf_that_deletes_a_formula_clause_it_adds_later(
+    tmp_path, capsys, cl_avg
+):
+    # the leaf passes a strict check and is preserving, but widened by -1
+    # its deletion is of (1 2 -1), which is absent
+    cnf = write(tmp_path / "f.cnf", SQUARE_CNF)
+    proof_dir = tmp_path / "proofs"
+    proof_dir.mkdir()
+    write(proof_dir / "1.proof", "d 1 2 0\n1 2 0\n0\n")
+    write(proof_dir / "-1.proof", "2 0\n0\n")
+    out = tmp_path / "combined.drat"
+    base = ["stitch", "--cl-avg", cl_avg, "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(out)]
+    assert main(base + ["--strict"]) == EXIT_SEMANTIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cube 1.proof: step 1 deletes Clause(1 2) before adding it; widened, it is absent\n"
+    )
+    assert not out.exists()
+    # permissively, the widened deletion is skipped with a warning
+    assert main(base) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "verify=valid" in captured.out
+    assert "deletion of absent clause Clause(1 2 -1) skipped" in captured.err
+    assert main(["check", cnf, str(out)]) == EXIT_OK
+
+
 # trim
 
 

@@ -369,7 +369,7 @@ def _built_from_scratch(formula, cube, record):
 
 def _cube_replays(formula, proof, cube, mode):
     report = check_refutation(formula, proof, mode=mode, cube=cube)
-    annotated, ann = checker._replay(formula, proof, mode, record=True, cube=cube)
+    annotated, ann = annotate_refutation(formula, proof, mode=mode, cube=cube)
     return _no_time(report), _no_time(annotated), _annotations(ann)
 
 

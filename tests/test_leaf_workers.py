@@ -17,6 +17,7 @@ import os
 import signal
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -150,9 +151,10 @@ def test_leaves_fork_in_balanced_runs_only_with_enough_steps_per_cpu(monkeypatch
     assert stitcher._shares([200, 200, 200, 600]) == [range(3), range(3, 4)]
     merges = [(0, 2, 600), (2, 4, 0), (0, 4, 20)]
     assert stitcher._shares([200, 200, 200, 600], merges) == [range(2), range(2, 4)]
+    # two shares at most, however many CPUs the mask holds
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert stitcher._shares([100] * 18) == [range(6), range(6, 12), range(12, 18)]
-    assert stitcher._shares([100] * 24) == [range(k, k + 6) for k in range(0, 24, 6)]
+    assert stitcher._shares([100] * 18) == [range(9), range(9, 18)]
+    assert stitcher._shares([100] * 24) == [range(12), range(12, 24)]
     # serial on one CPU, without fork, and beside another thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert stitcher._shares([100] * 24) == [range(24)]
@@ -207,10 +209,20 @@ def _invalid_at_a_step(formula, path, proof):
     raise AssertionError("every unit passes under %r" % (path,))
 
 
+def _deleted_and_added_again(formula, path, proof):
+    """The proof that first deletes a formula clause the cube satisfies,
+    then adds it again, as AT: it passes a strict check and is
+    preserving, but the formula clause is absent once the proof is
+    widened, so a strict stitch rejects it."""
+    clause = next(c for c in formula.distinct() if any(lit in c for lit in path))
+    return Refutation((ProofStep(DELETE, clause), ProofStep(ADD, clause)) + proof.steps)
+
+
 def _breakers(formula):
     """Ways to break a leaf proof, each with the error it must raise."""
     first = next(iter(formula.distinct()))
     return [
+        (NonPreservingInputError, partial(_deleted_and_added_again, formula)),
         (InvalidSubProofError, lambda path, proof: Refutation(proof.steps[:-1])),
         (InvalidSubProofError, lambda path, proof: _invalid_at_a_step(formula, path, proof)),
         (
@@ -245,6 +257,25 @@ def test_a_broken_leaf_raises_what_the_serial_check_raises(where):
             assert serial[0] is error
             first = leaves[picks[where][0]][0].cube.filename()
             assert serial[1].startswith("cube %s: " % first)
+
+
+def test_a_stitch_on_a_mask_of_four_cpus_forks_one_worker_and_pins_nothing(tmp_path):
+    formula, tree, _, _ = _split()
+    pinned = tmp_path / "pinned"
+
+    def pin(pid, cpus):
+        with open(pinned, "a") as out:
+            out.write("%s\n" % sorted(cpus))
+
+    with leaf_checks("serial"):
+        serial = outcome(formula, tree, 0)
+    with leaf_checks("forked") as forks, pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        m.setattr(os, "sched_setaffinity", pin)
+        assert outcome(formula, tree, 0) == serial
+    assert len(forks) == 1 and not pinned.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_no_worker_outlives_a_stitch_that_raises_or_returns():

@@ -1,12 +1,12 @@
 """Replays judged in interleaved shares on forked workers against serial ones.
 
-Each path is forced: a share size of one addition, a mask of two or
-three CPUs and as many shares fork a worker per share but the first for
-every proof of two additions or more, and one CPU keeps the replay in
-the process. Every process applies every step and judges every K-th
-addition, so the two paths must give the same reports (wall time
-aside), annotations, warnings in the same order, trimmed bytes and
-cores, restore the affinity mask and leave no child process behind.
+Each path is forced: a share size of one addition and a mask of two
+CPUs fork one worker for every proof of two additions or more, and one
+CPU keeps the replay in the process. Both processes apply every step
+and each judges every other addition, so the two paths must give the
+same reports (wall time aside), annotations, warnings in the same
+order, trimmed bytes and cores, restore the affinity mask and leave no
+child process behind.
 """
 
 import contextlib
@@ -50,16 +50,14 @@ MODES = (STRICT, PERMISSIVE)
 
 
 @contextlib.contextmanager
-def replays(cpus, shares=None):
-    """Replays on that many CPUs: serial on one, else forced into shares,
-    by default one per CPU; yields the pids of the workers forked
-    meanwhile."""
+def replays(cpus):
+    """Replays on that many CPUs: serial on one, else forced into two
+    shares; yields the pids of the workers forked meanwhile."""
     forks = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         if cpus > 1:
             m.setattr(checker, "_SHARE_ADDITIONS", 1)
-            m.setattr(checker, "_REPLAY_SHARES", shares or cpus)
         fork = os.fork
 
         def counted():
@@ -98,18 +96,15 @@ def outcome(formula, proof, mode, cube=()):
     return _untimed(report), _untimed(annotated), annotations, kept
 
 
-def assert_same(formula, proof, mode, cube=(), cpus=(2, 3)):
-    """The outcome on every forced path is the serial one; returns the
-    serial report and the number of forks made."""
+def assert_same(formula, proof, mode, cube=(), cpus=2):
+    """The outcome on the forced path, on a mask of that many CPUs, is the
+    serial one; returns the serial report and the number of forks made."""
     with replays(1) as forks:
         serial = outcome(formula, proof, mode, cube)
     assert not forks
-    forked = 0
-    for n in cpus:
-        with replays(n) as forks:
-            assert outcome(formula, proof, mode, cube) == serial, (n, mode, proof)
-        forked += len(forks)
-    return serial[0], forked
+    with replays(cpus) as forks:
+        assert outcome(formula, proof, mode, cube) == serial, (mode, proof)
+    return serial[0], len(forks)
 
 
 def _adds(proof):
@@ -150,9 +145,9 @@ def test_shared_replays_of_the_differential_corpora_match_serial_ones():
         for mode in MODES:
             report, forks = assert_same(formula, proof, mode)
             verdicts.add((report.valid, report.reason))
-            # two replays per path, one worker per share but the first
-            if _adds(proof) >= 3:
-                assert forks == 2 * (1 + 2)
+            # two replays, one worker each
+            if _adds(proof) >= 2:
+                assert forks == 2
     assert {v for v, _ in verdicts} == {True, False}
     assert {r for _, r in verdicts} >= {
         None,
@@ -168,7 +163,7 @@ def test_shared_replays_of_rat_proofs_and_their_trims_match_serial_ones():
     kinds = set()
     for formula, proof in itertools.islice(rat_corpus(), 0, 400, 8):
         for p in (proof, trim(formula, proof)[0]):
-            report, _ = assert_same(formula, p, PERMISSIVE, cpus=(2,))
+            report, _ = assert_same(formula, p, PERMISSIVE)
             assert report.valid
             kinds.update(s.op for s in p)
     assert kinds == {ADD, DELETE}
@@ -252,13 +247,14 @@ def test_the_earliest_failure_of_any_share_is_the_verdict(cpus):
         proof = _proof(clauses, empty=False)
         ordinals = [k for k, clause in enumerate(clauses) if clause is BAD]
         for mode in MODES:
-            report, forks = assert_same(SAT, proof, mode, cpus=(cpus,))
+            report, forks = assert_same(SAT, proof, mode, cpus=cpus)
             assert report.reason == checker.NOT_RAT
             assert report.failing_step == ordinals[0] + 1
-            assert forks == 2 * (cpus - 1)
+            # two shares on either mask: one worker per replay
+            assert forks == 2
         # whether the parent judged each failure: it judges share 0, the
-        # additions whose ordinal is a multiple of cpus
-        failing.setdefault(tuple(k % cpus == 0 for k in ordinals), []).append(bad)
+        # additions whose ordinal is even
+        failing.setdefault(tuple(k % 2 == 0 for k in ordinals), []).append(bad)
     # failures in the parent's share, a worker's, and both, either first
     assert {(True,), (False,), (True, False), (False, True), (True, True)} <= set(failing)
     assert no_children()
@@ -323,11 +319,11 @@ def test_the_share_of_a_worker_killed_is_judged_in_the_process(monkeypatch):
     judged = []
     real = workers._judged_share
 
-    def killed(db, refutation, mode, share, shares):
+    def killed(db, refutation, mode):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        judged.append(share)
-        return real(db, refutation, mode, share, shares)
+        judged.append(refutation)
+        return real(db, refutation, mode)
 
     formula, proof = stitched_instance(1, num_vars=11, depth=3)
     clauses = [s.clause for s in proof if s.is_add][:-1]
@@ -337,11 +333,12 @@ def test_the_share_of_a_worker_killed_is_judged_in_the_process(monkeypatch):
     for f, p in cases:
         with replays(1):
             serial = outcome(f, p, STRICT)
-        with replays(3) as forks, monkeypatch.context() as m:
+        with replays(2) as forks, monkeypatch.context() as m:
             m.setattr(workers, "_judged_share", killed)
             judged.clear()
             assert outcome(f, p, STRICT) == serial
-        assert len(forks) == 4 and sorted(judged) == [1, 1, 2, 2]
+        # the worker's share of each replay was judged again here
+        assert len(forks) == 2 and judged == [p, p]
     assert no_children()
 
 
@@ -424,12 +421,12 @@ def test_a_replay_takes_two_shares_at_most_and_pins_only_a_mask_it_fills(
         serial = outcome(formula, proof, STRICT)
     # two shares on a mask of four CPUs: one worker per replay, left to
     # the scheduler, as processes started side by side may share the mask
-    with replays(4, shares=checker._REPLAY_SHARES) as forks:
+    with replays(4) as forks:
         assert outcome(formula, proof, STRICT) == serial
     assert len(forks) == 2 and not pinned.exists()
     # the helper the stitch shares fork through pins by the same rule
     for cpus in (3, 2):
-        with replays(cpus), workers._forked([os.getpid]) as (worker,):
+        with replays(cpus), workers._forked(os.getpid) as worker:
             assert worker.result() != parent
     pins = sorted(pinned.read_text().splitlines())
     assert pins == ["process [0, 1]", "process [0]", "worker [1]"]

@@ -190,6 +190,49 @@ def test_stitch_validation_mode_is_forwarded():
     assert check_refutation(SQUARE, out).valid
 
 
+# passes a strict check under the cube 1 and is preserving, but its
+# deletion is of a formula clause, which widened by -1 is absent
+DELETES_THEN_ADDS = parse_drat("d 1 2 0\n1 2 0\n0\n")
+ADDS_2 = parse_drat("2 0\n0\n")
+
+
+def test_a_strict_stitch_rejects_a_deletion_of_a_clause_the_leaf_did_not_add():
+    assert is_preserving(DELETES_THEN_ADDS)
+    assert check_refutation(SQUARE, DELETES_THEN_ADDS, STRICT, cube=(1,)).valid
+    message = "branch 1: step 1 deletes Clause(1 2) before adding it; widened, it is absent"
+    with pytest.raises(NonPreservingInputError) as raised:
+        stitch(SQUARE, 1, DELETES_THEN_ADDS, ADDS_2, mode=STRICT)
+    assert str(raised.value) == message
+    # the unchecked merge is what a strict check rejects
+    out = stitch(SQUARE, 1, DELETES_THEN_ADDS, ADDS_2, validate=False)
+    assert check_refutation(SQUARE, out, STRICT).reason == "deletion-absent"
+    # permissively, the deletion is skipped there with a warning
+    out = stitch(SQUARE, 1, DELETES_THEN_ADDS, ADDS_2, mode=PERMISSIVE)
+    assert check_refutation(SQUARE, out, PERMISSIVE).valid
+    # a deletion of a clause the leaf added earlier, also a formula clause, stands
+    readds = parse_drat("1 2 0\nd 1 2 0\n0\n")
+    out = stitch(SQUARE, 1, readds, ADDS_2, mode=STRICT)
+    assert check_refutation(SQUARE, out, STRICT).valid
+
+
+@pytest.mark.parametrize("cl_avg", [-1, 0])
+def test_a_strict_combine_all_rejects_a_deletion_of_a_clause_the_leaf_did_not_add(cl_avg):
+    bundle = ProofBundle(
+        SQUARE,
+        (
+            BundleEntry(Cube((1,)), DELETES_THEN_ADDS, "1.proof"),
+            BundleEntry(Cube((-1,)), ADDS_2, "-1.proof"),
+        ),
+    )
+    tree = build_cube_tree(bundle)
+    records = []
+    with pytest.raises(NonPreservingInputError, match="^cube 1.proof: step 1 deletes "):
+        combine_all(SQUARE, tree, cl_avg=cl_avg, mode=STRICT, on_record=records.append)
+    assert records == []  # before any merge
+    out = combine_all(SQUARE, tree, cl_avg=cl_avg, mode=PERMISSIVE)
+    assert check_refutation(SQUARE, out, PERMISSIVE).valid
+
+
 def test_stitch_step_count_law_randomized():
     rng = random.Random(15)
     for _ in range(100):
