@@ -231,7 +231,9 @@ class _ClauseDb:
     The ids of the clauses that are the reason of a root literal are
     marked whenever the root closure grows: on a rebuild and on an
     addition's root propagation. A deletion rebuilds the closure only
-    when the deleted clause was empty, a unit, or marked.
+    when the deleted clause was empty, a unit, or marked. A rebuild
+    starts from the live empty and unit clauses, kept in id order, and
+    does not scan the others.
 
     Invariant between propagations, for every clause that is not
     ternary: a false watched literal has a true partner. Undoing to the
@@ -247,6 +249,8 @@ class _ClauseDb:
         self.clauses = []  # id -> Clause, literals in serialization order
         self.codes = []  # id -> literal codes in serialization order
         self.lits = []  # id -> literal codes in watch order; None once deleted
+        self.watched = []  # ids of the clauses that are not ternary, deleted ones too
+        self.short = {}  # id -> code of a live unit, None of a live empty clause; id order
         self.index = {}  # variable -> dense index
         self.variables = []  # dense index -> variable
         self.value = []  # code -> whether that literal is true
@@ -287,7 +291,11 @@ class _ClauseDb:
         db.ids = self.ids.copy()
         db.clauses = self.clauses.copy()
         db.codes = self.codes.copy()  # never written to, so shared
-        db.lits = [lits if len(lits) == 3 else lits.copy() for lits in self.lits]
+        db.lits = lits = self.lits.copy()
+        for cid in self.watched:
+            lits[cid] = lits[cid].copy()
+        db.watched = self.watched.copy()
+        db.short = self.short.copy()
         db.index = self.index.copy()
         db.variables = self.variables.copy()
         db.value = [False] * len(self.value)
@@ -346,6 +354,9 @@ class _ClauseDb:
         if lits is None:
             lits = codes.copy()
         self.lits.append(lits)
+        self.watched.append(cid)
+        if len(codes) <= 1:
+            self.short[cid] = codes[0] if codes else None
         watches = self.watches
         for c in lits[:2]:
             watches[c].append(cid)
@@ -359,14 +370,11 @@ class _ClauseDb:
         self.root_used = ()
         empty = None
         pending = []
-        all_lits = self.lits
-        for cid in self.ids.values():
-            lits = all_lits[cid]
-            n = len(lits)
-            if n == 0 and empty is None:
+        for cid, code in self.short.items():
+            if code is None:
                 empty = cid
-            elif n == 1:
-                pending.append((cid, lits[0]))
+                break
+            pending.append((cid, code))
         if empty is not None:
             self.root_conflict = True
             self.root_used = (empty,)
@@ -588,6 +596,7 @@ class _ClauseDb:
         cid = self.ids.pop(clause)
         all_lits = self.lits
         all_lits[cid] = None
+        self.short.pop(cid, None)
         codes = self.codes[cid]
         if len(codes) == 3:
             occurs = self.occurs
@@ -625,13 +634,10 @@ def has_rat(formula: Formula, clause: Clause, pivot: int) -> bool:
 def first_violation(refutation: Refutation) -> Optional[Clause]:
     """The first deleted clause, in order of first deletion, that the proof
     deletes more often than it adds; None when there is none."""
-    added = Counter()
-    deleted = Counter()
-    for step in refutation:
-        if step.is_add:
-            added[step.clause] += 1
-        else:
-            deleted[step.clause] += 1
+    deleted = Counter(clause for op, clause in refutation if op == DELETE)
+    if not deleted:
+        return None
+    added = Counter(clause for op, clause in refutation if op == ADD and clause in deleted)
     for clause, k in deleted.items():
         if k > added[clause]:
             return clause

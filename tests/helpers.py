@@ -22,6 +22,8 @@ from dratstitch import (
     ProofBundle,
     ProofStep,
     Refutation,
+    ResourceLimitError,
+    SolveOutcome,
     build_cube_tree,
     combine_all,
     gen_random_unsat,
@@ -184,6 +186,168 @@ def stitched_instance(seed, num_vars=10, depth=2, cl_avg=-1, ratio=5.0):
     bundle = bundle_for(formula, depth, seed=seed)
     tree = build_cube_tree(bundle)
     return formula, combine_all(formula, tree, cl_avg=cl_avg)
+
+
+class ReferenceSolver:
+    """The fixture solver as it was before its tables became dense lists.
+
+    Kept as the reference for tests/test_solver_differential.py, which
+    requires the harness solver to give the same proofs, models and
+    budget errors. Every table is a dict keyed by variable or literal,
+    and every literal's value is read through _value.
+    """
+
+    def __init__(self, formula, seed, max_conflicts):
+        self.rng = random.Random(seed)
+        self.max_conflicts = max_conflicts
+        self.clauses = []  # literal lists; inputs first, then learned
+        self.occ = {}  # literal -> clause indices containing it
+        self.empty_input = False
+        for c in formula.distinct():
+            if len(c) == 0:
+                self.empty_input = True
+            self._attach(list(c.literals))
+        self.vars = sorted({abs(l) for c in formula.distinct() for l in c.literals})
+        self.assign = {}  # var -> bool
+        self.level = {}
+        self.reason = {}  # var -> clause index | None for decisions
+        self.trail = []
+        self.qhead = 0
+        self.proof = []  # learned clauses in emission order
+
+    def _attach(self, lits):
+        idx = len(self.clauses)
+        self.clauses.append(lits)
+        for l in lits:
+            self.occ.setdefault(l, []).append(idx)
+        return idx
+
+    def _value(self, lit):
+        v = self.assign.get(abs(lit))
+        if v is None:
+            return None
+        return v == (lit > 0)
+
+    def _enqueue(self, lit, reason_idx, level):
+        var = abs(lit)
+        self.assign[var] = lit > 0
+        self.level[var] = level
+        self.reason[var] = reason_idx
+        self.trail.append(lit)
+
+    def _propagate(self, level):
+        while self.qhead < len(self.trail):
+            lit = self.trail[self.qhead]
+            self.qhead += 1
+            for ci in self.occ.get(-lit, ()):
+                lits = self.clauses[ci]
+                unassigned = None
+                skip = False
+                for m in lits:
+                    v = self._value(m)
+                    if v is True:
+                        skip = True
+                        break
+                    if v is None:
+                        if unassigned is None:
+                            unassigned = m
+                        else:
+                            skip = True
+                            break
+                if skip:
+                    continue
+                if unassigned is None:
+                    return ci
+                self._enqueue(unassigned, ci, level)
+        return None
+
+    def _analyze(self, conflict_ci, level):
+        """First-UIP conflict clause, pivot first, plus the backjump level."""
+        seen = set()
+        rest = []  # literals from lower decision levels
+        counter = 0
+        lits = self.clauses[conflict_ci]
+        idx = len(self.trail) - 1
+        p = None
+        while True:
+            for q in lits:
+                if p is not None and q == p:
+                    continue
+                var = abs(q)
+                if var in seen:
+                    continue
+                lv = self.level[var]
+                if lv == 0:
+                    continue  # root-implied, rederivable by propagation
+                seen.add(var)
+                if lv == level:
+                    counter += 1
+                else:
+                    rest.append(q)
+            while abs(self.trail[idx]) not in seen:
+                idx -= 1
+            p = self.trail[idx]
+            idx -= 1
+            counter -= 1
+            if counter == 0:
+                break
+            lits = self.clauses[self.reason[abs(p)]]
+        learned = [-p] + rest
+        backjump = max((self.level[abs(q)] for q in rest), default=0)
+        return learned, backjump
+
+    def _backjump(self, target):
+        while self.trail and self.level[abs(self.trail[-1])] > target:
+            lit = self.trail.pop()
+            var = abs(lit)
+            del self.assign[var]
+            del self.level[var]
+            del self.reason[var]
+        self.qhead = len(self.trail)
+
+    def _refutation(self):
+        steps = [ProofStep(ADD, Clause(lits)) for lits in self.proof]
+        steps.append(ProofStep(ADD, EMPTY_CLAUSE))
+        return SolveOutcome(False, refutation=Refutation(steps))
+
+    def run(self):
+        if self.empty_input:
+            return self._refutation()
+        for ci, lits in enumerate(self.clauses):
+            if len(lits) == 1:
+                v = self._value(lits[0])
+                if v is False:
+                    return self._refutation()
+                if v is None:
+                    self._enqueue(lits[0], ci, 0)
+        conflicts = 0
+        level = 0
+        while True:
+            conflict_ci = self._propagate(level)
+            if conflict_ci is not None:
+                conflicts += 1
+                if conflicts > self.max_conflicts:
+                    raise ResourceLimitError("no verdict within %d conflicts" % self.max_conflicts)
+                if level == 0:
+                    return self._refutation()
+                learned, backjump = self._analyze(conflict_ci, level)
+                self.proof.append(learned)
+                self._backjump(backjump)
+                ci = self._attach(learned)
+                self._enqueue(learned[0], ci, backjump)
+                level = backjump
+                continue
+            if len(self.assign) == len(self.vars):
+                return SolveOutcome(True, assignment=dict(self.assign))
+            free = [v for v in self.vars if v not in self.assign]
+            var = self.rng.choice(free)
+            lit = var if self.rng.random() < 0.5 else -var
+            level += 1
+            self._enqueue(lit, None, level)
+
+
+def reference_solve_drup(formula, seed=0, max_conflicts=100000):
+    return ReferenceSolver(formula, seed, max_conflicts).run()
 
 
 class ReferenceClauseDb:

@@ -34,6 +34,7 @@ from dratstitch.checker import (
     NOT_RAT,
     PERMISSIVE,
     STRICT,
+    first_violation,
 )
 
 from helpers import (
@@ -463,3 +464,22 @@ def test_is_preserving_random_counter_model():
             )
         expected = all(dels.get(c, 0) <= adds.get(c, 0) for c in dels)
         assert is_preserving(proof) == expected
+
+
+def test_first_violation_is_the_first_offender_by_first_deletion():
+    rng = random.Random(89)
+    for _ in range(200):
+        steps = []
+        for _ in range(rng.randint(0, 14)):
+            op = ADD if rng.random() < 0.5 else DELETE
+            steps.append(ProofStep(op, random_clause(rng, 3, rng.randint(0, 2))))
+        adds = [s.clause for s in steps if s.is_add]
+        dels = [s.clause for s in steps if not s.is_add]
+        offenders = [c for c in dict.fromkeys(dels) if dels.count(c) > adds.count(c)]
+        found = first_violation(Refutation(steps))
+        if offenders:
+            assert found.literals == offenders[0].literals  # the first deletion's literal order
+        else:
+            assert found is None
+    assert first_violation(parse_drat("1 2 0\n2 1 0\n0\n")) is None
+    assert first_violation(parse_drat("3 0\nd 1 0\nd 2 1 0\n1 2 0\n0\n")).literals == (1,)

@@ -221,6 +221,34 @@ def test_ternary_occurrence_lists_stay_within_twice_their_live_entries():
     assert longest >= len(CHURN)  # the churn did fill the lists
 
 
+def test_the_short_clause_index_is_the_live_units_and_empties_in_id_order():
+    rng = random.Random(31)
+    pool = [Clause(()), Clause((1,)), Clause((-1,)), Clause((2,)), Clause((-3,)), Clause((1, 2))]
+    compared = 0
+    for case in range(60):
+        db = checker._ClauseDb(F((1, 2, 3), (-1, 2), (2,), (-2, 3, 4)))
+        if case % 2:
+            db = db.extended((rng.choice((1, -1)) * rng.randint(1, 4),))
+        for _ in range(25):
+            clause = rng.choice(pool)
+            if rng.random() < 0.5:
+                db.add(clause)
+            else:
+                db.remove(clause)
+            scan = [
+                (cid, db.lits[cid][0] if db.lits[cid] else None)
+                for cid in db.ids.values()
+                if len(db.lits[cid]) <= 1
+            ]
+            assert list(db.short.items()) == scan
+            fresh = checker._ClauseDb(Formula.from_counts(db.mult.items()))
+            assert db.root_conflict == fresh.root_conflict
+            if not db.root_conflict:
+                compared += 1
+                assert set(db.true_lits[: db.root_len]) == set(fresh.true_lits[: fresh.root_len])
+    assert compared > 100
+
+
 def test_cli_fixture_bundles_match_reference(monkeypatch):
     for seed in (3, 7, 9):
         formula = gen_random_unsat(10, 5.0, seed=seed)
@@ -546,6 +574,8 @@ def _database_state(db):
             for code, occ in enumerate(db.occurs)
         },
         list(db.stale),
+        list(db.watched),
+        [(cid, None if code is None else literal(code)) for cid, code in db.short.items()],
         [(literal(c), db.reason[c]) for c in db.trail],
         list(db.value),
         sorted(db.root_reasons),

@@ -1,6 +1,8 @@
 """Bundled CDCL solver, cube splitting, and unsat instance generation."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +18,7 @@ from dratstitch import (
     is_preserving,
     solve_drup,
     split,
+    write_drat,
 )
 from dratstitch.checker import STRICT
 
@@ -102,6 +105,76 @@ def test_solve_conflict_budget():
     f = gen_random_unsat(12, 4.5, seed=9)
     with pytest.raises(ResourceLimitError):
         solve_drup(f, max_conflicts=1)
+
+
+def _three_cnf(num_vars, num_clauses, seed):
+    rng = random.Random(seed)
+    return Formula(
+        Clause(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3))
+        for _ in range(num_clauses)
+    )
+
+
+def _spread(formula, scale):
+    return Formula(Clause((abs(l) * scale + 7) * (1 if l > 0 else -1) for l in c) for c in formula)
+
+
+def _with_cube(formula, depth, index):
+    cube = split(formula, depth)[index]
+    return Formula(list(formula) + [Clause((l,)) for l in cube.literals])
+
+
+@pytest.mark.parametrize(
+    "formula, seed, size, digest",
+    [
+        (
+            lambda: gen_random_unsat(12, 4.5, seed=9), 0, 8,
+            "72cd58631443c2ab6971cf626c379c26170b8f1c1e83eeb2d64e23d17fc4cf7a",
+        ),
+        (
+            lambda: _spread(gen_random_unsat(16, 5.0, seed=1), 1009), 5, 12,
+            "2031e8f7d5fdd84554fadb8b8bbd71d39d22658342476264cc80c881f24cecc1",
+        ),
+        (
+            lambda: _with_cube(_three_cnf(60, 276, 11), 3, 5), 6, 3,
+            "8cfdb460871935233220174fe702c613473bb1e154314e8461d2b609e5f6a25d",
+        ),
+        (
+            lambda: _three_cnf(60, 276, 11), 4, 277,
+            "cb856de9ba4089546413e2f70eafab79021b130d4b0491e09dfd14d7e323e772",
+        ),
+        (
+            lambda: _three_cnf(50, 150, 3), 1, 50,
+            "a90181f1de4fb4a4ec55e5a9815e62bdeb5fd52301579e4f8de86512f241efe7",
+        ),
+    ],
+    ids=["gen", "spread", "cube", "mono", "sat"],
+)
+def test_solve_outcomes_are_pinned(formula, seed, size, digest):
+    """Byte digests of fixed outcomes: the proof as DRAT text, or the
+    model as var=value pairs in the order the dict gives them."""
+    out = solve_drup(formula(), seed=seed)
+    if out.sat:
+        assert len(out.assignment) == size
+        text = " ".join("%d=%d" % (v, b) for v, b in out.assignment.items())
+    else:
+        assert len(out.refutation) == size
+        text = write_drat(out.refutation)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_solve_memory_follows_the_distinct_variables_not_their_numbers():
+    f = F((1, 10**7), (1, -10**7), (-1, 10**7), (-1, -10**7))
+    solve_drup(f)  # warm
+    tracemalloc.start()
+    try:
+        out = solve_drup(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not out.sat
+    # a table indexed by variable number would take 80 MB for 10**7 slots
+    assert peak < 64 * 1024
 
 
 # ------------------------------------------------------------------ splitting

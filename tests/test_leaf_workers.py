@@ -334,18 +334,37 @@ def test_an_interrupted_stitch_reaps_its_workers(monkeypatch):
 
 def test_an_interrupt_right_after_a_fork_reaps_the_new_worker(monkeypatch):
     formula, tree, _, _ = _split()
+    # The interrupt is raised only if a worker is forked and SIGINT then
+    # reaches the default handler, so each way that could fail is named:
+    # a stitch beside another thread or inside a share stays serial, a
+    # child left behind holds a process slot, and a failed fork falls back
+    # to a serial stitch.
+    assert threading.active_count() == 1, threading.enumerate()
+    assert not checker._sharing
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    failed = []
     with leaf_checks("forked") as forks, monkeypatch.context() as m:
         fork = os.fork
 
         def interrupted():
-            pid = fork()
+            try:
+                pid = fork()
+            except OSError as exc:
+                failed.append(exc)
+                raise
             if pid:
                 os.kill(os.getpid(), signal.SIGINT)
             return pid
 
         m.setattr(os, "fork", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            combine_all(formula, tree, cl_avg=0)
+            try:
+                combine_all(formula, tree, cl_avg=0)
+            finally:
+                assert not failed, "the fork failed: %r" % failed
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
