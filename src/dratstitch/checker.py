@@ -57,8 +57,9 @@ warnings are the serial replay's.
 A proof can also be judged from hints, in the manner of LRAT (Cruz-Filipe
 et al., "Efficient certified RAT verification", CADE 2017): each addition
 names the ids of the clauses its check needs, and is judged by unit
-propagation over those clauses alone. That checker shares no code with
-the replay engine and searches nothing beyond the hinted clauses. A
+propagation over those clauses alone. That checker shares the verdict
+rules, the report and the warnings with the replay (_report), but not
+the engine, and searches nothing beyond the hinted clauses. A
 hinted id counts as live while its clause value has a live copy, which
 is the engine's rule too: a deletion removes one copy of a value, not
 the copy some hint names. Against a cube, its units are live clauses
@@ -804,6 +805,29 @@ def _pass(db, refutation, mode, share=0, shares=1):
     return None, None, skipped, judged
 
 
+def _report(start, refutation, end, reason, skipped, propagations):
+    """The report of a check of refutation that began at perf_counter
+    time start and stopped at step end, None past the last step, for
+    reason, None for an empty clause that passed; logs a warning per
+    (step, clause) deletion of an absent clause in skipped, then one for
+    the steps after a passed empty clause."""
+    for i, clause in skipped:
+        log.warning("step %d: deletion of absent clause %r skipped", i, clause)
+    total = len(refutation)
+    if end is None:
+        reason = MISSING_EMPTY_CLAUSE
+    elif reason is None and end < total:
+        log.warning("empty clause at step %d; ignoring %d trailing steps", end, total - end)
+    return CheckReport(
+        reason is None,
+        failing_step=end if reason is not None else None,
+        reason=reason,
+        steps_checked=total if end is None else end,
+        propagations=propagations,
+        wall_time=time.perf_counter() - start,
+    )
+
+
 def _replay(formula, refutation, mode, record, cube=()):
     """The report of a replay of refutation against formula plus cube's
     units, and _pass's judged, skipped and the database's clauses, which
@@ -821,23 +845,7 @@ def _replay(formula, refutation, mode, record, cube=()):
     else:
         end, reason, skipped, judged = _pass(db, refutation, mode)
         propagations = db.propagations
-    for i, clause in skipped:
-        log.warning("step %d: deletion of absent clause %r skipped", i, clause)
-    total = len(refutation)
-    if end is None:
-        reason, checked = MISSING_EMPTY_CLAUSE, total
-    else:
-        checked = end
-        if reason is None and end < total:
-            log.warning("empty clause at step %d; ignoring %d trailing steps", end, total - end)
-    report = CheckReport(
-        reason is None,
-        failing_step=end if reason is not None else None,
-        reason=reason,
-        steps_checked=checked,
-        propagations=propagations,
-        wall_time=time.perf_counter() - start,
-    )
+    report = _report(start, refutation, end, reason, skipped, propagations)
     return report, judged, skipped, db.clauses
 
 
@@ -905,23 +913,22 @@ def _hint_table(formula):
     return literals, values, count, dict(zip(values[1:], range(1, len(values))))
 
 
-def _check_hinted(
-    formula, refutation, mode, hints, cube=(), needed=None, judged=None, applied=None
-):
+def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record=False):
     """Judge every step from its hints alone; see check_refutation.
 
-    Returns the report and, per addition that passed only as RAT, the
-    values of its live neighbours (the clauses holding its negated
-    pivot), as the replay engine's annotations give them. When needed is
-    a list, it gets per judged step the hints the step needed: for an
-    addition that passed as AT, the clauses that became unit and then the
-    falsified one, listed from the falsified one back, as a replay lists
-    them; for one that passed only as RAT, those of every resolvent's
-    conflict; the given hints for a deletion. A needed clause is named,
-    as _as_hinted names a replay's, by the id its value took when its
-    live copies last went from none to one, and not at all while a cube
-    unit keeps it live. When applied is a set, it gets the numbers of
-    the deletions that removed a clause.
+    Returns the report and, when record is on, the record _as_hinted
+    gives of a replay, (steps, needed, rat, applied), else None. steps
+    are the judged steps. needed holds per judged step the hints it
+    needed: for an addition that passed as AT, the clauses that became
+    unit and then the falsified one, listed from the falsified one back,
+    as a replay lists them; for one that passed only as RAT, those of
+    every resolvent's conflict; the given hints for a deletion. A needed
+    clause is named, as _as_hinted names a replay's, by the id its value
+    took when its live copies last went from none to one, and not at all
+    while a cube unit keeps it live. rat maps each addition that passed
+    only as RAT to the values of its live neighbours (the clauses holding
+    its negated pivot), as the replay engine's annotations give them,
+    and applied holds the numbers of the deletions that removed a clause.
 
     judged, when given, holds the numbers of additions that an earlier
     check has propagated to a conflict over their hints, as AT. Their
@@ -959,22 +966,12 @@ def _check_hinted(
         count[k] += 1
         unit_keys[k] = lit
     units = list(unit_keys.values())
-    record = needed is not None
-    derived = 0
+    needed = [] if record else None
     rat = {}  # step -> its live neighbours' values
-
-    def report(valid, step=None, reason=None, checked=0):
-        rep = CheckReport(
-            valid,
-            failing_step=step,
-            reason=reason,
-            steps_checked=checked,
-            propagations=derived,
-            wall_time=time.perf_counter() - start,
-        )
-        return rep, rat
-
-    total = len(refutation)
+    applied = set()
+    skipped = []
+    derived = 0
+    end = reason = None
     for i, ((op, clause), hint) in enumerate(zip(refutation, hints), 1):
         lits = clause.literals
         cid = len(literals)
@@ -986,19 +983,22 @@ def _check_hinted(
             k = keys.get(clause)
             if k is not None and count[k]:
                 count[k] -= 1
-                if applied is not None:
-                    applied.add(i)
+                applied.add(i)
                 if k in unit_keys and not count[k]:
                     units = [l for u, l in unit_keys.items() if count[u]]
             elif mode == STRICT:
-                return report(False, i, DELETION_ABSENT, i)
+                end, reason = i, DELETION_ABSENT
+                break
             else:
-                log.warning("step %d: deletion of absent clause %r skipped", i, clause)
+                skipped.append((i, clause))
             continue
         # every hint names an older clause whose value has a live copy
         for h in hint:
             if not (0 <= h < cid and count[key[h]]):
-                return report(False, i, NOT_AT if not lits else NOT_RAT, i)
+                end, reason = i, NOT_RAT if lits else NOT_AT
+                break
+        if end is not None:
+            break
         # a replay lists a conflict's clauses from the falsified one back
         # to the assumptions, so reversed, one pass mostly suffices
         hinted = hint[::-1]
@@ -1022,20 +1022,22 @@ def _check_hinted(
                     conflict, n = _hinted_conflict(true, hinted, literals)
                     derived += n
                     if conflict is None:
-                        return report(False, i, NOT_RAT, i)
+                        used = None
+                        break
                     used.update(dict.fromkeys(conflict))
-            rat[i] = tuple(neighbours)
+            else:
+                rat[i] = tuple(neighbours)
         if used is None:
-            return report(False, i, NOT_AT, i)
+            end, reason = i, NOT_RAT if lits else NOT_AT
+            break
         if record:
             ids = [named[key[h]] for h in reversed(used)]
             if None in ids:
                 ids = [h for h in ids if h is not None]
             needed.append(tuple(ids))
         if not lits:
-            if i < total:
-                log.warning("empty clause at step %d; ignoring %d trailing steps", i, total - i)
-            return report(True, checked=i)
+            end = i
+            break
         k = key_of(clause)
         key.append(k)
         count[k] += 1
@@ -1043,7 +1045,10 @@ def _check_hinted(
             named[k] = cid
             if k in unit_keys:
                 units = [l for u, l in unit_keys.items() if count[u]]
-    return report(False, None, MISSING_EMPTY_CLAUSE, total)
+    report = _report(start, refutation, end, reason, skipped, derived)
+    if not record:
+        return report, None
+    return report, (refutation.steps[: len(needed)], needed, rat, applied)
 
 
 def _as_hinted(formula, cube, annotations):
@@ -1127,8 +1132,7 @@ def check_refutation(
     an invalid one is never accepted.
     """
     if hints is not None:
-        rep, _ = _check_hinted(formula, refutation, mode, hints, cube)
-        return rep
+        return _check_hinted(formula, refutation, mode, hints, cube)[0]
     return _replay(formula, refutation, mode, record=False, cube=cube)[0]
 
 

@@ -7,6 +7,7 @@ budget exhausted), 2 I/O or format trouble.
 
 import argparse
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -99,40 +100,50 @@ def cmd_stitch(args):
         mode=mode,
         on_record=records.append,
     )
-    Path(args.output).write_text(formats.write_drat(combined))
-
-    by_depth = {}
-    for record in records:
-        by_depth.setdefault(record.depth, []).append(record)
-    for depth in sorted(by_depth, reverse=True):
-        level = by_depth[depth]
-        print(
-            "level=%d stitched=%d trimmed=%d merge_ms=%.1f trim_ms=%.1f"
-            % (
-                depth,
-                len(level),
-                sum(1 for r in level if r.trimmed),
-                sum(r.merge_seconds for r in level) * 1000,
-                sum(r.trim_seconds for r in level) * 1000,
+    # the proof reaches -o only once it passed its verify, if any; a
+    # symlink at -o is followed, so that its target gets the proof
+    output = Path(os.path.realpath(args.output))
+    written = output.with_name(".%s.%d.tmp" % (output.name, os.getpid()))
+    try:
+        try:
+            written.write_text(formats.write_drat(combined))
+        except OSError as exc:
+            exc.filename = args.output  # name -o, not the temporary file
+            raise
+        by_depth = {}
+        for record in records:
+            by_depth.setdefault(record.depth, []).append(record)
+        for depth in sorted(by_depth, reverse=True):
+            level = by_depth[depth]
+            print(
+                "level=%d stitched=%d trimmed=%d merge_ms=%.1f trim_ms=%.1f"
+                % (
+                    depth,
+                    len(level),
+                    sum(1 for r in level if r.trimmed),
+                    sum(r.merge_seconds for r in level) * 1000,
+                    sum(r.trim_seconds for r in level) * 1000,
+                )
             )
-        )
-    print("steps=%d output=%s" % (len(combined), args.output))
-
-    if not args.no_verify:
-        # hints are None when no leaf was replayed (--trust-subproofs at
-        # --cl-avg -1); the proof is then replayed
-        report = checker.check_refutation(
-            bundle.instance, combined, mode=mode, hints=combined.hints
-        )
-        if not report.valid and combined.hints is not None:
-            # hints that fall short reject a valid proof; only a replay
-            # tells that apart from an invalid one
-            log.warning("root hints: %s; replaying the proof in full", report.failure_text())
-            report = checker.check_refutation(bundle.instance, combined, mode=mode)
-        _print_check(report, label="verify")
-        if not report.valid:
-            print("error: stitched output failed verification", file=sys.stderr)
-            return EXIT_SEMANTIC
+        print("steps=%d output=%s" % (len(combined), args.output))
+        if not args.no_verify:
+            # hints are None when no leaf was replayed (--trust-subproofs at
+            # --cl-avg -1); the proof is then replayed
+            report = checker.check_refutation(
+                bundle.instance, combined, mode=mode, hints=combined.hints
+            )
+            if not report.valid and combined.hints is not None:
+                # hints that fall short reject a valid proof; only a replay
+                # tells that apart from an invalid one
+                log.warning("root hints: %s; replaying the proof in full", report.failure_text())
+                report = checker.check_refutation(bundle.instance, combined, mode=mode)
+            _print_check(report, label="verify")
+            if not report.valid:
+                print("error: stitched output failed verification", file=sys.stderr)
+                return EXIT_SEMANTIC
+        os.replace(written, output)
+    finally:
+        written.unlink(missing_ok=True)
     return EXIT_OK
 
 

@@ -156,32 +156,17 @@ def _require_sub_proof(formula, cube, proof, label, mode):
     return annotations
 
 
-def _checked_leaf(formula, cube, proof, label, mode):
-    """A leaf proof of formula plus cube's units, checked, as combine_all
-    keeps it: less the deletions its check skipped, which removed nothing
-    here but may remove a lemma once widened; the ids each step used,
-    named as hints for the proof against the formula alone, where the
-    widened lemma's negation supplies each cube unit; and the numbers of
-    its steps that passed only as RAT."""
-    return _rebuilt(proof, _leaf_outcome(formula, cube, proof, label, mode))
-
-
 def _leaf_outcome(formula, cube, proof, label, mode):
-    """_checked_leaf as plain data, which a forked worker can hand back:
-    the hints, the RAT step numbers, and the numbers of the deletions the
-    check skipped."""
+    """A leaf proof of formula plus cube's units checked, as plain data
+    that a forked worker can hand back: the ids each step used, named as
+    hints for the proof against the formula alone, where the widened
+    lemma's negation supplies each cube unit; the numbers of its steps
+    that passed only as RAT; and the numbers of the deletions its check
+    skipped, which removed nothing here but may remove a lemma once
+    widened. _leaf_part takes it to the leaf's part."""
     annotations = _require_sub_proof(formula, cube, proof, label, mode)
     _, hints, rat, _ = _as_hinted(formula, cube, annotations)
     return hints, tuple(rat), tuple(sv.index for sv in annotations if not sv.applied)
-
-
-def _rebuilt(proof, outcome):
-    """_checked_leaf of proof from its _leaf_outcome."""
-    hints, rat, skipped = outcome
-    if skipped:
-        skipped = set(skipped)
-        proof = Refutation(step for i, step in enumerate(proof, 1) if i not in skipped)
-    return proof, hints, rat
 
 
 # A stitch is split over a forked worker only when each of its two
@@ -251,8 +236,8 @@ def _checked_shares(walk, tree, leaves, mode):
         workers._stitched_shares(walk, tree, leaves, shares, mode)
         return
     for path, proof, label, counted in leaves:
-        checked = _checked_leaf(walk.formula, path, proof, label, mode)
-        walk.done[path] = (_leaf_part(counted, checked), ())
+        outcome = _leaf_outcome(walk.formula, path, proof, label, mode)
+        walk.done[path] = (_leaf_part(counted, proof, outcome), ())
 
 
 def stitch(
@@ -274,13 +259,7 @@ def stitch(
     if validate:
         _require_sub_proof(formula, (decision,), pos_proof, "branch %d" % decision, mode)
         _require_sub_proof(formula, (-decision,), neg_proof, "branch %d" % -decision, mode)
-    steps = []
-    for step in pos_proof:
-        steps.append(ProofStep(step.op, step.clause.with_literal(-decision)))
-    for step in neg_proof:
-        steps.append(ProofStep(step.op, step.clause.with_literal(decision)))
-    steps.append(ProofStep(ADD, EMPTY_CLAUSE))
-    return Refutation(steps)
+    return _steps([(pos_proof.steps, (-decision,)), (neg_proof.steps, (decision,)), (_CLOSING, ())])
 
 
 def average_clause_length(refutation: Refutation) -> float:
@@ -396,11 +375,15 @@ def _built(steps, path, hints, fresh):
     return _Part([(steps, ())], len(steps), *_tally(steps, path), hints, fresh)
 
 
-def _leaf_part(counted, checked):
-    """A leaf's part from its part as counted before its check, and the
-    (proof, hints, RAT steps) its check kept; the check drops deletions
-    only, so the counts stand."""
-    proof, hints, rat = checked
+def _leaf_part(counted, proof, outcome):
+    """A leaf's part from its part as counted before its check, its proof,
+    and its _leaf_outcome, or (None, (), ()) when it is not checked: the
+    proof less the deletions the check skipped, which leaves the counts
+    as they stand."""
+    hints, rat, skipped = outcome
+    if skipped:
+        skipped = set(skipped)
+        proof = Refutation(step for i, step in enumerate(proof, 1) if i not in skipped)
     return counted._replace(
         runs=[(proof.steps, ())],
         length=len(proof),
@@ -617,7 +600,7 @@ def combine_all(
         _checked_shares(walk, tree, leaves, mode)
     else:
         for path, proof, _, counted in leaves:
-            walk.done[path] = (_leaf_part(counted, (proof, None, ())), ())
+            walk.done[path] = (_leaf_part(counted, proof, (None, (), ())), ())
     root = _merge(walk, tree, ())
     hints = _shifted(root.hints, n_formula) if root.hints else None
     return StitchedRefutation(_steps(root.runs), hints)

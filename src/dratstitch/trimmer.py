@@ -251,12 +251,10 @@ def _replayed(formula, refutation, mode, cube):
 def _hinted(formula, refutation, mode, hints, cube, judged=None):
     """The analysis of a hint check of refutation, judged as _check_hinted
     takes it; a check that rejects raises TrimInternalError."""
-    needed = []
-    applied = set()
-    rep, rat = _check_hinted(formula, refutation, mode, hints, cube, needed, judged, applied)
-    if not rep.valid:
-        raise TrimInternalError("hinted proof is %s" % rep.failure_text())
-    return _Analysis(formula, refutation.steps[: len(needed)], needed, rat, applied)
+    report, record = _check_hinted(formula, refutation, mode, hints, cube, judged, record=True)
+    if not report.valid:
+        raise TrimInternalError("hinted proof is %s" % report.failure_text())
+    return _Analysis(formula, *record)
 
 
 def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, cube, hinted):

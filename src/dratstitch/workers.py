@@ -7,7 +7,10 @@ a sequence of maximal subtrees. The process does the first share and a
 forked worker the second: each checks its share's leaves and, when a
 merge can be trimmed, stitches the subtrees that lie in its share
 through stitcher._merge. The process then hands both results to the one
-post-order walk of combine_all.
+post-order walk of combine_all. A worker hands back nothing else, not
+the open cubes of its memo: every merge left to the parent has leaves
+of the parent's share below it, and checker._root_conflict answers the
+same whatever open cubes the memo holds.
 
 A replay share is every other addition of a proof, judged by
 checker._pass: both processes apply every step, but each judges only
@@ -153,8 +156,7 @@ def _stitched_share(walk, leaves, subtrees, mode):
             return outcomes, []  # no merge is trimmed: the parent merges them all
         done = {}
         for (path, proof, _, counted), (_, outcome) in zip(leaves, outcomes):
-            checked = stitcher._rebuilt(proof, outcome)
-            done[path] = (stitcher._leaf_part(counted, checked), ())
+            done[path] = (stitcher._leaf_part(counted, proof, outcome), ())
         events = []  # (path, log records, record) of each merge, in post order
         tops = []  # (path, part) of each trimmed node not below another
 
@@ -185,9 +187,8 @@ def _stitched_share(walk, leaves, subtrees, mode):
 
 
 def _share_outcomes(walk, leaves, subtrees, mode):
-    """_stitched_share in a forked worker, and the open cubes its checks
-    and trims found, for the parent's memo."""
-    return _stitched_share(walk, leaves, subtrees, mode) + (_kept(walk.formula, 3),)
+    """_stitched_share as a forked worker runs it."""
+    return _stitched_share(walk, leaves, subtrees, mode)
 
 
 class _Worker:
@@ -290,14 +291,13 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
     work of the second while the process does the first.
 
     The parent rebuilds each result from plain data and its own copy of
-    the proofs; it also takes the worker's open cubes into its memo,
-    which the trims answer _root_conflict from, and emits the log records
-    of the checks in leaf order, so warnings come out as in a serial
-    stitch. It checks again the leaf a share failed, which raises here
-    what it raised there, and every leaf of the second share if its
-    worker did not start or ended without a result; _merge stitches again
-    whatever no share stitched. The worker is reaped before this returns
-    or raises.
+    the proofs, and emits the log records of the checks in leaf order,
+    so warnings come out as in a serial stitch; it takes no open cubes
+    from the worker. It checks again the leaf a share failed, which
+    raises here what it raised there, and every leaf of the second share
+    if its worker did not start or ended without a result; _merge
+    stitches again whatever no share stitched. The worker is reaped
+    before this returns or raises.
     """
     formula = walk.formula
     # built once, before the fork, for the worker too
@@ -318,19 +318,17 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
                 result = _stitched_share(*work[0])
             else:
                 result = worker.result() if worker is not None else None
-                if result is not None:
-                    _kept(formula, 3).update(result[2])
-            outcomes, handed = result[:2] if result is not None else ([], [])
-            for i, (records, outcome) in zip(share, outcomes):
-                stitcher._emit_logs(records)
-                if outcome is not None:
-                    path, proof, _, counted = leaves[i]
-                    checked = stitcher._rebuilt(proof, outcome)
-                    walk.done[path] = (stitcher._leaf_part(counted, checked), ())
-            for i in share[len(outcomes) :]:
+            outcomes, handed = result if result is not None else ([], [])
+            for j, i in enumerate(share):
                 path, proof, label, counted = leaves[i]
-                checked = stitcher._checked_leaf(formula, path, proof, label, mode)
-                walk.done[path] = (stitcher._leaf_part(counted, checked), ())
+                if j < len(outcomes):
+                    records, outcome = outcomes[j]
+                    stitcher._emit_logs(records)
+                    if outcome is None:
+                        continue  # below a subtree the share stitched
+                else:
+                    outcome = stitcher._leaf_outcome(formula, path, proof, label, mode)
+                walk.done[path] = (stitcher._leaf_part(counted, proof, outcome), ())
             stitched += handed
     for path, steps, hints, rat, events in stitched:
         steps = [ProofStep(op, Clause(literals)) for op, literals in steps]

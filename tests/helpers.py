@@ -855,9 +855,11 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
         proof = stitcher._through_empty_clause(leaf.refutation)
         hints, rat = None, ()
         if validate:
-            proof, hints, rat = stitcher._checked_leaf(
+            hints, rat, skipped = stitcher._leaf_outcome(
                 formula, path, proof, "cube %s" % leaf.cube.filename(), mode
             )
+            # the deletions the check skipped removed nothing, but could once widened
+            proof = Refutation(step for i, step in enumerate(proof, 1) if i not in skipped)
         leaves[path] = proof, hints, rat
 
     def shift(hints, by):

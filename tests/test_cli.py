@@ -686,16 +686,64 @@ def test_stitch_trust_subproofs_fails_final_verify(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "verify=invalid" in captured.out
     assert "failed verification" in captured.err
-    assert out.is_file()
+    assert not out.exists()
 
     # where merges may be trimmed the leaves are checked, trusted or not
-    out.unlink()
     assert main(
         ["stitch", "--cnf", cnf, "--proofs", str(proof_dir),
          "-o", str(out), "--trust-subproofs", "--cl-avg", "0"]
     ) == EXIT_SEMANTIC
     assert capsys.readouterr().err.startswith("error: cube -1.proof: invalid at step 1 ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("before", [None, "an earlier proof\n"])
+def test_a_stitch_that_fails_its_verify_leaves_no_output(tmp_path, capsys, before):
+    # trusted, the two empty proofs merge into (-1) (1) (), which
+    # fails at (1); whatever was at -o before stays as it was
+    cnf = write(tmp_path / "f.cnf", "p cnf 2 2\n1 2 0\n-1 2 0\n")
+    proof_dir = tmp_path / "p"
+    proof_dir.mkdir()
+    write(proof_dir / "1.proof", "0\n")
+    write(proof_dir / "-1.proof", "0\n")
+    out = tmp_path / "out.drat"
+    if before is not None:
+        out.write_text(before)
+    argv = ["stitch", "--trust-subproofs", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(out)]
+    assert main(argv) == EXIT_SEMANTIC
+    captured = capsys.readouterr()
+    assert "verify=invalid failing_step=2 reason=not-rat" in captured.out
+    assert "steps=3 output=%s" % out in captured.out
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["f.cnf", "p"] + ([] if before is None else ["out.drat"])
+    )
+    # unverified, the same proof is written
+    assert main(argv + ["--no-verify"]) == EXIT_OK
+    assert out.read_text() == "-1 0\n1 0\n0\n"
+
+
+def test_a_stitch_to_a_missing_directory_names_its_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.drat"
+    assert main(stitch_args(make_fixture(tmp_path), out)) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: %r\n" % str(out)
+
+
+def test_a_stitch_writes_through_a_symlink_at_its_output(tmp_path, capsys):
+    fixture_dir = make_fixture(tmp_path)
+    target = tmp_path / "target.drat"
+    target.write_text("an earlier proof\n")
+    out = tmp_path / "link.drat"
+    out.symlink_to(target)
+    assert main(stitch_args(fixture_dir, out)) == EXIT_OK
+    assert "output=%s" % out in capsys.readouterr().out
+    assert out.is_symlink()
+    assert main(stitch_args(fixture_dir, tmp_path / "plain.drat")) == EXIT_OK
+    assert target.read_bytes() == (tmp_path / "plain.drat").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "link.drat", "plain.drat", "target.drat"]
 
 
 def _spy_replays(monkeypatch):

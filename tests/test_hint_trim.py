@@ -419,8 +419,9 @@ def test_a_rat_steps_needed_ids_name_the_oldest_live_copy_of_a_widened_value():
     stitched = combine_all(formula, tree)
     n = len(formula.counts())
     assert stitched[3] == ProofStep(ADD, Clause((4, -3))) and n + 1 in stitched.hints[3]
-    needed = []
-    _, rat = checker._check_hinted(formula, stitched, STRICT, stitched.hints, needed=needed)
+    _, (_, needed, rat, _) = checker._check_hinted(
+        formula, stitched, STRICT, stitched.hints, record=True
+    )
     assert rat == {4: (Clause((-4, 6)),)}
     replayed = annotate_refutation(formula, stitched, STRICT)[1][3]
     assert needed[3] == replayed.used_ids and n in needed[3] and n + 1 not in needed[3]

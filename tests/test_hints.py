@@ -5,7 +5,8 @@ propagation over the clauses its hints name, and nothing else. For a
 plain proof the hints here come from the proof's own annotated replay;
 for a bundle they are the ones ``combine_all`` carries out of its leaf
 replays and merges. Either way the hint verdict must equal the replay
-verdict: valid or not, failing step, reason and steps checked.
+verdict: valid or not, failing step, reason and steps checked; and the
+warnings the two checks log must be the same, in the same order.
 
 Broken hints must be rejected: a needed hint dropped, a hint naming a
 later id, a hinted lemma deleted before its use, a lemma literal
@@ -14,6 +15,8 @@ A hint stays live while its clause value has a live copy, so a merge
 that widens two leaf values into one keeps its hints valid.
 """
 
+import contextlib
+import logging
 import random
 from collections import Counter
 from itertools import islice
@@ -45,7 +48,7 @@ from dratstitch.stitcher import InvalidSubProofError
 
 from helpers import bundle_for, random_proofs, rat_corpus, stitched_instance
 from test_acceptance import _instances
-from test_engine_differential import HAND_CASES, _mutations, _sparse_formula, P
+from test_engine_differential import HAND_CASES, _mutations, _sparse_formula, F, P
 
 MODES = (STRICT, PERMISSIVE)
 
@@ -70,14 +73,36 @@ def plain_hints(formula, proof, mode=STRICT, cube=()):
     return hints
 
 
-def assert_same_verdict(formula, proof, hints=None):
-    """The hint verdict equals the replay verdict in both modes; returns
-    the strict replay's report."""
+@contextlib.contextmanager
+def logged():
+    """The (level, message) of each record the package logs in the block."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = lambda record: records.append((record.levelname, record.getMessage()))
+    package = logging.getLogger("dratstitch")
+    package.addHandler(handler)
+    try:
+        yield records
+    finally:
+        package.removeHandler(handler)
+
+
+def checked(formula, proof, mode, cube=(), hints=None):
+    """The report of check_refutation and the records it logged."""
+    with logged() as records:
+        report = check_refutation(formula, proof, mode=mode, cube=cube, hints=hints)
+    return report, records
+
+
+def assert_same_verdict(formula, proof, hints=None, cube=()):
+    """The hint verdict and warnings, in their order, equal the replay's
+    in both modes; returns the strict replay's report."""
     for mode in MODES:
-        replay = check_refutation(formula, proof, mode=mode)
-        given = plain_hints(formula, proof, mode) if hints is None else hints
-        hinted = check_refutation(formula, proof, mode=mode, hints=given)
+        given = plain_hints(formula, proof, mode, cube) if hints is None else hints
+        replay, replay_warnings = checked(formula, proof, mode, cube)
+        hinted, hint_warnings = checked(formula, proof, mode, cube, given)
         assert _verdict(hinted) == _verdict(replay), (mode, proof)
+        assert hint_warnings == replay_warnings, (mode, proof)
         if mode == STRICT:
             report = replay
     return report
@@ -201,13 +226,40 @@ def test_leaf_proofs_under_their_cubes_match_the_replay():
             unit_deleted = [ProofStep(DELETE, Clause((cube[0],)))] + list(entry.refutation)
             proofs.append(Refutation(unit_deleted))
             for proof in proofs:
-                for mode in MODES:
-                    replay = check_refutation(formula, proof, mode=mode, cube=cube)
-                    hints = plain_hints(formula, proof, mode, cube)
-                    hinted = check_refutation(formula, proof, mode=mode, cube=cube, hints=hints)
-                    assert _verdict(hinted) == _verdict(replay), (cube, mode, proof)
-                    compared += 1
+                assert_same_verdict(formula, proof, cube=cube)
+                compared += len(MODES)
     assert compared > 60
+
+
+SQUARE = F((1, 2), (1, -2), (-1, 2), (-1, -2))
+ABSENT = ("WARNING", "step 1: deletion of absent clause Clause(5) skipped")
+
+
+@pytest.mark.parametrize(
+    "proof, strict, permissive",
+    [
+        # an absent deletion fails a strict check there; a permissive one warns
+        (P(("d", 5), (1,), ()), ((False, 1, "deletion-absent", 1), []), ((True, None, None, 3), [ABSENT])),
+        # the steps after the empty clause are ignored, with a warning
+        (
+            P((1,), (), (2,), ("d", 1)),
+            ((True, None, None, 2), [("WARNING", "empty clause at step 2; ignoring 2 trailing steps")]),
+            ((True, None, None, 2), [("WARNING", "empty clause at step 2; ignoring 2 trailing steps")]),
+        ),
+        # a proof without the empty clause fails at no step
+        (P((1,), (2,)), ((False, None, "missing-empty-clause", 2), []), ((False, None, "missing-empty-clause", 2), [])),
+        (
+            P(("d", 5), (1,)),
+            ((False, 1, "deletion-absent", 1), []),
+            ((False, None, "missing-empty-clause", 2), [ABSENT]),
+        ),
+    ],
+)
+def test_both_checkers_give_the_same_verdicts_and_warnings(proof, strict, permissive):
+    for mode, expected in ((STRICT, strict), (PERMISSIVE, permissive)):
+        for hints in (None, plain_hints(SQUARE, proof, mode)):
+            report, records = checked(SQUARE, proof, mode, hints=hints)
+            assert (_verdict(report), records) == expected, (mode, hints)
 
 
 def test_depth_one_rat_bundles_match_the_replay():

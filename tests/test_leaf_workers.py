@@ -25,7 +25,6 @@ from dratstitch import (
     ADD,
     Clause,
     DELETE,
-    Formula,
     InvalidSubProofError,
     NonPreservingInputError,
     PERMISSIVE,
@@ -397,21 +396,6 @@ def test_a_share_whose_worker_ends_without_a_result_is_checked_in_the_parent(
     assert len(forks) == 1
     # every leaf was checked here, the worker's share too
     assert checked == [path for _, path in leaves]
-
-
-def test_the_parent_keeps_the_open_cubes_its_workers_found():
-    formula, tree, leaves, (_, theirs) = _split()
-    with leaf_checks("serial"):
-        combine_all(formula, tree)
-        serial = set(checker._kept(formula, 3))
-    # an equal formula under another object starts the memo afresh
-    formula = Formula.from_counts(formula.counts())
-    with leaf_checks("forked"):
-        combine_all(formula, tree)
-        forked = set(checker._kept(formula, 3))
-    assert forked == serial
-    # a worker's leaf checks recorded some of them
-    assert any(frozenset(leaves[i][1]) in forked for i in theirs)
 
 
 def test_the_subtree_of_a_worker_killed_mid_stitch_is_stitched_in_the_parent(monkeypatch):
