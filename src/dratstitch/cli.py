@@ -35,18 +35,6 @@ _SEMANTIC_ERRORS = (
 )
 
 
-def _read_cnf(path):
-    data = Path(path).read_bytes()
-    with formats._in_file(path):
-        return formats.parse_dimacs(data).formula
-
-
-def _read_drat(path):
-    data = Path(path).read_bytes()
-    with formats._in_file(path, formats.UnreadableProofError):
-        return formats.parse_drat(data)
-
-
 def _mode(args):
     return checker.STRICT if args.strict else checker.PERMISSIVE
 
@@ -148,16 +136,16 @@ def cmd_stitch(args):
 
 
 def cmd_check(args):
-    formula = _read_cnf(args.cnf)
-    proof = _read_drat(args.drat)
+    formula = formats._read_cnf(args.cnf)
+    proof = formats._read_proof(args.drat)
     report = checker.check_refutation(formula, proof, mode=_mode(args))
     _print_check(report)
     return EXIT_OK if report.valid else EXIT_SEMANTIC
 
 
 def cmd_trim(args):
-    formula = _read_cnf(args.cnf)
-    proof = _read_drat(args.drat)
+    formula = formats._read_cnf(args.cnf)
+    proof = formats._read_proof(args.drat)
     trimmed, report = trimmer.trim(
         formula,
         proof,
@@ -185,7 +173,7 @@ def cmd_trim(args):
 
 
 def cmd_solve(args):
-    formula = _read_cnf(args.cnf)
+    formula = formats._read_cnf(args.cnf)
     outcome = harness.solve_drup(formula, seed=args.seed, max_conflicts=args.max_conflicts)
     if outcome.sat:
         print("result=sat")
@@ -200,7 +188,7 @@ def cmd_solve(args):
 
 
 def cmd_split(args):
-    formula = _read_cnf(args.cnf)
+    formula = formats._read_cnf(args.cnf)
     cubes = harness.split(formula, args.depth)
     lines = []
     for cube in cubes:

@@ -1,5 +1,6 @@
 """Reading and writing DIMACS CNF, ASCII proof files, cube filenames, and cube manifests."""
 
+import itertools
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -114,18 +115,61 @@ class ProofBundle:
         return tuple(e.cube for e in self.entries)
 
 
-def _text(data) -> str:
-    if isinstance(data, (bytes, bytearray)):
-        return data.decode("utf-8")
-    return data
+# characters of text that are split into lines at once
+_BLOCK = 1 << 14
 
 
-def _content_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield line
+def _content_lines(data):
+    """Yield the lines of data that are neither blank nor comments, stripped.
+
+    data is text or UTF-8 bytes. Bytes are decoded whole first, so that a
+    decode error names its position in the file. Lines end where
+    str.splitlines ends them. The text is split a block at a time, each
+    block cut right after a newline, so that no list of all its lines is
+    built unless it has no newline.
+    """
+    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            line = raw.strip()
+            if line and not line.startswith("c"):
+                yield line
+        start = end
+
+
+def _clauses(lines, drat):
+    """Yield (op, literals) for each 0-terminated clause in content lines.
+
+    A clause may span lines. A "d" at a clause boundary marks a deletion
+    only when reading a proof (drat true); every other token must be an
+    integer. Literals keep their order and duplicates.
+    """
+    kind = "proof" if drat else "clause"
+    op = ADD
+    current = None  # None at a clause boundary
+    for line in lines:
+        for tok in line.split():
+            if current is None:
+                current = []
+                if drat and tok == "d":
+                    op = DELETE
+                    continue
+                op = ADD
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise NonIntegerTokenError("bad token %r in %s data" % (tok, kind)) from None
+            if lit:
+                current.append(lit)
+            else:
+                yield op, current
+                current = None
+    if current is not None:
+        if drat:
+            raise MissingTerminatorError("end of input inside a proof clause")
+        raise MissingTerminatorError("end of input inside a clause: %s" % current)
 
 
 @dataclass(frozen=True)
@@ -145,42 +189,25 @@ def parse_dimacs(data) -> DimacsCnf:
     Clause data ends at a line that is exactly "%", the trailer of the
     SATLIB benchmark files, which is followed by a stray "0".
     """
-    text = _text(data)
-    header = None
-    tokens = []
-    for line in _content_lines(text):
-        if header is None:
-            parts = line.split()
-            if parts[0] != "p" or len(parts) != 4 or parts[1] != "cnf":
-                raise MalformedHeaderError("expected 'p cnf <vars> <clauses>', got: %s" % line)
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise MalformedHeaderError("non-numeric header counts: %s" % line) from None
-            continue
-        if line == "%":
-            break
-        tokens.extend(line.split())
-    if header is None:
+    lines = _content_lines(data)
+    line = next(lines, None)
+    if line is None:
         raise MalformedHeaderError("no 'p cnf' header found")
+    parts = line.split()
+    if parts[0] != "p" or len(parts) != 4 or parts[1] != "cnf":
+        raise MalformedHeaderError("expected 'p cnf <vars> <clauses>', got: %s" % line)
+    try:
+        header = (int(parts[2]), int(parts[3]))
+    except ValueError:
+        raise MalformedHeaderError("non-numeric header counts: %s" % line) from None
 
     clauses = []
     dupes = 0
-    current = []
-    for tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise NonIntegerTokenError("bad token %r in clause data" % tok) from None
-        if lit == 0:
-            clause = Clause(current)
-            dupes += len(current) - len(clause)
-            clauses.append(clause)
-            current = []
-        else:
-            current.append(lit)
-    if current:
-        raise MissingTerminatorError("end of input inside a clause: %s" % current)
+    body = itertools.takewhile(lambda text: text != "%", lines)
+    for _, literals in _clauses(body, drat=False):
+        clause = Clause(literals)
+        dupes += len(literals) - len(clause)
+        clauses.append(clause)
     return DimacsCnf(Formula(clauses), header[0], header[1], dupes)
 
 
@@ -203,34 +230,8 @@ def _clause_line(clause: Clause, prefix: str = "") -> str:
 
 def parse_drat(data) -> Refutation:
     """Parse an ASCII proof: 0-terminated clauses, deletions prefixed with 'd'."""
-    text = _text(data)
-    tokens = []
-    for line in _content_lines(text):
-        tokens.extend(line.split())
-
-    steps = []
-    op = ADD
-    current = None  # None means we are at a clause boundary
-    for tok in tokens:
-        if current is None:
-            if tok == "d":
-                op = DELETE
-                current = []
-                continue
-            op = ADD
-            current = []
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise NonIntegerTokenError("bad token %r in proof data" % tok) from None
-        if lit == 0:
-            steps.append(ProofStep(op, Clause(current)))
-            current = None
-        else:
-            current.append(lit)
-    if current is not None:
-        raise MissingTerminatorError("end of input inside a proof clause")
-    return Refutation(steps)
+    steps = _clauses(_content_lines(data), drat=True)
+    return Refutation(ProofStep(op, Clause(literals)) for op, literals in steps)
 
 
 def write_drat(refutation: Refutation) -> str:
@@ -291,16 +292,12 @@ def load_bundle(cnf_path, proof_source) -> ProofBundle:
     files (cubes are read from basenames) or a manifest file whose lines
     are 'a <lit> ... 0 <proof-path>' with paths relative to the manifest.
     """
-    cnf_path = Path(cnf_path)
+    instance = _read_cnf(Path(cnf_path))
     src = Path(proof_source)
-    data = cnf_path.read_bytes()
-    with _in_file(cnf_path):
-        cnf = parse_dimacs(data)
-    if src.is_dir():
-        entries = _entries_from_dir(src)
-    else:
-        entries = _entries_from_manifest(src)
-
+    cubes = _cubes_in_dir(src) if src.is_dir() else _cubes_in_manifest(src)
+    entries = [BundleEntry(cube, _read_proof(path), str(path)) for cube, path in cubes]
+    if not entries:  # an empty directory has failed already
+        raise FormatError("no cube lines found in %s" % src)
     seen = {}
     for entry in entries:
         key = entry.cube.literals
@@ -309,54 +306,66 @@ def load_bundle(cnf_path, proof_source) -> ProofBundle:
                 "cube %r appears twice: %s and %s" % (entry.cube, seen[key], entry.source)
             )
         seen[key] = entry.source
-    return ProofBundle(cnf.formula, tuple(entries))
+    return ProofBundle(instance, tuple(entries))
 
 
-def _read_proof(path: Path) -> Refutation:
+def _read_cnf(path) -> Formula:
+    """The formula of the DIMACS file at path; errors name the path as given."""
+    data = Path(path).read_bytes()
+    with _in_file(path):
+        return parse_dimacs(data).formula
+
+
+def _read_proof(path) -> Refutation:
+    """The ASCII proof at path; errors name the path as given."""
     try:
-        data = path.read_bytes()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UnreadableProofError("cannot read %s: %s" % (path, exc)) from exc
     with _in_file(path, UnreadableProofError):
         return parse_drat(data)
 
 
-def _entries_from_dir(directory: Path):
+def _cubes_in_dir(directory: Path):
+    """Yield (cube, path) for each .proof file under directory, in path order."""
     paths = sorted(p for p in directory.rglob("*.proof") if p.is_file())
     if not paths:
         raise FormatError("no .proof files found under %s" % directory)
-    return [BundleEntry(cube_from_filename(p.name), _read_proof(p), str(p)) for p in paths]
+    for p in paths:
+        with _in_file(p):
+            cube = cube_from_filename(p.name)
+        yield cube, p
 
 
-def _entries_from_manifest(path: Path):
-    entries = []
+def _cubes_in_manifest(path: Path):
+    """Yield (cube, proof path) for each cube line of the manifest at path."""
     base = path.parent
     data = path.read_bytes()
     with _in_file(path):
-        text = _text(data)
+        text = data.decode("utf-8")
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("c") or line.startswith("p"):
             continue
-        tokens = line.split()
-        if tokens[0] != "a":
-            raise FormatError("%s:%d: cube lines start with 'a'" % (path, lineno))
-        try:
-            zero = tokens.index("0", 1)
-        except ValueError:
-            raise MissingTerminatorError("%s:%d: cube line lacks a 0 terminator" % (path, lineno)) from None
-        literals = []
-        for tok in tokens[1:zero]:
+        with _in_file("%s:%d" % (path, lineno)):
+            tokens = line.split()
+            if tokens[0] != "a":
+                raise FormatError("cube lines start with 'a'")
             try:
-                literals.append(int(tok))
+                zero = tokens.index("0", 1)
             except ValueError:
-                raise NonIntegerTokenError("%s:%d: bad literal %r" % (path, lineno, tok)) from None
-        rest = tokens[zero + 1 :]
-        if len(rest) != 1:
-            raise FormatError("%s:%d: expected one proof path after the 0" % (path, lineno))
-        cube = Cube(tuple(literals))
-        proof_path = base / rest[0]
-        entries.append(BundleEntry(cube, _read_proof(proof_path), str(proof_path)))
-    if not entries:
-        raise FormatError("no cube lines found in %s" % path)
-    return entries
+                raise MissingTerminatorError("cube line lacks a 0 terminator") from None
+            literals = []
+            for tok in tokens[1:zero]:
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    lit = 0
+                if not lit:  # "00" or "-0" is no more a decision literal than "x"
+                    raise NonIntegerTokenError("bad literal %r" % tok)
+                literals.append(lit)
+            rest = tokens[zero + 1 :]
+            if len(rest) != 1:
+                raise FormatError("expected one proof path after the 0")
+            cube = Cube(tuple(literals))
+        yield cube, base / rest[0]

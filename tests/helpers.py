@@ -8,17 +8,24 @@ be compared against.
 """
 
 import functools
+import importlib
 import itertools
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 from dratstitch import (
     ADD,
     DELETE,
     BundleEntry,
     Clause,
+    DimacsCnf,
     EMPTY_CLAUSE,
     Formula,
+    MalformedHeaderError,
+    MissingTerminatorError,
+    NonIntegerTokenError,
     ProofBundle,
     ProofStep,
     Refutation,
@@ -38,6 +45,16 @@ from dratstitch import stitcher
 from dratstitch.checker import KIND_RAT, STRICT, annotate_refutation
 from dratstitch.stitcher import Leaf, StitchRecord, StitchedRefutation
 from dratstitch.trimmer import InvalidProofError
+
+
+def bench_workloads():
+    """bench/workloads.py, which draws and writes the benchmark's inputs."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(bench))
 
 
 def all_assignments(variables):
@@ -348,6 +365,96 @@ class ReferenceSolver:
 
 def reference_solve_drup(formula, seed=0, max_conflicts=100000):
     return ReferenceSolver(formula, seed, max_conflicts).run()
+
+
+# The parsers as they were before they read a line at a time: each builds a
+# list of every token of its input first. Kept verbatim as the reference
+# for the parser differential in test_formats.py.
+
+
+def _reference_text(data) -> str:
+    if isinstance(data, (bytes, bytearray)):
+        return data.decode("utf-8")
+    return data
+
+
+def _reference_content_lines(text: str):
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        yield line
+
+
+def reference_parse_dimacs(data) -> DimacsCnf:
+    text = _reference_text(data)
+    header = None
+    tokens = []
+    for line in _reference_content_lines(text):
+        if header is None:
+            parts = line.split()
+            if parts[0] != "p" or len(parts) != 4 or parts[1] != "cnf":
+                raise MalformedHeaderError("expected 'p cnf <vars> <clauses>', got: %s" % line)
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise MalformedHeaderError("non-numeric header counts: %s" % line) from None
+            continue
+        if line == "%":
+            break
+        tokens.extend(line.split())
+    if header is None:
+        raise MalformedHeaderError("no 'p cnf' header found")
+
+    clauses = []
+    dupes = 0
+    current = []
+    for tok in tokens:
+        try:
+            lit = int(tok)
+        except ValueError:
+            raise NonIntegerTokenError("bad token %r in clause data" % tok) from None
+        if lit == 0:
+            clause = Clause(current)
+            dupes += len(current) - len(clause)
+            clauses.append(clause)
+            current = []
+        else:
+            current.append(lit)
+    if current:
+        raise MissingTerminatorError("end of input inside a clause: %s" % current)
+    return DimacsCnf(Formula(clauses), header[0], header[1], dupes)
+
+
+def reference_parse_drat(data) -> Refutation:
+    text = _reference_text(data)
+    tokens = []
+    for line in _reference_content_lines(text):
+        tokens.extend(line.split())
+
+    steps = []
+    op = ADD
+    current = None  # None means we are at a clause boundary
+    for tok in tokens:
+        if current is None:
+            if tok == "d":
+                op = DELETE
+                current = []
+                continue
+            op = ADD
+            current = []
+        try:
+            lit = int(tok)
+        except ValueError:
+            raise NonIntegerTokenError("bad token %r in proof data" % tok) from None
+        if lit == 0:
+            steps.append(ProofStep(op, Clause(current)))
+            current = None
+        else:
+            current.append(lit)
+    if current is not None:
+        raise MissingTerminatorError("end of input inside a proof clause")
+    return Refutation(steps)
 
 
 class ReferenceClauseDb:

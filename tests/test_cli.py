@@ -127,6 +127,17 @@ def test_check_missing_file_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["check", "trim"])
+def test_an_unreadable_proof_exits_two_and_names_the_file(tmp_path, capsys, command):
+    cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)
+    missing = str(tmp_path / "nope.drat")
+    argv = [command, cnf, missing] + (["-o", str(tmp_path / "o.drat")] if command == "trim" else [])
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == (
+        "error: cannot read %s: [Errno 2] No such file or directory: %r\n" % (missing, missing)
+    )
+
+
 def test_check_malformed_cnf_exits_two(tmp_path, capsys):
     cnf = write(tmp_path / "f.cnf", "p cnf oops\n1 0\n")
     drat = write(tmp_path / "p.drat", "0\n")
@@ -604,6 +615,35 @@ def test_stitch_manifest_input(tmp_path, capsys):
     assert "verify=valid" in capsys.readouterr().out
     formula = parse_dimacs((fixture_dir / "instance.cnf").read_bytes()).formula
     assert check_refutation(formula, parse_drat(out.read_bytes()), mode=STRICT).valid
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a 1 00 0 ok.drat", "bad literal '00'"),
+        ("a 1 -1 0 ok.drat", "variable 1 decided twice in cube [1, -1]"),
+    ],
+)
+def test_stitch_names_the_manifest_line_of_a_bad_cube(tmp_path, capsys, line, message):
+    cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)
+    write(tmp_path / "ok.drat", "0\n")
+    manifest = write(tmp_path / "m.icnf", "a -1 0 ok.drat\n%s\n" % line)
+    rc = main(["stitch", "--cnf", cnf, "--proofs", manifest, "-o", str(tmp_path / "o.drat")])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err == "error: %s:2: %s\n" % (manifest, message)
+
+
+def test_stitch_names_the_proof_file_of_a_bad_cube(tmp_path, capsys):
+    proof_dir = tmp_path / "proofs"
+    for sub in ("a", "b"):
+        (proof_dir / sub).mkdir(parents=True)
+        write(proof_dir / sub / "1_-1.proof", "0\n")
+    cnf = write(tmp_path / "f.cnf", CONTRADICTION_CNF)
+    rc = main(["stitch", "--cnf", cnf, "--proofs", str(proof_dir), "-o", str(tmp_path / "o.drat")])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err == (
+        "error: %s: variable 1 decided twice in cube [1, -1]\n" % (proof_dir / "a" / "1_-1.proof")
+    )
 
 
 def test_stitch_incomplete_partition_exits_one(tmp_path, capsys):

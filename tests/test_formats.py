@@ -1,9 +1,13 @@
 """DIMACS, DRAT, cube filename, and bundle loading behavior."""
 
+import gc
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
+import dratstitch
 from dratstitch import (
     ADD,
     DELETE,
@@ -29,13 +33,17 @@ from dratstitch import (
     write_drat,
 )
 
-from dratstitch.formats import drat_size
+from dratstitch.cli import main
+from dratstitch.formats import _BLOCK, drat_size
 
 from helpers import (
+    bench_workloads,
     last_use_corpus,
     random_formula,
     random_proofs,
     rat_corpus,
+    reference_parse_dimacs,
+    reference_parse_drat,
     stitched_instance,
 )
 
@@ -226,6 +234,9 @@ def test_cube_rejects_zero_and_duplicate_variables():
         Cube((1, -1))
     with pytest.raises(DuplicateVariableInCubeError):
         cube_from_filename("2_2.proof")
+    with pytest.raises(DuplicateVariableInCubeError) as info:
+        cube_from_filename("/some/dir/1_-1.proof")
+    assert str(info.value) == "variable 1 decided twice in cube [1, -1]"
 
 
 def test_cube_depth_and_iteration():
@@ -350,3 +361,201 @@ def test_load_bundle_manifest_errors(tmp_path):
     bad.write_text("c only comments\n")
     with pytest.raises(FormatError):
         load_bundle(cnf, bad)
+
+
+def test_load_bundle_manifest_cube_errors_name_the_line(tmp_path):
+    cnf = _write_instance(tmp_path)
+    (tmp_path / "ok.drat").write_text("0\n")
+    manifest = tmp_path / "m.icnf"
+    for line, error, message in [
+        ("a 1 00 0 ok.drat", NonIntegerTokenError, "bad literal '00'"),
+        ("a -0 0 ok.drat", NonIntegerTokenError, "bad literal '-0'"),
+        ("a 2 +0 0 ok.drat", NonIntegerTokenError, "bad literal '+0'"),
+        ("a 2 x 0 ok.drat", NonIntegerTokenError, "bad literal 'x'"),
+        ("a 1 -1 0 ok.drat", DuplicateVariableInCubeError, "variable 1 decided twice in cube [1, -1]"),
+    ]:
+        manifest.write_text("c a comment\na 3 0 ok.drat\n%s\n" % line)
+        with pytest.raises(error) as info:
+            load_bundle(cnf, manifest)
+        assert type(info.value) is error
+        assert str(info.value) == "%s:3: %s" % (manifest, message)
+    manifest.write_text("a +4 0 ok.drat\n")  # a signed literal still reads
+    assert load_bundle(cnf, manifest).cubes() == (Cube((4,)),)
+
+
+def test_load_bundle_cube_filename_errors_name_the_file(tmp_path):
+    cnf = _write_instance(tmp_path)
+    proofs = tmp_path / "proofs"
+    for name, error, message in [
+        ("1_-1.proof", DuplicateVariableInCubeError, "variable 1 decided twice in cube [1, -1]"),
+        ("1_x.proof", BadCubeFilenameError, "bad literal 'x' in filename '1_x.proof'"),
+    ]:
+        # the same basename in two directories: only the full path tells them apart
+        for sub in ("a", "b"):
+            (proofs / sub).mkdir(parents=True, exist_ok=True)
+            (proofs / sub / name).write_text("0\n")
+        with pytest.raises(error) as info:
+            load_bundle(cnf, proofs)
+        assert str(info.value) == "%s: %s" % (proofs / "a" / name, message)
+        for sub in ("a", "b"):
+            (proofs / sub / name).unlink()
+
+
+def _parsed(parse, data):
+    """(True, what parse makes of data) in a form that compares clause
+    order, literal order and counts, or (False, its error's class and
+    message)."""
+    try:
+        result = parse(data)
+    except (FormatError, UnicodeDecodeError) as exc:
+        return False, (type(exc), str(exc))
+    if isinstance(result, dratstitch.DimacsCnf):
+        clauses = [(clause.literals, k) for clause, k in result.formula.counts()]
+        return True, (clauses, result.declared_vars, result.declared_clauses, result.duplicate_literals)
+    return True, [(step.op, step.clause.literals) for step in result]
+
+
+def _assert_parsers_agree(data, outcomes):
+    """Both parsers give their reference's result or error, on data as
+    bytes and as text; counts each parse in outcomes by parser and by
+    whether it succeeded."""
+    forms = [data]
+    if isinstance(data, bytes):
+        try:
+            forms.append(data.decode("utf-8"))
+        except UnicodeDecodeError:
+            pass
+    for form in forms:
+        for parse, reference in ((parse_dimacs, reference_parse_dimacs), (parse_drat, reference_parse_drat)):
+            got = _parsed(parse, form)
+            assert got == _parsed(reference, form), (parse.__name__, form)
+            outcomes[parse.__name__, got[0]] += 1
+
+
+def test_parsers_match_the_reference_on_the_bench_and_ci_inputs(tmp_path):
+    workloads = bench_workloads()
+    for name, workload in workloads.WORKLOADS.items():
+        workloads.build_inputs(dratstitch, workload, 1, tmp_path / name, smoke=True)
+    # the CI's fixtures and the files it writes by hand
+    for num_vars, depth in ((20, 2), (20, 4), (24, 11)):
+        argv = ["fixture", "--vars", str(num_vars), "--ratio", "4.6", "--depth", str(depth)]
+        assert main(argv + ["-o", str(tmp_path / ("fx%d" % depth))]) == 0
+    ci = tmp_path / "ci"
+    ci.mkdir()
+    for i, text in enumerate([
+        "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n",
+        "p cnf 2 2\n1 2 0\n-1 2 0\n",
+        "d -1 2 0\n2 0\n0\n",
+        "2 0\n0\n",
+        "9 0\nd 7 0\n-1 0\n1 0\n0\n5 0\n",
+        "d 1 2 0\n1 2 0\n0\n",
+        "0\n",
+    ]):
+        (ci / ("%d.txt" % i)).write_text(text)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert len(files) > 2048 + 3 * 5
+    outcomes = Counter()
+    for path in files:
+        _assert_parsers_agree(path.read_bytes(), outcomes)
+    # each file is a CNF or a proof, read as bytes and as text
+    assert outcomes["parse_dimacs", True] + outcomes["parse_drat", True] == 2 * len(files)
+
+
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85")
+ODD_TOKENS = ("00", "-0", "+4", "0x1", "1.5", "d", "%")
+
+
+def _fuzzed_lines(rng):
+    """Clause lines with the odd comment, blank line, split clause, 'd',
+    '%' and token that is not a plain literal."""
+    lines = []
+    deletions = 0.3  # a CNF meets the odd 'd', a proof many
+    if rng.random() < 0.5:
+        lines.append(rng.choice(("p cnf 9 5", "p cnf 9 5", " p  cnf 3 +2 ", "p cnf 3", "p cnf x 2")))
+        deletions = 0.02
+    for _ in range(rng.randint(0, 10)):
+        lits = [rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
+        tokens = [str(l) for l in lits] + ["0"]
+        if rng.random() < deletions:
+            tokens.insert(0, "d")
+        if rng.random() < 0.03:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(ODD_TOKENS))
+        cut = rng.randint(1, len(tokens)) if rng.random() < 0.3 else len(tokens)
+        lines.append(" ".join(tokens[:cut]))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("c a comment", "c", "", "   ", "%", " % ", "c 1 0")))
+        if cut < len(tokens):
+            lines.append(" ".join(tokens[cut:]))
+    if rng.random() < 0.05:
+        lines.append(" ".join(rng.choice(("1", "-2", "0")) for _ in range(3)))  # maybe unterminated
+    return lines
+
+
+def test_parsers_match_the_reference_on_fuzzed_texts():
+    rng = random.Random(26)
+    outcomes = Counter()
+    for _ in range(400):
+        lines = _fuzzed_lines(rng)
+        for end in LINE_ENDS:
+            text = end.join(lines) + rng.choice(("", end))
+            for data in (text, text.encode(), text + "\xff", text.encode() + b"\xff"):
+                _assert_parsers_agree(data, outcomes)
+    # both results and errors were compared, plenty of each
+    assert min(outcomes.values()) > 1000 and len(outcomes) == 4, outcomes
+
+
+def _synthetic_proof(num_steps):
+    """A proof text of num_steps random clauses, about 30% of them
+    deletions of an earlier addition."""
+    rng = random.Random(num_steps)
+    lines = []
+    added = []
+    for _ in range(num_steps):
+        if added and rng.random() < 0.3:
+            lines.append("d " + rng.choice(added))
+        else:
+            lits = (rng.choice((1, -1)) * rng.randint(1, 300) for _ in range(rng.randint(1, 8)))
+            added.append(" ".join(map(str, lits)) + " 0")
+            lines.append(added[-1])
+    return "\n".join(lines) + "\n"
+
+
+def test_parsers_match_the_reference_on_texts_of_many_blocks():
+    # a proof, and a CNF of its clauses, with the odd comment and clause
+    # over two lines, some of them where a block of lines ends
+    lines = []
+    for i, line in enumerate(_synthetic_proof(4000).splitlines()):
+        if i % 11 == 0:
+            lines.append("c a comment")
+        if i % 7 == 0:
+            cut = line.index(" ") + 1
+            lines += [line[:cut], line[cut:]]
+        else:
+            lines.append(line)
+    cnf = ["p cnf 300 4000"] + [line[2:] if line.startswith("d ") else line for line in lines]
+    outcomes = Counter()
+    for end in LINE_ENDS:
+        for text in (end.join(lines) + end, end.join(cnf) + end):
+            assert len(text) > 3 * _BLOCK
+            _assert_parsers_agree(text.encode(), outcomes)
+    # each text is one parser's input and the other's error
+    assert outcomes == Counter({(name, ok): 14 for name in ("parse_dimacs", "parse_drat") for ok in (True, False)})
+
+
+@pytest.mark.parametrize("parse", [parse_drat, parse_dimacs], ids=lambda parse: parse.__name__)
+def test_parsing_holds_no_list_of_the_input_tokens(tmp_path, parse):
+    if parse is parse_drat:
+        data = _synthetic_proof(20000).encode()
+    else:
+        workloads = bench_workloads()
+        inputs = workloads.build_inputs(dratstitch, workloads.WORKLOADS["mono-deletions"], 7, tmp_path)
+        data = inputs.cnf.read_bytes()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = parse(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result
+    assert peak < 1.3 * retained

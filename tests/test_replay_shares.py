@@ -11,14 +11,11 @@ child process behind.
 
 import contextlib
 import dataclasses
-import importlib
 import itertools
 import logging
 import os
 import random
 import signal
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -43,7 +40,7 @@ from dratstitch import (
 )
 from dratstitch import checker, stitcher, workers
 
-from helpers import bundle_for, instance_at, random_proofs, rat_corpus, stitched_instance
+from helpers import bench_workloads, bundle_for, instance_at, random_proofs, rat_corpus, stitched_instance
 from test_engine_differential import HAND_CASES, TERNARY_CASES, _mutations
 
 MODES = (STRICT, PERMISSIVE)
@@ -184,12 +181,7 @@ def test_shared_replays_against_a_cube_match_serial_ones():
 
 def _mono_deletions(seed, directory):
     """The bench's mono-deletions instance and proof at seed."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(bench))
+    workloads = bench_workloads()
     shape = workloads.WORKLOADS["mono-deletions"]
     inputs = workloads.build_inputs(dratstitch, shape, seed, directory)
     formula = dratstitch.parse_dimacs(inputs.cnf.read_text()).formula

@@ -10,18 +10,15 @@ empty clauses, gen_random_unsat instances, and formulas over sparse
 variable numbers, each under a small, a medium and the default budget.
 """
 
-import importlib
 import random
-import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import dratstitch
 from dratstitch import Clause, Formula, ResourceLimitError, gen_random_unsat, solve_drup, split
 
-from helpers import reference_solve_drup
+from helpers import bench_workloads, reference_solve_drup
 
 BUDGETS = (5, 50, 100000)
 
@@ -64,19 +61,10 @@ def random_kcnf(rng, num_vars, num_clauses, widths=(1, 1, 2, 3, 3, 3, 4, 5)):
     return Formula(clauses)
 
 
-def _workloads():
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(bench))
-
-
 @pytest.mark.parametrize("smoke", (False, True), ids=("full", "smoke"))
 @pytest.mark.parametrize("name", ("stitch-verify", "stitch-trim", "mono-deletions"))
 def test_every_solve_of_a_bench_draw_matches_the_reference(name, smoke):
-    workloads = _workloads()
+    workloads = bench_workloads()
     workload = workloads.WORKLOADS[name]
     shape = workload.smoke if smoke else workload.shape
     solved = []
