@@ -9,12 +9,17 @@ checks push assumption literals on top of the root closure and undo them
 afterwards, so one check costs propagation work proportional to what it
 derives, not to the database size.
 
-Clauses of three literals sit on an occurrence list per literal and are
-checked in full whenever one of their literals is falsified: for a
-ternary clause that check is no more work than moving a watch. Every
-other clause has two watched literals. Either way the clauses a new
+Clauses of three literals sit on an occurrence list per literal, as
+their id and the negations of their two other literals, and are looked
+at whenever one of their literals is falsified: for a ternary clause
+that costs no more than moving a watch, and the usual visit, to a
+clause that can derive nothing, reads two assignments. Every other
+clause has two watched literals. Either way the clauses a new
 assignment turns unit or false are handled in id order, so verdicts,
-annotations and propagation counts are those of a plain occurrence scan.
+annotations and propagation counts are those of a plain occurrence
+scan: occurrence lists are kept in increasing id order, so their units
+go onto the propagation queue in that order as they are found, and the
+queue's new tail is sorted only when a watched clause added a unit.
 
 Inside the engine a literal is a dense code, ``2 * index + (lit < 0)``,
 where each variable gets the next index the first time the database
@@ -220,9 +225,14 @@ class _ClauseDb:
     A distinct clause value gets the next id when it enters the multiset,
     and a fresh one if it is fully deleted and added again, so id order is
     the insertion order of ``mult``. A ternary clause is entered on the
-    occurrence list of each of its three codes as ``(id, other code,
-    other code)``; it is never watched and its literal list is never
-    reordered. Entries of deleted ternary clauses are skipped, and a
+    occurrence list of each of its three codes as ``(id, a ^ 1, b ^ 1)``,
+    where a and b are its other two codes, so that a visit finds the
+    clause can derive nothing, neither other literal being false, in two
+    reads of ``value``; it is never watched and its literal list is never
+    reordered. Entries are appended when their id is created, and
+    compaction keeps their order, so every occurrence list is in
+    increasing id order: ``_propagate`` relies on it. Entries of deleted
+    ternary clauses are skipped where they could derive something, and a
     code's list is compacted once its stale entries outnumber its live
     ones, so it never holds more than twice its live entries.
     Of any other clause, positions 0 and 1 of its literal list are
@@ -265,6 +275,7 @@ class _ClauseDb:
         self.root_conflict = False
         self.root_used = ()
         self.propagations = 0
+        self.checked = (None, None)  # the clause at_check last judged, and its codes
         for clause in self.mult:
             self._watch(clause, self._codes(clause.literals))
         self._rebuild_closure()
@@ -347,9 +358,9 @@ class _ClauseDb:
         if len(codes) == 3:
             a, b, c = codes
             occurs = self.occurs
-            occurs[a].append((cid, b, c))
-            occurs[b].append((cid, a, c))
-            occurs[c].append((cid, a, b))
+            occurs[a].append((cid, b ^ 1, c ^ 1))
+            occurs[b].append((cid, a ^ 1, c ^ 1))
+            occurs[c].append((cid, a ^ 1, b ^ 1))
             self.lits.append(codes)
             return cid
         if lits is None:
@@ -404,8 +415,10 @@ class _ClauseDb:
         false are handled in id order, the order of a scan over every
         clause containing the falsified literal, so the queue, the conflict
         found and the propagation count do not depend on where the watches
-        happen to sit. Consequences are appended to the queue while it is
-        walked. Propagations are counted by how much the trail grew.
+        happen to sit. Units are appended to the queue as they are found,
+        in id order from the occurrence list, and the queue's new tail is
+        sorted when a watched clause added one; the queue is walked while
+        it grows. Propagations are counted by how much the trail grew.
         """
         value = self.value
         reason = self.reason
@@ -428,57 +441,60 @@ class _ClauseDb:
             reason[lit] = why
             trail.append(lit)
             false_lit = lit ^ 1
-            units = []  # (id, the code it makes true)
+            tail = len(queue)  # where this assignment's units start
             falsified = None
-            for cid, a, b in occurs[false_lit]:
-                if value[a] or value[b] or all_lits[cid] is None:
-                    continue  # satisfied, or a deleted clause
-                if value[a ^ 1]:
-                    if not value[b ^ 1]:
-                        units.append((cid, b))
-                    elif falsified is None or cid < falsified:
-                        falsified = cid
-                elif value[b ^ 1]:
-                    units.append((cid, a))
-            ws = watches[false_lit]
-            j = 0
-            for cid in ws:
-                c = all_lits[cid]
-                if c is None:
-                    continue  # deleted clause: drop the entry
-                other = c[0]  # stays false_lit for a unit clause
-                if other == false_lit and len(c) > 1:
-                    other = c[1]
-                    c[0] = other
-                    c[1] = false_lit
-                if value[other]:
-                    ws[j] = cid
-                    j += 1
-                    continue
-                for k in range(2, len(c)):
-                    m = c[k]
-                    if not value[m ^ 1]:
-                        c[1] = m
-                        c[k] = false_lit
-                        watches[m].append(cid)
-                        break
-                else:
-                    ws[j] = cid
-                    j += 1
-                    if value[other ^ 1]:
-                        if falsified is None or cid < falsified:
+            # na and nb negate the clause's other two codes: while neither
+            # is true, neither literal is false and the clause derives nothing
+            for cid, na, nb in occurs[false_lit]:
+                if value[na]:
+                    if value[nb]:
+                        if (falsified is None or cid < falsified) and all_lits[cid] is not None:
                             falsified = cid
+                    elif not value[nb ^ 1] and all_lits[cid] is not None:
+                        queue.append((cid, nb ^ 1))
+                elif value[nb] and not value[na ^ 1] and all_lits[cid] is not None:
+                    queue.append((cid, na ^ 1))
+            ws = watches[false_lit]
+            if ws:
+                ordered = True  # the occurrence list's units came in id order
+                j = 0
+                for cid in ws:
+                    c = all_lits[cid]
+                    if c is None:
+                        continue  # deleted clause: drop the entry
+                    other = c[0]  # stays false_lit for a unit clause
+                    if other == false_lit and len(c) > 1:
+                        other = c[1]
+                        c[0] = other
+                        c[1] = false_lit
+                    if value[other]:
+                        ws[j] = cid
+                        j += 1
+                        continue
+                    for k in range(2, len(c)):
+                        m = c[k]
+                        if not value[m ^ 1]:
+                            c[1] = m
+                            c[k] = false_lit
+                            watches[m].append(cid)
+                            break
                     else:
-                        units.append((cid, other))
-            del ws[j:]
+                        ws[j] = cid
+                        j += 1
+                        if value[other ^ 1]:
+                            if falsified is None or cid < falsified:
+                                falsified = cid
+                        else:
+                            queue.append((cid, other))
+                            ordered = False
+                del ws[j:]
+                if not ordered:
+                    queue[tail:] = sorted(queue[tail:])
             if falsified is not None:
                 self.propagations += len(trail) - start
                 if not self.record:
                     return True, None
                 return True, self._explain(falsified)
-            if units:
-                units.sort()
-                queue += units
         self.propagations += len(trail) - start
         return False, None
 
@@ -522,7 +538,9 @@ class _ClauseDb:
         """Does propagating the negated clause literals yield a conflict?"""
         if self.root_conflict:
             return True, (list(self.root_used) if self.record else None)
-        conflict, used = self._propagate([(None, c ^ 1) for c in self._codes(clause.literals)])
+        codes = self._codes(clause.literals)
+        self.checked = (clause, codes)
+        conflict, used = self._propagate([(None, c ^ 1) for c in codes])
         self._undo_to(self.root_len)
         return conflict, used
 
@@ -558,7 +576,9 @@ class _ClauseDb:
         # watch true literals first, then open ones, so a false watch
         # only ever sits next to a true one (ternary clauses ignore the order)
         value = self.value
-        codes = self._codes(clause.literals)
+        checked, codes = self.checked
+        if checked is not clause:
+            codes = self._codes(clause.literals)
         true = []
         open_ = []
         false = []

@@ -33,16 +33,11 @@ class Clause:
     __slots__ = ("_order", "_set")
 
     def __init__(self, literals: Iterable[Literal] = ()):
-        order = []
-        seen = set()
-        for lit in literals:
-            if lit == 0:
-                raise ValueError("0 terminates clauses and is not a literal")
-            if lit not in seen:
-                seen.add(lit)
-                order.append(lit)
+        order = dict.fromkeys(literals)  # first occurrences, in order
+        if 0 in order:
+            raise ValueError("0 terminates clauses and is not a literal")
         self._order = tuple(order)
-        self._set = frozenset(seen)
+        self._set = frozenset(order)
 
     @property
     def literals(self) -> tuple:

@@ -139,17 +139,25 @@ def _content_lines(data):
         start = end
 
 
+# an integer token as DIMACS and DRAT spell it: ASCII digits, maybe signed
+_is_integer = re.compile(r"[-+]?[0-9]+", re.ASCII).fullmatch
+
+
 def _clauses(lines, drat):
     """Yield (op, literals) for each 0-terminated clause in content lines.
 
     A clause may span lines. A "d" at a clause boundary marks a deletion
     only when reading a proof (drat true); every other token must be an
-    integer. Literals keep their order and duplicates.
+    integer: ASCII digits with an optional sign. Literals keep their
+    order and duplicates.
     """
     kind = "proof" if drat else "clause"
     op = ADD
     current = None  # None at a clause boundary
     for line in lines:
+        # int() also reads "1_2" as 12 and digits of other scripts; of the
+        # tokens of an ASCII line without "_", it takes just the integers
+        plain = line.isascii() and "_" not in line
         for tok in line.split():
             if current is None:
                 current = []
@@ -158,6 +166,8 @@ def _clauses(lines, drat):
                     continue
                 op = ADD
             try:
+                if not (plain or _is_integer(tok)):
+                    raise ValueError
                 lit = int(tok)
             except ValueError:
                 raise NonIntegerTokenError("bad token %r in %s data" % (tok, kind)) from None

@@ -174,6 +174,7 @@ def test_undecodable_bytes_name_the_file(tmp_path, capsys, bad):
     [
         pytest.param("cnf", b"p cnf x 2\n1 0\n-1 0\n", "non-numeric header counts: p cnf x 2", id="cnf"),
         pytest.param("proof", b"1 x 0\n0\n", "bad token 'x' in proof data", id="proof"),
+        pytest.param("proof", b"1_2 0\n0\n", "bad token '1_2' in proof data", id="proof-underscore"),
     ],
 )
 def test_parse_errors_name_the_file(tmp_path, capsys, command, bad, text, message):

@@ -221,6 +221,44 @@ def test_ternary_occurrence_lists_stay_within_twice_their_live_entries():
     assert longest >= len(CHURN)  # the churn did fill the lists
 
 
+def test_ternary_occurrence_lists_stay_in_increasing_id_order():
+    # propagation queues the units an occurrence list yields in list
+    # order and sorts the queue's new tail only for watched units, so
+    # each list must be in id order after every step: as built, after
+    # compactions, after re-additions under new ids, and in copies
+    formula, proof = TERNARY_CHURN
+    pool = [Clause(c) for c in CHURN + [(1, 2, 3), (-1, 4, 5), (1, -2, 20), (4, -5, 21)]]
+    rng = random.Random(27)
+    base = checker._ClauseDb(formula)
+    before = _database_state(base)
+    compactions = readded = 0
+
+    def assert_in_id_order(db):
+        for occ in db.occurs:
+            ids = [cid for cid, _, _ in occ]
+            assert all(a < b for a, b in zip(ids, ids[1:])), ids
+
+    for cube in ((), (3,), (-1, 4), (10,)):
+        db = base.extended(cube) if cube else checker._ClauseDb(formula)
+        assert_in_id_order(db)
+        steps = list(proof) + [
+            ProofStep(rng.choice((ADD, DELETE)), rng.choice(pool)) for _ in range(300)
+        ]
+        for step in steps:
+            entries = sum(map(len, db.occurs))
+            if step.is_add:
+                old = db.ids.get(step.clause)
+                known = old is None and step.clause in db.clauses
+                db.add(step.clause)
+                readded += known and len(step.clause) == 3
+            else:
+                db.remove(step.clause)
+                compactions += sum(map(len, db.occurs)) < entries
+            assert_in_id_order(db)
+    assert _database_state(base) == before
+    assert compactions > 100 and readded > 100, (compactions, readded)
+
+
 def test_the_short_clause_index_is_the_live_units_and_empties_in_id_order():
     rng = random.Random(31)
     pool = [Clause(()), Clause((1,)), Clause((-1,)), Clause((2,)), Clause((-3,)), Clause((1, 2))]

@@ -168,6 +168,36 @@ def test_parse_drat_errors():
         parse_drat("d\n")
 
 
+# int() reads each of these as an integer, but no DIMACS or DRAT writer
+# spells a literal so: an underscore, Arabic-Indic and fullwidth digits
+@pytest.mark.parametrize("token", ["1_2", "0_0", "\u0661", "\uff11", "-\u0662\u0663"])
+def test_parsers_take_only_ascii_digit_tokens(token):
+    # a clause line of its own, within one, across lines, deleted, after another on its line
+    proofs = [t % token for t in ("%s 0\n", "1 %s 0\n", "1\n%s 0\n", "d %s 0\n", "1 0 %s 0\n")]
+    for text in proofs:
+        with pytest.raises(NonIntegerTokenError) as info:
+            parse_drat(text)
+        assert str(info.value) == "bad token %r in proof data" % token
+        # the references read the token with int(): this is the one place they differ
+        assert reference_parse_drat(text)
+    for text in proofs[:3]:
+        with pytest.raises(NonIntegerTokenError) as info:
+            parse_dimacs("p cnf 2 1\n" + text)
+        assert str(info.value) == "bad token %r in clause data" % token
+
+
+def test_parsers_take_signed_and_zero_padded_tokens():
+    text = "+1 -02 0\nd +1 -2 +0\n-1\n+2 00\n"
+    assert [(s.op, s.clause.literals) for s in parse_drat(text)] == [
+        (ADD, (1, -2)),
+        (DELETE, (1, -2)),
+        (ADD, (-1, 2)),
+    ]
+    assert parse_drat(text) == reference_parse_drat(text)
+    cnf = "p cnf 2 2\n+1 -02 0\n-1\n+2 -0\n"
+    assert parse_dimacs(cnf) == reference_parse_dimacs(cnf)
+
+
 def test_write_drat_round_trip():
     rng = random.Random(9)
     for _ in range(60):
