@@ -55,9 +55,12 @@ parity, and adds the others unjudged, as if they passed. The process
 judges share 0 and a forked worker share 1 (see workers). Each pass,
 and a serial one that records, lists per judged addition the ids its
 check used, and the process merges the two lists by step. The earliest
-failure of either share is the verdict, and the report, the
-annotations annotate_refutation builds from the merged list, and the
-warnings are the serial replay's.
+failure of either share is the verdict, and the report, the warnings
+and what is built from the merged list are the serial replay's: the
+annotations annotate_refutation returns, and the hint record
+(_hint_record) that leaf checks and replay trims read. That record
+names each check's ids as check_refutation's hints name them, straight
+from the list and the database's clauses, with no annotation between.
 
 A proof can also be judged from hints, in the manner of LRAT (Cruz-Filipe
 et al., "Efficient certified RAT verification", CADE 2017): each addition
@@ -88,7 +91,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .core import ADD, DELETE, Clause, Formula, ProofStep, Refutation
+from .core import ADD, DELETE, Clause, Formula, Refutation
 
 log = logging.getLogger(__name__)
 
@@ -936,19 +939,20 @@ def _hint_table(formula):
 def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record=False):
     """Judge every step from its hints alone; see check_refutation.
 
-    Returns the report and, when record is on, the record _as_hinted
-    gives of a replay, (steps, needed, rat, applied), else None. steps
+    Returns the report and, when record is on, (steps, needed, rat,
+    applied) as _hint_record gives them of a replay, else None. steps
     are the judged steps. needed holds per judged step the hints it
     needed: for an addition that passed as AT, the clauses that became
     unit and then the falsified one, listed from the falsified one back,
     as a replay lists them; for one that passed only as RAT, those of
     every resolvent's conflict; the given hints for a deletion. A needed
-    clause is named, as _as_hinted names a replay's, by the id its value
-    took when its live copies last went from none to one, and not at all
-    while a cube unit keeps it live. rat maps each addition that passed
-    only as RAT to the values of its live neighbours (the clauses holding
-    its negated pivot), as the replay engine's annotations give them,
-    and applied holds the numbers of the deletions that removed a clause.
+    clause is named, as _hint_record names a replay's, by the id its
+    value took when its live copies last went from none to one, and not
+    at all while a cube unit keeps it live. rat maps each addition that
+    passed only as RAT to the values of its live neighbours (the clauses
+    holding its negated pivot), as the replay engine's annotations give
+    them, and applied holds the numbers of the deletions that removed a
+    clause.
 
     judged, when given, holds the numbers of additions that an earlier
     check has propagated to a conflict over their hints, as AT. Their
@@ -1071,44 +1075,56 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record
     return report, (refutation.steps[: len(needed)], needed, rat, applied)
 
 
-def _as_hinted(formula, cube, annotations):
-    """A record-mode replay of a proof of formula plus cube's units, as a
-    hint check of it gives its outcome: (steps, needed, rat, applied).
+def _hint_record(formula, cube, refutation, report, judged, skipped, clauses):
+    """A record-mode replay of refutation against formula plus cube's
+    units, as a hint check of it gives its outcome, and the deletions it
+    skipped: (steps, needed, rat, applied, skipped numbers).
 
-    steps are the judged steps less the deletions the replay skipped,
-    which removed nothing. needed holds per step the ids its check used,
+    report, judged, skipped and clauses are _replay's, serial or in two
+    shares. steps are the judged steps, the proof's own, less the
+    deletions that removed nothing: those permissive mode skipped and a
+    strict failure's. needed holds per step the ids its check used,
     named as check_refutation's hints name them for steps against the
     formula: a formula clause keeps its id, a cube unit the formula
     lacks is left out, and a lemma is named by the step that made its
     value live, n_formula + i - 1 for step i. rat maps each addition
-    that passed only as RAT to its neighbours' values, and applied
-    holds the numbers of the deletions, all of which removed a clause.
+    that passed only as RAT to its neighbours' values, applied holds
+    the numbers of the deletions, all of which removed a clause, and
+    the skipped numbers are those, in the proof, of the deletions left
+    out.
     """
     n_formula = len(formula.counts())
-    n_instance = n_formula + len({l for l in cube if Clause((l,)) not in formula})
-    named = {}  # engine id of a lemma value -> the hint id of the step that made it live
-    steps, needed, rat, applied = [], [], {}, set()
-    for sv in annotations:
-        if not sv.applied:
-            continue
-        steps.append(ProofStep(sv.op, sv.clause))
-        i = len(steps)
-        if sv.op != ADD:
+    new_units = len({l for l in cube if Clause((l,)) not in formula})
+    # engine id -> hint id: a formula clause keeps its id, a cube unit has
+    # none, and the engine gives each new lemma value the next id, so a
+    # lemma's name is appended when the step that made it live comes
+    hint_id = list(range(n_formula))
+    hint_id += [None] * new_units
+    name = hint_id.__getitem__
+    removed_nothing = {i for i, _ in skipped}
+    removed_nothing.add(report.failing_step)  # a failing deletion is of an absent clause
+    steps, needed, rat, applied, left_out = [], [], {}, set(), []
+    judged = iter(judged)
+    for i, step in enumerate(refutation.steps[: report.steps_checked], 1):
+        if not step.is_add:
+            if i in removed_nothing:
+                left_out.append(i)
+                continue
+            steps.append(step)
             needed.append(())
-            applied.add(i)
+            applied.add(len(steps))
             continue
-        needed.append(
-            tuple(
-                u if u < n_formula else named[u]
-                for u in sv.used_ids
-                if not n_formula <= u < n_instance
-            )
-        )
-        if sv.kind == KIND_RAT:
-            rat[i] = sv.rat_neighbors
-        if sv.clause_id is not None and sv.clause_id >= n_instance:
-            named.setdefault(sv.clause_id, n_formula + i - 1)
-    return steps, needed, rat, applied
+        steps.append(step)
+        _, kind, used_ids, neighbor_ids, cid, _ = next(judged)
+        ids = tuple(map(name, used_ids))
+        if new_units and None in ids:
+            ids = tuple(h for h in ids if h is not None)
+        needed.append(ids)
+        if kind == KIND_RAT:
+            rat[len(steps)] = tuple(map(clauses.__getitem__, neighbor_ids))
+        if cid == len(hint_id):
+            hint_id.append(n_formula + len(steps) - 1)
+    return steps, needed, rat, applied, left_out
 
 
 def check_refutation(
@@ -1157,7 +1173,7 @@ def check_refutation(
 
 
 def annotate_refutation(
-    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, cube=()
+    formula: Formula, refutation: Refutation, mode: str = PERMISSIVE, *, cube=(), _record=False
 ):
     """Like check_refutation, but also return per-step replay annotations.
 
@@ -1172,8 +1188,17 @@ def annotate_refutation(
     clause count are its clauses; a value keeps its id until its count is
     0 again. Judged in two shares, the annotations are the serial
     replay's.
+
+    _record is for the stitcher's leaf checks and the trimmer's replays
+    alone: with it, the second item is _hint_record's record of the same
+    replay instead of the annotations. Those callers go through this
+    function only because the benchmark's tracer counts leaf checks and
+    trim replays from its calls; the keyword goes once the library
+    keeps its own counters (ROADMAP item 1).
     """
     rep, judged, skipped, clauses = _replay(formula, refutation, mode, True, cube)
+    if _record:
+        return rep, _hint_record(formula, cube, refutation, rep, judged, skipped, clauses)
     removed_nothing = {i for i, _ in skipped}
     removed_nothing.add(rep.failing_step)  # a failing deletion is of an absent clause
     judged = iter(judged)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Union
 
-from .checker import STRICT, _as_hinted, _share_count, annotate_refutation, first_violation
+from .checker import STRICT, _share_count, annotate_refutation, first_violation
 from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation
 from .formats import Cube, ProofBundle
 from .trimmer import trim
@@ -126,7 +126,7 @@ def _build(items, prefix):
 
 def _require_sub_proof(formula, cube, proof, label, mode):
     """The proof must be preserving and refute formula plus cube's units;
-    returns the annotations of its replay.
+    returns the hint record of its replay (see checker._hint_record).
 
     In strict mode, each deletion must also remove a copy of a clause
     the proof itself added and has not deleted since: widened, the
@@ -138,7 +138,7 @@ def _require_sub_proof(formula, cube, proof, label, mode):
         raise NonPreservingInputError(
             "%s: %r is deleted more often than added" % (label, offender)
         )
-    report, annotations = annotate_refutation(formula, proof, mode=mode, cube=cube)
+    report, record = annotate_refutation(formula, proof, mode=mode, cube=cube, _record=True)
     if not report.valid:
         raise InvalidSubProofError("%s: %s" % (label, report.failure_text()))
     if mode == STRICT and any(op != ADD for op, _ in proof):
@@ -153,7 +153,7 @@ def _require_sub_proof(formula, cube, proof, label, mode):
                     "%s: step %d deletes %r before adding it; widened, it is absent"
                     % (label, i, clause)
                 )
-    return annotations
+    return record
 
 
 def _leaf_outcome(formula, cube, proof, label, mode):
@@ -164,9 +164,8 @@ def _leaf_outcome(formula, cube, proof, label, mode):
     that passed only as RAT; and the numbers of the deletions its check
     skipped, which removed nothing here but may remove a lemma once
     widened. _leaf_part takes it to the leaf's part."""
-    annotations = _require_sub_proof(formula, cube, proof, label, mode)
-    _, hints, rat, _ = _as_hinted(formula, cube, annotations)
-    return hints, tuple(rat), tuple(sv.index for sv in annotations if not sv.applied)
+    _, hints, rat, _, skipped = _require_sub_proof(formula, cube, proof, label, mode)
+    return hints, tuple(rat), tuple(skipped)
 
 
 # A stitch is split over a forked worker only when each of its two

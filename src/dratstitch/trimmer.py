@@ -8,22 +8,24 @@ when the caller has hints (ids of the clauses each addition needs, as
 ``check_refutation`` takes them), a check by the hint checker. Both
 give the same record, and one class marks it: the judged steps, the ids
 each check used, the RAT steps with their neighbours, and the deletions
-that removed a clause (the checker turns a replay's annotations into
-that record). Each analysis proposes one candidate: its kept steps when
-it has RAT steps (below); otherwise, while resynthesis is on, its
-marked additions with each kept lemma deleted right after its last
-marked use, if that deletes anything and fits in the input's steps and
-bytes; otherwise its marked additions. The first resynthesized
-candidate that does not fit turns resynthesis off. Every candidate is
-judged strictly by the source that judged the input, and one that fails
-is an internal error. An instance (formula plus cube units) that
-propagates to a conflict by itself proposes the empty clause alone,
-hinted by that conflict. A replayed candidate is judged from its first
-step; a hinted candidate carries the hints of its kept additions,
-renumbered to its steps. The loop ends when an analysis proposes its
-own proof again, so its last analysis is the strict re-check of the
-output, deletions included, and trimming is idempotent rather than
-merely shrinking.
+that removed a clause. A replay's record comes straight from the
+checker (``annotate_refutation(..., _record=True)``), less the
+deletions the replay skipped. Each analysis proposes one candidate: its
+kept steps when it has RAT steps (below); otherwise, while resynthesis
+is on, its marked additions with each kept lemma deleted right after
+its last marked use, if that deletes anything and fits in the input's
+steps and bytes; otherwise its marked additions. The first
+resynthesized candidate that does not fit turns resynthesis off; one
+with too many steps is found so by counting its deletions, before it is
+built. Every candidate is judged strictly by the source that judged the
+input, and one that fails is an internal error. An instance (formula
+plus cube units) that propagates to a conflict by itself proposes the
+empty clause alone, hinted by that conflict. A replayed candidate is
+judged from its first step; a hinted candidate carries the hints of its
+kept additions, renumbered to its steps. The loop ends when an analysis
+proposes its own proof again, so its last analysis is the strict
+re-check of the output, deletions included, and trimming is idempotent
+rather than merely shrinking.
 
 The hint source needs no replay, and its output need not trust the
 hints: the input is judged by the hint checker before anything is
@@ -90,7 +92,6 @@ from typing import Callable
 from .checker import (
     PERMISSIVE,
     STRICT,
-    _as_hinted,
     _check_hinted,
     _root_conflict,
     annotate_refutation,
@@ -197,6 +198,11 @@ class _Analysis:
         """The candidate without resynthesis: kept_steps with RAT steps, else marked_adds."""
         return self.kept_steps() if self.rat else self.marked_adds()
 
+    def deletion_count(self):
+        """How many deletions with_deletions places."""
+        n, final_index = self.n_formula, self.final_index
+        return sum(1 for cid, last in self.last_use.items() if cid >= n and last < final_index)
+
     def with_deletions(self):
         """Marked adds interleaved with one deletion per kept lemma id,
         placed right after its last marked use; None when there is
@@ -242,10 +248,11 @@ class _Analysis:
 
 def _replayed(formula, refutation, mode, cube):
     """The analysis of a replay of refutation against formula plus cube's units."""
-    report, annotations = annotate_refutation(formula, refutation, mode, cube=cube)
+    report, record = annotate_refutation(formula, refutation, mode, cube=cube, _record=True)
     if not report.valid:
         raise InvalidProofError("input proof is %s" % report.failure_text())
-    return _Analysis(formula, *_as_hinted(formula, cube, annotations))
+    steps, used, rat, applied, _ = record
+    return _Analysis(formula, steps, used, rat, applied)
 
 
 def _hinted(formula, refutation, mode, hints, cube, judged=None):
@@ -271,11 +278,15 @@ def _converge(formula, analysis, input_steps, input_bytes, sizes, resynthesize, 
         if conflict is not None:
             again = [ProofStep(ADD, EMPTY_CLAUSE)]
         else:
-            again = analysis.with_deletions() if resynthesize and not analysis.rat else None
-            if again is not None and (
-                len(again) > input_steps or drat_size(again, sizes) > input_bytes
-            ):
-                resynthesize, again = False, None
+            again = None
+            if resynthesize and not analysis.rat:
+                # counted first, so a candidate with too many steps is never built
+                if len(analysis.marked_steps) + analysis.deletion_count() > input_steps:
+                    resynthesize = False
+                else:
+                    again = analysis.with_deletions()
+                    if again is not None and drat_size(again, sizes) > input_bytes:
+                        resynthesize, again = False, None
             if again is None:
                 again = analysis.emit()
         if again == steps:

@@ -47,14 +47,19 @@ from dratstitch.stitcher import Leaf, StitchRecord, StitchedRefutation
 from dratstitch.trimmer import InvalidProofError
 
 
-def bench_workloads():
-    """bench/workloads.py, which draws and writes the benchmark's inputs."""
+def bench_module(name):
+    """A module of bench/, imported as it is there."""
     bench = Path(__file__).resolve().parent.parent / "bench"
     sys.path.insert(0, str(bench))
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(bench))
+
+
+def bench_workloads():
+    """bench/workloads.py, which draws and writes the benchmark's inputs."""
+    return bench_module("workloads")
 
 
 def all_assignments(variables):
@@ -822,15 +827,10 @@ class ReferenceAnalysis:
         """The next fixpoint candidate: kept_steps with RAT steps, else marked_adds."""
         return self.kept_steps() if self.rat else self.marked_adds()
 
-    def with_deletions(self):
-        """Marked adds interleaved with one deletion per kept non-original
-        clause, placed right after its last marked use; None when there is
-        nothing to delete."""
+    def _deletions(self):
+        """One deletion event per kept non-original clause, right after its
+        last marked use."""
         events = []
-        for sv in self.ann:
-            if sv.op == ADD and sv.index in self.marked_steps:
-                events.append((sv.index, 0, 0, ProofStep(ADD, sv.clause)))
-        count = 0
         for iid in sorted(self.marked_instances):
             if iid < self.n_phi:
                 continue
@@ -841,9 +841,24 @@ class ReferenceAnalysis:
             if last is None or last >= self.final_index:
                 continue  # deleting after the final empty clause is dead weight
             events.append((last, 1, iid, ProofStep(DELETE, self.inst_clause[iid])))
-            count += 1
-        if not count:
+        return events
+
+    def deletion_count(self):
+        """How many deletions with_deletions places."""
+        return len(self._deletions())
+
+    def with_deletions(self):
+        """Marked adds interleaved with one deletion per kept non-original
+        clause, placed right after its last marked use; None when there is
+        nothing to delete."""
+        deletions = self._deletions()
+        if not deletions:
             return None
+        events = []
+        for sv in self.ann:
+            if sv.op == ADD and sv.index in self.marked_steps:
+                events.append((sv.index, 0, 0, ProofStep(ADD, sv.clause)))
+        events += deletions
         events.sort(key=lambda e: (e[0], e[1], e[2]))
         return [step for *_, step in events]
 
@@ -853,6 +868,50 @@ class ReferenceAnalysis:
             if iid < self.n_phi:
                 counts[self.inst_clause[iid]] += 1
         return Formula.from_counts(counts.items())
+
+
+def reference_as_hinted(formula, cube, annotations):
+    """A record-mode replay of a proof of formula plus cube's units, as a
+    hint check of it gives its outcome: (steps, needed, rat, applied).
+
+    The checker's own conversion of annotate_refutation's annotations
+    before it built the record from the replay itself; kept as the
+    reference that checker._hint_record is compared against.
+
+    steps are the judged steps less the deletions the replay skipped,
+    which removed nothing. needed holds per step the ids its check used,
+    named as check_refutation's hints name them for steps against the
+    formula: a formula clause keeps its id, a cube unit the formula
+    lacks is left out, and a lemma is named by the step that made its
+    value live, n_formula + i - 1 for step i. rat maps each addition
+    that passed only as RAT to its neighbours' values, and applied
+    holds the numbers of the deletions, all of which removed a clause.
+    """
+    n_formula = len(formula.counts())
+    n_instance = n_formula + len({l for l in cube if Clause((l,)) not in formula})
+    named = {}  # engine id of a lemma value -> the hint id of the step that made it live
+    steps, needed, rat, applied = [], [], {}, set()
+    for sv in annotations:
+        if not sv.applied:
+            continue
+        steps.append(ProofStep(sv.op, sv.clause))
+        i = len(steps)
+        if sv.op != ADD:
+            needed.append(())
+            applied.add(i)
+            continue
+        needed.append(
+            tuple(
+                u if u < n_formula else named[u]
+                for u in sv.used_ids
+                if not n_formula <= u < n_instance
+            )
+        )
+        if sv.kind == KIND_RAT:
+            rat[i] = sv.rat_neighbors
+        if sv.clause_id is not None and sv.clause_id >= n_instance:
+            named.setdefault(sv.clause_id, n_formula + i - 1)
+    return steps, needed, rat, applied
 
 
 def rat_proof(seed):

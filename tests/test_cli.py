@@ -539,17 +539,17 @@ def test_stitch_no_verify_skips_the_hint_check(tmp_path, capsys, monkeypatch):
 
 
 def test_stitch_replays_the_root_when_its_hints_fall_short(tmp_path, capsys, monkeypatch):
-    from dratstitch import stitcher
+    from dratstitch import checker
 
     fixture_dir = make_fixture(tmp_path)
     calls = _spy_root_checks(monkeypatch)
-    as_hinted = stitcher._as_hinted
+    hint_record = checker._hint_record
 
     def without_hints(*args):
-        steps, needed, rat, applied = as_hinted(*args)
-        return steps, [() for _ in needed], rat, applied
+        steps, needed, rat, applied, skipped = hint_record(*args)
+        return steps, [() for _ in needed], rat, applied, skipped
 
-    monkeypatch.setattr(stitcher, "_as_hinted", without_hints)
+    monkeypatch.setattr(checker, "_hint_record", without_hints)
     assert main(stitch_args(fixture_dir, tmp_path / "combined.drat")) == EXIT_OK
     hinted, replayed = calls["hints"]
     assert hinted is not None and replayed is None

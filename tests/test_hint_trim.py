@@ -387,7 +387,7 @@ def test_a_trim_given_hints_of_a_rat_proof_does_not_replay(monkeypatch):
         _, ann = annotate_refutation(formula, proof)
         if not any(sv.kind == KIND_RAT for sv in ann) or len(ann) < len(proof):
             continue
-        steps, hints, _, _ = checker._as_hinted(formula, (), ann)
+        steps, hints, *_ = annotate_refutation(formula, proof, _record=True)[1]
         assert steps == list(proof.steps)
         with monkeypatch.context() as m:
             m.setattr(checker, "_replay", no_replay)

@@ -42,7 +42,7 @@ from dratstitch import (
     solve_drup,
     trim,
 )
-from dratstitch.checker import PERMISSIVE, STRICT, _as_hinted
+from dratstitch.checker import PERMISSIVE, STRICT
 from dratstitch.formats import Cube
 from dratstitch.stitcher import InvalidSubProofError
 
@@ -62,9 +62,11 @@ def plain_hints(formula, proof, mode=STRICT, cube=()):
     units. That replay's record drops the deletions it skipped, so its
     ids are renumbered to the proof's steps; the deletions it skipped and
     the steps it never judged get no hints."""
-    _, annotations = annotate_refutation(formula, proof, mode=mode, cube=cube)
-    steps, needed, _, _ = _as_hinted(formula, cube, annotations)
-    number = [sv.index for sv in annotations if sv.applied]  # each record step's in proof
+    report, (steps, needed, _, _, skipped) = annotate_refutation(
+        formula, proof, mode=mode, cube=cube, _record=True
+    )
+    # each record step's number in proof
+    number = [i for i in range(1, report.steps_checked + 1) if i not in skipped]
     assert steps == [proof[i - 1] for i in number]
     n = len(formula.counts())
     hints = [()] * len(proof)

@@ -38,7 +38,7 @@ from dratstitch import (
     write_drat,
 )
 from dratstitch import stitcher
-from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, _as_hinted, annotate_refutation
+from dratstitch.checker import KIND_RAT, PERMISSIVE, STRICT, annotate_refutation
 from dratstitch.trimmer import InvalidProofError
 
 from helpers import bundle_for, eager_combine_all, random_clause
@@ -341,7 +341,7 @@ def test_combine_all_unbalanced_tree_matches_hand_composition():
     # validated, every merge is trimmed from its children's hints
     n = len(formula.counts())
     hinted = [
-        _as_hinted(formula, c, annotate_refutation(formula, p, STRICT, cube=c)[1])
+        annotate_refutation(formula, p, STRICT, cube=c, _record=True)[1]
         for c, p in zip((c.literals for c in cubes), proofs)
     ]
     assert [steps for steps, *_ in hinted] == [list(p.steps) for p in proofs]
@@ -466,9 +466,9 @@ def _spy_leaf_checks(monkeypatch):
     calls = []
     real = stitcher.annotate_refutation
 
-    def spy(formula, proof, mode=PERMISSIVE, *, cube=()):
+    def spy(formula, proof, mode=PERMISSIVE, *, cube=(), **kwargs):
         calls.append((formula, tuple(cube), mode))
-        return real(formula, proof, mode=mode, cube=cube)
+        return real(formula, proof, mode=mode, cube=cube, **kwargs)
 
     monkeypatch.setattr(stitcher, "annotate_refutation", spy)
     return calls

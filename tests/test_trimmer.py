@@ -567,8 +567,8 @@ def test_a_trim_without_hints_hands_out_hints_and_a_core_as_a_hinted_trim_does()
                 continue
             assert len(report.hints) == len(out)
             assert check_refutation(formula, out, STRICT, cube=cube, hints=report.hints).valid
-            _, annotations = annotate_refutation(formula, proof, cube=cube)
-            steps, needed, _, _ = checker._as_hinted(formula, cube, annotations)
+            _, record = annotate_refutation(formula, proof, cube=cube, _record=True)
+            steps, needed, *_ = record
             hinted_out, hinted = trim(formula, Refutation(steps), cube=cube, hints=needed)
             new = _new_units(formula, cube)
             for output, rep in ((out, report), (hinted_out, hinted)):
