@@ -29,6 +29,18 @@ hashing and memory follows the number of distinct variables, not the
 largest one. Clauses, verdicts and annotations are in literals as read;
 the encoding changes nothing a caller can observe.
 
+A check that ends in a conflict names the clauses its derivation used:
+the clause it falsified, then the reason of each trail literal the
+conflict needs, latest on the trail first. Reversed, that is a unit
+order, the order in which LRAT lists an addition's hints: each clause is
+unit under the assumptions and the literals before it, and the last is
+falsified. Every annotation, hint record and hint built from a replay
+lists its ids so, and the hint checker, which takes an addition's hints
+reversed, derives each such conflict in one pass over them. Working out
+the order costs what the check derived: the walk covers only the trail
+above the root closure, and the root literals the conflict needs are
+taken by the positions recorded as the closure grew.
+
 Deletions are applied as written, unit clauses included: this is
 "specified DRAT". drat-trim by default ignores unit deletions
 ("operational DRAT"; Rebola-Pardo and Biere, "Two flavors of DRAT",
@@ -88,7 +100,6 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional
 
 from .core import ADD, DELETE, Clause, Formula, Refutation
@@ -150,7 +161,11 @@ class StepVerdict:
     clause: Clause
     kind: str  # "at" | "rat" | "delete"
     applied: bool  # deletions only: whether a clause instance was removed
-    used: tuple  # clause values consumed by the conflict derivations
+    # clause values consumed by the conflict derivations: of an AT check,
+    # the falsified clause, then the reasons it needed, latest derived
+    # first, so reversed they are in unit order; of a RAT check, each
+    # resolvent's so in turn, without repeats
+    used: tuple
     rat_neighbors: tuple  # alive values containing the negated pivot
     clause_id: Optional[int] = None  # applied additions: the value's id after it
     used_ids: tuple = ()  # the ids of the values in used, in the same order
@@ -221,9 +236,11 @@ class _ClauseDb:
     lists indexed by code, so they grow with the number of distinct
     variables, not with the largest variable number. Clause literal
     lists, check assumptions and the trail hold codes; clause values stay
-    in literals, and ``_explain`` walks each reason's ``Clause.literals``
-    in serialization order. Conflict derivations are handed out as
-    clause ids.
+    in literals. Conflict derivations are handed out as clause ids, the
+    falsified clause first, then the reason of each trail literal the
+    conflict needs, latest on the trail first (see ``_explain``); the
+    position of each root literal on the trail is recorded as the
+    closure grows, for that order.
 
     A distinct clause value gets the next id when it enters the multiset,
     and a fresh one if it is fully deleted and added again, so id order is
@@ -273,6 +290,7 @@ class _ClauseDb:
         self.occurs = []  # code -> (id, other code, other code) per ternary clause
         self.stale = []  # code -> entries of deleted clauses on its occurrence list
         self.trail = []  # true codes in assignment order
+        self.position = []  # code -> its trail position, recorded while it is a root literal
         self.root_reasons = set()  # ids of clauses that are reasons of root literals
         self.root_len = 0
         self.root_conflict = False
@@ -318,6 +336,7 @@ class _ClauseDb:
         db.watches = [ws.copy() for ws in self.watches]
         db.occurs = [occ.copy() for occ in self.occurs]
         db.stale = self.stale.copy()
+        db.position = [0] * len(self.position)
         for lit in cube:
             unit = Clause((lit,))
             count = mult.get(unit, 0)
@@ -342,6 +361,7 @@ class _ClauseDb:
                 self.watches += ([], [])
                 self.occurs += ([], [])
                 self.stale += (0, 0)
+                self.position += (0, 0)
             out.append(i + i + (lit < 0))
         return out
 
@@ -401,12 +421,17 @@ class _ClauseDb:
             self._extend_root()
 
     def _extend_root(self):
-        """Make the trail the root closure, marking the reasons it gained."""
+        """Make the trail the root closure, marking the reasons it gained
+        and recording the positions of its new literals."""
         reason = self.reason
         marked = self.root_reasons
-        for c in islice(self.trail, self.root_len, None):
+        position = self.position
+        trail = self.trail
+        for p in range(self.root_len, len(trail)):
+            c = trail[p]
             marked.add(reason[c])  # root literals all have a reason
-        self.root_len = len(self.trail)
+            position[c] = p
+        self.root_len = len(trail)
 
     def _propagate(self, queue):
         """Assign the queued (reason id, code) pairs and their consequences.
@@ -502,38 +527,76 @@ class _ClauseDb:
         return False, None
 
     def _explain(self, falsified, lit=None):
-        """Walk reasons backwards from false literals, collecting the ids
-        of the clauses used.
+        """The ids of the clauses behind a conflict: the falsified clause
+        first, then the reason of each trail literal the conflict needs,
+        latest on the trail first, so that the list reversed is a unit
+        order. The conflict needs the negations of the falsified clause's
+        literals, or of the code lit when no clause is falsified, and
+        whatever their reasons need in turn.
 
-        The walk starts from the literals of the falsified clause, or from
-        the code lit when no clause is falsified, and visits each clause's
-        literals in serialization order.
+        The walk runs back over the trail above the root closure only, and
+        stops at the earliest literal it needs there; the root literals it
+        needs are sorted by the positions _extend_root recorded, so an
+        explanation costs what the check derived, not the size of the root
+        closure.
         """
-        used = {}
         codes = self.codes
-        if falsified is None:
-            stack = [lit]
-        else:
-            used[falsified] = None
-            stack = list(codes[falsified])
-        seen = set(stack)
         reason = self.reason
-        while stack:
-            m = stack.pop() ^ 1  # the literal popped is false, so m is on the trail
-            r = reason[m]
-            if r is None or r in used:
-                continue
-            used[r] = None
-            for q in codes[r]:
-                if q != m and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return list(used)
+        trail = self.trail
+        position = self.position
+        root_len = self.root_len
+        if falsified is None:
+            used = []
+            false = (lit,)
+        else:
+            used = [falsified]
+            false = codes[falsified]
+        need = set()  # true codes the conflict needs
+        roots = []  # the positions of the root ones
+        above = 0  # needed codes above the root not yet walked past
+        for q in false:
+            m = q ^ 1
+            if m not in need:
+                need.add(m)
+                p = position[m]
+                if p < root_len and trail[p] == m:
+                    roots.append(p)
+                else:
+                    above += 1
+        if above:
+            for m in reversed(trail):  # reaches every needed code before the root
+                if m not in need:
+                    continue
+                r = reason[m]
+                if r is not None:  # else an assumption
+                    used.append(r)
+                    for q in codes[r]:
+                        n = q ^ 1  # q is false but for m
+                        if q != m and n not in need:
+                            need.add(n)
+                            p = position[n]
+                            if p < root_len and trail[p] == n:
+                                roots.append(p)
+                            else:
+                                above += 1
+                above -= 1
+                if not above:
+                    break
+        for p in roots:  # the list grows to the root codes their reasons need
+            m = trail[p]
+            for q in codes[reason[m]]:  # root literals all have a reason
+                n = q ^ 1
+                if q != m and n not in need:
+                    need.add(n)
+                    roots.append(position[n])
+        roots.sort(reverse=True)
+        used += [reason[trail[p]] for p in roots]
+        return used
 
     def _undo_to(self, mark):
         value = self.value
         trail = self.trail
-        for c in islice(trail, mark, None):
+        for c in trail[mark:]:  # reads only what is undone, not the root below it
             value[c] = False
         del trail[mark:]
 
@@ -754,13 +817,15 @@ def _cpus():
 def _share_count(weight, share_weight):
     """How many shares to split work of the given weight into: 2 where
     the affinity mask holds two CPUs or more and each share would weigh
-    share_weight at least, else 1: on one CPU, without fork, beside other
-    threads, inside a share already, or for too little work.
+    share_weight at least, else 1: for too little work, inside a share
+    already, on one CPU, without fork, or beside other threads. The
+    weight and the share are tested first, so that the many small
+    replays, such as leaf checks, never read the affinity mask.
     """
     serial = (
-        _cpus() < 2
-        or weight < 2 * share_weight
+        weight < 2 * share_weight
         or _sharing
+        or _cpus() < 2
         or not hasattr(os, "fork")
         or threading.active_count() > 1
     )
@@ -1023,8 +1088,9 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record
                 break
         if end is not None:
             break
-        # a replay lists a conflict's clauses from the falsified one back
-        # to the assumptions, so reversed, one pass mostly suffices
+        # a replay, a trim and this check list a conflict's clauses from
+        # the falsified one back in trail order, so reversed they are in
+        # unit order and one pass suffices; other hints may take more
         hinted = hint[::-1]
         if judged is not None and i in judged:
             used = hinted  # the order an earlier propagation used them in
@@ -1079,6 +1145,11 @@ def _hint_record(formula, cube, refutation, report, judged, skipped, clauses):
     """A record-mode replay of refutation against formula plus cube's
     units, as a hint check of it gives its outcome, and the deletions it
     skipped: (steps, needed, rat, applied, skipped numbers).
+
+    Each step's ids keep the replay's order: for an AT check, the
+    falsified clause, then the reasons it needed, latest derived first,
+    so that reversed they are in unit order; a cube unit left out is
+    supplied unnamed and breaks no order.
 
     report, judged, skipped and clauses are _replay's, serial or in two
     shares. steps are the judged steps, the proof's own, less the
@@ -1180,6 +1251,13 @@ def annotate_refutation(
     cube means what it means for check_refutation: the proof is judged
     against the formula plus one unit clause per cube literal, and the
     report and annotations are those for that instance built out.
+
+    An addition's used values, and its used_ids, list the clause its
+    check falsified first, then the reason of each literal the conflict
+    needed, latest derived first: reversed, each is unit in turn under
+    the negated addition and the ones before it, and the last is
+    falsified, as LRAT orders hints. A RAT addition lists each
+    resolvent's so, in neighbour order, without repeats.
 
     Annotations also name clauses by id. A value gets the next id when
     its count goes from 0 to 1, the instance's in the order of its

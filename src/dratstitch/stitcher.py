@@ -182,6 +182,17 @@ def _leaf_outcome(formula, cube, proof, label, mode):
 # the cut-over had sat between 400 and 500.
 _SHARE_STEPS = 350
 
+# Where workers._split cuts the leaves, a leaf weighs this many steps
+# more than it has, for what its check costs besides its steps: the copy
+# of the kept database alone is about 0.09 ms, more than a step. On the
+# seed-7 stitch-verify tree (128 leaves of 1 to 142 steps) on that box,
+# the process waited a median 7 to 11 ms for the worker with no such
+# constant (cut after leaf 33), 1 to 2 ms at 2 (38) and 0.6 to 0.7 ms
+# at 4 (41) and above (medians of 30 to 60 alternating stitches, seeds 1
+# and 7); the stitch-trim cut stays after leaf 12. Whether to fork at
+# all still weighs the steps alone, as _SHARE_STEPS was measured.
+_LEAF_STEPS = 4
+
 
 def _shares(sizes, merges=()):
     """Leaf numbers in contiguous runs, one per process: two, cut by
@@ -190,13 +201,14 @@ def _shares(sizes, merges=()):
 
     sizes holds each leaf's weight, merges the (first leaf, end, weight)
     of each merge that will be trimmed, its leaves being first to end - 1.
+    Where to cut, each leaf weighs _LEAF_STEPS more.
     """
     total = sum(sizes) + sum(w for *_, w in merges)
     if len(sizes) < 2 or _share_count(total, _SHARE_STEPS) < 2:
         return [range(len(sizes))]
     from . import workers  # see its docstring
 
-    return workers._split(sizes, merges)
+    return workers._split([size + _LEAF_STEPS for size in sizes], merges)
 
 
 def _weigh(node, path, counted, cl_avg, sizes, merges):
@@ -226,8 +238,12 @@ def _checked_shares(walk, tree, leaves, mode):
     of the subtrees stitched in shares (see workers._stitched_share);
     leaves holds the (path, proof, label, counted part) of every leaf, in
     post order. With one share, the leaves are checked here in turn."""
+    counted = [counted for *_, counted in leaves]
     sizes, merges = [], []
-    _weigh(tree, (), [counted for *_, counted in leaves], walk.cl_avg, sizes, merges)
+    if walk.cl_avg < 0:
+        sizes = [part.length for part in counted]  # no merge is trimmed, so none weighs
+    else:
+        _weigh(tree, (), counted, walk.cl_avg, sizes, merges)
     shares = _shares(sizes, merges)
     if len(shares) > 1:
         from . import workers  # see its docstring
@@ -477,7 +493,8 @@ def _merge(walk, node, path):
             last_shift, last_run = neg.hints[-1]
             neg_final = tuple(h + shift + last_shift if h >= n_formula else h for h in last_run[-1])
         hints = pos.hints + [(s + shift, h) for s, h in neg.hints]
-        hints.append((0, [(n_formula + shift - 1,) + neg_final]))
+        # (-x) is unit first, then the negative side's conflict follows
+        hints.append((0, [neg_final + (n_formula + shift - 1,)]))
     if wants_trim:
         merged = stitch(walk.formula, x, _steps(pos.runs), _steps(neg.runs), validate=False)
     else:
@@ -554,7 +571,10 @@ def combine_all(
     the positive child's final clause ``(-x)`` and, when cl_avg lets
     merges be trimmed, the hints of the negative child's final clause
     ``(x)``, so that a trim marks no ``(x)``; at cl_avg -1, by ``(x)``
-    itself. Without them, the result's hints are None.
+    itself. Those come first and ``(-x)`` last, so that, as every
+    step's hints from a replay or a trim, they are in unit order
+    reversed: ``(-x)`` is unit first. Without them, the result's hints
+    are None.
 
     A trimmed merge is trimmed from these hints against its path's cube
     and takes the trim's output hints. The trim is told which of its

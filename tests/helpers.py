@@ -587,23 +587,16 @@ class ReferenceClauseDb:
         return False, None
 
     def _explain(self, falsified, seed_lits):
-        """Walk reasons backwards from false literals, collecting used
-        clauses; returns their ids."""
-        used = {}
-        if falsified is not None:
-            used[falsified] = None
-        stack = list(seed_lits)
-        seen = set(stack)
-        while stack:
-            m = stack.pop()  # m is false, so -m is on the trail
-            r = self.reason.get(-m)
-            if r is None or r in used:
-                continue
-            used[r] = None
-            for q in r.literals:
-                if q != -m and q not in seen:
-                    seen.add(q)
-                    stack.append(q)
+        """The ids of the clauses behind a conflict: the falsified clause,
+        then the reason of each trail literal the conflict needs, found
+        by walking the whole trail back from its end."""
+        used = [] if falsified is None else [falsified]
+        need = {-m for m in seed_lits}  # seed_lits are false
+        for lit in reversed(self.trail):
+            if lit in need and self.reason[lit] is not None:
+                r = self.reason[lit]
+                used.append(r)
+                need.update(-q for q in r.literals if q != lit)
         return [self.ids[c] for c in used]
 
     def _undo_to(self, mark):
@@ -701,6 +694,34 @@ class ReferenceClauseDb:
         if self.root_conflict or len(clause) <= 1 or clause in self.reason_refs:
             self._rebuild_closure()
         return True
+
+
+def depth_first_explain(db, falsified, lit=None):
+    """checker._ClauseDb._explain as it was before it followed the trail:
+    the falsified clause, then the reasons found by a depth-first walk
+    from its literals, or from the code lit when no clause is falsified,
+    visiting each clause's literals in serialization order. Kept so that
+    the differential tests can require the same used sets of both."""
+    used = {}
+    codes = db.codes
+    if falsified is None:
+        stack = [lit]
+    else:
+        used[falsified] = None
+        stack = list(codes[falsified])
+    seen = set(stack)
+    reason = db.reason
+    while stack:
+        m = stack.pop() ^ 1  # the literal popped is false, so m is on the trail
+        r = reason[m]
+        if r is None or r in used:
+            continue
+        used[r] = None
+        for q in codes[r]:
+            if q != m and q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return list(used)
 
 
 class ReferenceAnalysis:
@@ -1006,6 +1027,28 @@ def last_use_corpus():
     return tuple(last_use_deletion_proof(seed) for seed in range(100))
 
 
+def long_root_case(chain=5000, lemmas=500):
+    """A formula whose root closure is a chain of chain literals, from the
+    unit (1) through the binaries (-i i+1), and a valid refutation of it
+    in lemmas unit lemmas and the empty clause.
+
+    Lemma (-a) is an asymmetric tautology through (-1 -a b) and
+    (-1 -a -b), so its conflict needs the first root literal, 1, whose
+    reason sits at the start of the trail. The last lemma, (-a) for the
+    first a, makes (a d) and (a -d) conflict at the root, and the empty
+    clause follows from that conflict.
+    """
+    clauses = [(1,)] + [(-i, i + 1) for i in range(1, chain)]
+    pairs = [(chain + 2 * k + 1, chain + 2 * k + 2) for k in range(lemmas)]
+    for a, b in pairs:
+        clauses += [(-1, -a, b), (-1, -a, -b)]
+    d = chain + 2 * lemmas + 1
+    clauses += [(pairs[0][0], d), (pairs[0][0], -d)]
+    steps = [ProofStep(ADD, Clause((-a,))) for a, _ in reversed(pairs)]
+    steps.append(ProofStep(ADD, EMPTY_CLAUSE))
+    return Formula(Clause(c) for c in clauses), Refutation(steps)
+
+
 def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_record=None):
     """combine_all as it was before merges were composed lazily: every
     merge builds its proof with stitch() right away, and is trimmed, when
@@ -1047,7 +1090,7 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
             # clauses are steps len(pos_ref) and len(merged) - 1
             neg_hints = shift(neg_hints, len(pos_ref))
             final = (n_formula + len(merged) - 2,) if cl_avg < 0 else neg_hints[-1]
-            hints = pos_hints + neg_hints + [(n_formula + len(pos_ref) - 1,) + final]
+            hints = pos_hints + neg_hints + [final + (n_formula + len(pos_ref) - 1,)]
         out = merged
         if wants_trim:
             if validate:

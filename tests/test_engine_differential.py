@@ -6,6 +6,11 @@ same report (apart from wall time) and the same annotations, down to
 the order of used clauses and RAT neighbours and the literal order of
 every clause object handed out.
 
+Each case is also replayed with the depth-first explanation that the
+engine used before it listed a conflict's clauses along the trail
+(tests/helpers.depth_first_explain): the report must be the same, and
+so must each step's used clauses, taken as a set.
+
 Replays work on a copy of a kept database of their formula, extended by
 the units of a cube. The last section requires every such replay, in
 both engines, to equal a replay on a database built from scratch over
@@ -41,7 +46,9 @@ from dratstitch.checker import PERMISSIVE, STRICT
 from helpers import (
     ReferenceClauseDb,
     bundle_for,
+    depth_first_explain,
     instance_at,
+    long_root_case,
     random_proofs,
     rat_corpus,
     stitched_instance,
@@ -97,14 +104,36 @@ def reference_engine(monkeypatch):
         yield built
 
 
+def _as_sets(annotations):
+    """Annotations with used and used_ids as sets, in a comparable form."""
+    return [a[:5] + (frozenset(a[5]),) + a[6:8] + (frozenset(a[8]),) for a in annotations]
+
+
+def assert_same_used_sets(monkeypatch, formula, proof, cube=()):
+    """The engine's conflicts, listed along the trail, use the same
+    clauses as the depth-first walk it listed them by before, in both
+    modes: equal reports, and equal annotations once each step's used
+    clauses are taken as a set."""
+    for mode in MODES:
+        trail = annotate_refutation(formula, proof, mode=mode, cube=cube)
+        with monkeypatch.context() as m:
+            m.setattr(checker._ClauseDb, "_explain", depth_first_explain)
+            depth_first = annotate_refutation(formula, proof, mode=mode, cube=cube)
+        assert _no_time(trail[0]) == _no_time(depth_first[0]), (mode, cube, proof)
+        got, want = _annotations(trail[1]), _annotations(depth_first[1])
+        assert _as_sets(got) == _as_sets(want), (mode, cube, proof)
+
+
 def assert_same_replay(monkeypatch, formula, proof):
-    """Both engines give equal reports and annotations in both modes."""
+    """Both engines give equal reports and annotations in both modes, and
+    the engine uses the clauses the depth-first explanation did."""
     for mode in MODES:
         fast = _replay(formula, proof, mode)
         with reference_engine(monkeypatch) as built:
             reference = _replay(formula, proof, mode)
         assert len(built) >= 2, "the reference engine ran neither replay"
         assert fast == reference, (mode, proof)
+    assert_same_used_sets(monkeypatch, formula, proof)
     return fast[0]
 
 
@@ -409,6 +438,13 @@ def test_mutated_proofs_match_reference(monkeypatch):
     assert True in verdicts["rat-only lemmas"]
 
 
+def test_the_long_root_case_matches_reference(monkeypatch):
+    # every conflict needs the first literal of a 5,000-literal root chain
+    formula, proof = long_root_case()
+    report = assert_same_replay(monkeypatch, formula, proof)
+    assert report.valid and report.steps_checked == len(proof) == 501
+
+
 def test_rat_lemmas_are_annotated_with_neighbours(monkeypatch):
     formula = parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").formula
     proof = parse_drat("-3 4 0\n-3 5 0\n3 -4 -5 0\n2 0\n0\n")
@@ -460,6 +496,7 @@ def assert_cube_replay_matches(monkeypatch, formula, proof, cube):
                 by_engine.append(copied)
         assert built is None or built, "the reference engine was never built"
     assert by_engine[:2] == by_engine[2:]
+    assert_same_used_sets(monkeypatch, formula, proof, cube)
     return by_engine[0][0]
 
 

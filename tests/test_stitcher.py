@@ -493,15 +493,16 @@ def test_combine_all_carries_hints_only_when_every_leaf_was_judged_in_full():
     out = combine_all(SQUARE, tree)
     # under (1) the instance conflicts at the root through (-1 -2) and
     # (-1 2), ids 3 and 2, under (-1) through (1 -2) and (1 2), and the
-    # root's empty clause through the two final clauses, steps 2 and 3
-    assert out.hints == [(3, 2), (3, 2), (1, 0), (5, 6)]
+    # root's empty clause through the two final clauses, step 3's (1) and
+    # step 2's (-1), which reversed is unit first
+    assert out.hints == [(3, 2), (3, 2), (1, 0), (6, 5)]
     assert check_refutation(SQUARE, out, mode=STRICT, hints=out.hints).valid
-    # where merges may be trimmed, through (-1) and the hints of (1),
+    # where merges may be trimmed, through the hints of (1) and then (-1),
     # so that a trim drops (1)
-    assert combine_all(SQUARE, tree, cl_avg=10).hints == [(3, 2), (3, 2), (1, 0), (5, 1, 0)]
+    assert combine_all(SQUARE, tree, cl_avg=10).hints == [(3, 2), (3, 2), (1, 0), (1, 0, 5)]
     # where merges may be trimmed every leaf is replayed, validate or not
     assert combine_all(SQUARE, tree, cl_avg=10, validate=False).hints == [
-        (3, 2), (3, 2), (1, 0), (5, 1, 0)
+        (3, 2), (3, 2), (1, 0), (1, 0, 5)
     ]
     assert combine_all(SQUARE, tree, cl_avg=-1, validate=False).hints is None
     # a leaf's steps after its empty clause are cut, so they cost no hints
