@@ -918,13 +918,14 @@ def _report(start, refutation, end, reason, skipped, propagations):
 
 def _replay(formula, refutation, mode, record, cube=()):
     """The report of a replay of refutation against formula plus cube's
-    units, and _pass's judged, skipped and the database's clauses, which
-    name every id in judged."""
+    units, _pass's judged and skipped, the database's clauses, which name
+    every id in judged, and how many it held before the first step."""
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
     start = time.perf_counter()
     additions = sum(1 for _ in refutation.adds())
     db = _database(formula, cube, record)
+    instance = len(db.clauses)
     if _share_count(additions, _SHARE_ADDITIONS) > 1:
         from . import workers  # see its docstring
 
@@ -934,7 +935,7 @@ def _replay(formula, refutation, mode, record, cube=()):
         end, reason, skipped, judged = _pass(db, refutation, mode)
         propagations = db.propagations
     report = _report(start, refutation, end, reason, skipped, propagations)
-    return report, judged, skipped, db.clauses
+    return report, judged, skipped, db.clauses, instance
 
 
 def _hinted_conflict(true, pending, literals):
@@ -1141,18 +1142,21 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record
     return report, (refutation.steps[: len(needed)], needed, rat, applied)
 
 
-def _hint_record(formula, cube, refutation, report, judged, skipped, clauses):
-    """A record-mode replay of refutation against formula plus cube's
-    units, as a hint check of it gives its outcome, and the deletions it
-    skipped: (steps, needed, rat, applied, skipped numbers).
+def _hint_record(n_formula, instance, refutation, report, judged, skipped, clauses):
+    """A record-mode replay of refutation against a formula of n_formula
+    distinct clauses plus a cube's units, as a hint check of it gives its
+    outcome, and the deletions it skipped: (steps, needed, rat, applied,
+    skipped numbers).
 
     Each step's ids keep the replay's order: for an AT check, the
     falsified clause, then the reasons it needed, latest derived first,
     so that reversed they are in unit order; a cube unit left out is
     supplied unnamed and breaks no order.
 
-    report, judged, skipped and clauses are _replay's, serial or in two
-    shares. steps are the judged steps, the proof's own, less the
+    instance, report, judged, skipped and clauses are _replay's, serial
+    or in two shares: the database held instance clauses before the
+    first step, the formula's and then one per cube unit the formula
+    lacks. steps are the judged steps, the proof's own, less the
     deletions that removed nothing: those permissive mode skipped and a
     strict failure's. needed holds per step the ids its check used,
     named as check_refutation's hints name them for steps against the
@@ -1164,18 +1168,17 @@ def _hint_record(formula, cube, refutation, report, judged, skipped, clauses):
     the skipped numbers are those, in the proof, of the deletions left
     out.
     """
-    n_formula = len(formula.counts())
-    new_units = len({l for l in cube if Clause((l,)) not in formula})
-    # engine id -> hint id: a formula clause keeps its id, a cube unit has
-    # none, and the engine gives each new lemma value the next id, so a
-    # lemma's name is appended when the step that made it live comes
-    hint_id = list(range(n_formula))
-    hint_id += [None] * new_units
-    name = hint_id.__getitem__
+    # engine id -> hint id, for the ids that change: a cube unit has none,
+    # and the engine gives each new lemma value the next id, so a lemma's
+    # name goes in when the step that made it live comes
+    renamed = dict.fromkeys(range(n_formula, instance))
+    new_units = instance > n_formula
+    next_id = instance
     removed_nothing = {i for i, _ in skipped}
     removed_nothing.add(report.failing_step)  # a failing deletion is of an absent clause
     steps, needed, rat, applied, left_out = [], [], {}, set(), []
     judged = iter(judged)
+    name = renamed.get
     for i, step in enumerate(refutation.steps[: report.steps_checked], 1):
         if not step.is_add:
             if i in removed_nothing:
@@ -1187,14 +1190,15 @@ def _hint_record(formula, cube, refutation, report, judged, skipped, clauses):
             continue
         steps.append(step)
         _, kind, used_ids, neighbor_ids, cid, _ = next(judged)
-        ids = tuple(map(name, used_ids))
+        ids = tuple(map(name, used_ids, used_ids))
         if new_units and None in ids:
             ids = tuple(h for h in ids if h is not None)
         needed.append(ids)
         if kind == KIND_RAT:
             rat[len(steps)] = tuple(map(clauses.__getitem__, neighbor_ids))
-        if cid == len(hint_id):
-            hint_id.append(n_formula + len(steps) - 1)
+        if cid == next_id:
+            renamed[cid] = n_formula + len(steps) - 1
+            next_id += 1
     return steps, needed, rat, applied, left_out
 
 
@@ -1274,9 +1278,10 @@ def annotate_refutation(
     trim replays from its calls; the keyword goes once the library
     keeps its own counters (ROADMAP item 1).
     """
-    rep, judged, skipped, clauses = _replay(formula, refutation, mode, True, cube)
+    rep, judged, skipped, clauses, instance = _replay(formula, refutation, mode, True, cube)
     if _record:
-        return rep, _hint_record(formula, cube, refutation, rep, judged, skipped, clauses)
+        n_formula = len(formula.counts())
+        return rep, _hint_record(n_formula, instance, refutation, rep, judged, skipped, clauses)
     removed_nothing = {i for i, _ in skipped}
     removed_nothing.add(rep.failing_step)  # a failing deletion is of an absent clause
     judged = iter(judged)

@@ -1,6 +1,13 @@
-"""Propositional objects: literals, clauses, multiset formulas, proof steps."""
+"""Propositional objects: literals, clauses, multiset formulas, proof steps.
+
+A clause is a frozenset of its literals that also keeps their
+serialization order, one object per clause: every dict and set keyed by
+clause value, in the checker, the trimmer and the stitcher, hashes and
+compares it in frozenset's own C code.
+"""
 
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 # A literal is a nonzero int: abs(lit) is the variable, the sign its polarity.
@@ -21,23 +28,34 @@ def negate(lit: Literal) -> Literal:
     return -lit
 
 
-class Clause:
+class Clause(frozenset):
     """A set of literals that remembers the order it was built in.
 
-    Equality and hashing are order-insensitive; the stored order is the
-    serialization order, whose first literal acts as the resolution pivot.
+    A clause is one object: the frozenset of its literals, plus the
+    tuple of the same literals in serialization order, whose first
+    literal acts as the resolution pivot. Hashing, equality, membership,
+    len and truth are frozenset's own, so a clause equals, and hashes
+    like, the frozenset (or set) of its literals, whatever their order;
+    iteration, ``literals`` and ``pivot`` follow the serialization order.
     Duplicate literals are dropped, keeping the first occurrence.
     Tautologies (l and -l together) are representable.
     """
 
-    __slots__ = ("_order", "_set")
+    __slots__ = ("_order",)
 
-    def __init__(self, literals: Iterable[Literal] = ()):
+    def __new__(cls, literals: Iterable[Literal] = ()):
         order = dict.fromkeys(literals)  # first occurrences, in order
-        if 0 in order:
+        # a set built from a dict starts at its final size; one built from
+        # a tuple of 5 to 7 literals grows to twice the table
+        self = _new_set(cls, order)
+        if 0 in self:
             raise ValueError("0 terminates clauses and is not a literal")
         self._order = tuple(order)
-        self._set = frozenset(order)
+        return self
+
+    def __reduce__(self):
+        # frozenset's own reduction would rebuild the clause in set order
+        return (type(self), (self._order,))
 
     @property
     def literals(self) -> tuple:
@@ -52,58 +70,50 @@ class Clause:
         """Union with one literal, appended last so the pivot survives."""
         if lit == 0:
             raise ValueError("0 terminates clauses and is not a literal")
-        if lit in self._set:
+        if lit in self:
             return self
         # this clause's literals are already nonzero and distinct
-        out = Clause.__new__(Clause)
-        out._order = self._order + (lit,)
-        out._set = self._set | {lit}
-        return out
+        return _distinct(self._order + (lit,))
 
     def with_literals(self, lits) -> "Clause":
         """with_literal for each of lits in turn, building one clause:
         the literals not yet present are appended in order."""
-        have = self._set
-        extra = [lit for lit in lits if lit not in have]
+        extra = [lit for lit in lits if lit not in self]
         if not extra:
             return self
-        grown = have.union(extra)
-        if 0 in grown:
+        if 0 in extra:
             raise ValueError("0 terminates clauses and is not a literal")
-        if len(grown) - len(have) < len(extra):
-            extra = dict.fromkeys(extra)  # lits repeats a literal: keep its first
-        out = Clause.__new__(Clause)
-        out._order = self._order + tuple(extra)
-        out._set = grown
+        order = self._order + tuple(extra)
+        out = _new_set(Clause, order)
+        if len(out) < len(order):  # lits repeats a literal: keep its first
+            order = self._order + tuple(dict.fromkeys(extra))
+        out._order = order
         return out
 
     def without(self, lit: Literal) -> "Clause":
-        if lit not in self._set:
+        if lit not in self:
             return self
-        return Clause(l for l in self._order if l != lit)
+        return _distinct(tuple(l for l in self._order if l != lit))
 
     def is_tautology(self) -> bool:
-        return any(-l in self._set for l in self._set)
-
-    def __contains__(self, lit) -> bool:
-        return lit in self._set
-
-    def __len__(self) -> int:
-        return len(self._order)
+        return any(-l in self for l in self._order)
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self._order)
 
-    def __eq__(self, other):
-        if not isinstance(other, Clause):
-            return NotImplemented
-        return self._set == other._set
-
-    def __hash__(self):
-        return hash(self._set)
-
     def __repr__(self):
-        return "Clause(%s)" % " ".join(str(l) for l in self._order)
+        return "Clause(%s)" % " ".join(map(str, self._order))
+
+
+_new_set = frozenset.__new__
+
+
+def _distinct(order: tuple) -> Clause:
+    """The clause of order, a tuple of distinct nonzero literals, which
+    the caller guarantees: neither is checked."""
+    clause = _new_set(Clause, order)
+    clause._order = order
+    return clause
 
 
 EMPTY_CLAUSE = Clause()
@@ -216,13 +226,8 @@ class ProofStep(tuple):
         # pickle rebuilds tuple subclasses through __new__, which needs both fields
         return (self[0], self[1])
 
-    @property
-    def op(self) -> str:
-        return self[0]
-
-    @property
-    def clause(self) -> Clause:
-        return self[1]
+    op = property(itemgetter(0), doc="ADD or DELETE.")
+    clause = property(itemgetter(1), doc="The clause added or deleted.")
 
     @property
     def is_add(self) -> bool:
@@ -230,6 +235,14 @@ class ProofStep(tuple):
 
     def __repr__(self):
         return "ProofStep(%s, %r)" % ("add" if self.is_add else "delete", self[1])
+
+
+def _step(op: str, clause: Clause) -> ProofStep:
+    """ProofStep(op, clause) for an op the caller knows is ADD or DELETE."""
+    return _new_tuple(ProofStep, (op, clause))
+
+
+_new_tuple = tuple.__new__
 
 
 class Refutation:

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ADD, DELETE, Clause, Formula, ProofStep, Refutation
+from .core import ADD, DELETE, Clause, Formula, Refutation, _new_set, _step
 
 
 class FormatError(Exception):
@@ -144,12 +144,19 @@ _is_integer = re.compile(r"[-+]?[0-9]+", re.ASCII).fullmatch
 
 
 def _clauses(lines, drat):
-    """Yield (op, literals) for each 0-terminated clause in content lines.
+    """Yield (op, clause, n) for each 0-terminated clause in content lines,
+    n being the number of literals read for it, duplicates included.
 
     A clause may span lines. A "d" at a clause boundary marks a deletion
     only when reading a proof (drat true); every other token must be an
     integer: ASCII digits with an optional sign. Literals keep their
-    order and duplicates.
+    order; a clause drops repeats, keeping the first.
+
+    A plain line, the usual kind, is read whole by C code: one that is
+    ASCII without "_", starts at a clause boundary, and whose only token
+    that reads as 0 is its last, the literal "0". Any other line, and
+    the rest of its clause, is read a token at a time, which finds the
+    same clauses and raises every error.
     """
     kind = "proof" if drat else "clause"
     op = ADD
@@ -158,6 +165,26 @@ def _clauses(lines, drat):
         # int() also reads "1_2" as 12 and digits of other scripts; of the
         # tokens of an ASCII line without "_", it takes just the integers
         plain = line.isascii() and "_" not in line
+        if plain and current is None:
+            toks = line.split()
+            if toks.pop() == "0":
+                step_op = ADD
+                if drat and toks and toks[0] == "d":
+                    step_op = DELETE
+                    del toks[0]
+                try:
+                    order = tuple(map(int, toks))
+                except ValueError:
+                    order = None  # a bad token, or a "d" where none may be
+                if order is not None:
+                    clause = _new_set(Clause, order)
+                    if 0 not in clause:
+                        if len(clause) < len(order):
+                            clause = Clause(order)
+                        else:
+                            clause._order = order
+                        yield step_op, clause, len(order)
+                        continue
         for tok in line.split():
             if current is None:
                 current = []
@@ -174,7 +201,7 @@ def _clauses(lines, drat):
             if lit:
                 current.append(lit)
             else:
-                yield op, current
+                yield op, Clause(current), len(current)
                 current = None
     if current is not None:
         if drat:
@@ -197,7 +224,9 @@ def parse_dimacs(data) -> DimacsCnf:
     list is what the token stream actually contains. Duplicate literals
     inside a clause are dropped (and counted), tautologies are kept.
     Clause data ends at a line that is exactly "%", the trailer of the
-    SATLIB benchmark files, which is followed by a stray "0".
+    SATLIB benchmark files, which is followed by a stray "0". A clause
+    may span lines and a line may hold several; a line that holds one
+    whole clause is read with no call per literal (see _clauses).
     """
     lines = _content_lines(data)
     line = next(lines, None)
@@ -214,9 +243,8 @@ def parse_dimacs(data) -> DimacsCnf:
     clauses = []
     dupes = 0
     body = itertools.takewhile(lambda text: text != "%", lines)
-    for _, literals in _clauses(body, drat=False):
-        clause = Clause(literals)
-        dupes += len(literals) - len(clause)
+    for _, clause, read in _clauses(body, drat=False):
+        dupes += read - len(clause)
         clauses.append(clause)
     return DimacsCnf(Formula(clauses), header[0], header[1], dupes)
 
@@ -234,21 +262,26 @@ def write_dimacs(formula: Formula, declared_vars=None) -> str:
 
 def _clause_line(clause: Clause, prefix: str = "") -> str:
     if clause.literals:
-        return prefix + " ".join(str(l) for l in clause.literals) + " 0"
+        return prefix + " ".join(map(str, clause.literals)) + " 0"
     return prefix + "0"
 
 
 def parse_drat(data) -> Refutation:
-    """Parse an ASCII proof: 0-terminated clauses, deletions prefixed with 'd'."""
+    """Parse an ASCII proof: 0-terminated clauses, deletions prefixed with 'd'.
+
+    data is text or UTF-8 bytes. A clause may span lines and a line may
+    hold several; comment and blank lines are skipped. Each step is
+    built straight from its line when the line holds one whole clause
+    (see _clauses), with no call per literal.
+    """
     steps = _clauses(_content_lines(data), drat=True)
-    return Refutation(ProofStep(op, Clause(literals)) for op, literals in steps)
+    return Refutation([_step(op, clause) for op, clause, _ in steps])
 
 
 def write_drat(refutation: Refutation) -> str:
     lines = []
-    for step in refutation:
-        prefix = "" if step.is_add else "d "
-        lines.append(_clause_line(step.clause, prefix))
+    for op, clause in refutation:
+        lines.append(_clause_line(clause, "" if op == ADD else "d "))
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
@@ -261,19 +294,19 @@ def drat_size(refutation, sizes=None) -> int:
     maps a clause value to the bytes of its line as an addition, newline
     included; lines it lacks are measured and added to it, so the sizes
     of proofs that share clauses measure each clause once. A line's
-    length does not depend on the order of its literals.
+    length does not depend on the order of its literals. A line is
+    measured as it is written, joined by C code, not literal by literal.
     """
     if sizes is None:
         sizes = {}
     total = 0
-    for step in refutation:
-        clause = step.clause
+    for op, clause in refutation:
         n = sizes.get(clause)
         if n is None:
             lits = clause.literals
-            # each literal and "0" is followed by a space or the newline
-            n = sizes[clause] = sum(map(len, map(str, lits))) + len(lits) + 2
-        total += n if step.is_add else n + 2  # "d "
+            # the literals, spaced, then " 0" or "0" and the newline
+            n = sizes[clause] = len(" ".join(map(str, lits))) + (3 if lits else 2)
+        total += n if op == ADD else n + 2  # "d "
     return total
 
 

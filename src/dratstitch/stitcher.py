@@ -46,7 +46,7 @@ from itertools import chain
 from typing import Callable, NamedTuple, Optional, Union
 
 from .checker import STRICT, _share_count, annotate_refutation, first_violation
-from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation
+from .core import ADD, EMPTY_CLAUSE, Formula, ProofStep, Refutation, _step
 from .formats import Cube, ProofBundle
 from .trimmer import trim
 
@@ -379,7 +379,7 @@ def _steps(runs):
     out = []
     for steps, suffix in runs:
         if suffix:
-            out += [ProofStep(op, clause.with_literals(suffix)) for op, clause in steps]
+            out += [_step(op, clause.with_literals(suffix)) for op, clause in steps]
         else:
             out += steps
     return Refutation(out)

@@ -96,7 +96,7 @@ from .checker import (
     _root_conflict,
     annotate_refutation,
 )
-from .core import ADD, DELETE, EMPTY_CLAUSE, Formula, ProofStep, Refutation
+from .core import ADD, DELETE, EMPTY_CLAUSE, Formula, ProofStep, Refutation, _step
 from .formats import drat_size
 
 
@@ -210,7 +210,7 @@ class _Analysis:
         steps = self.steps
         n = self.n_formula
         deletions = [
-            (last, 1, cid, ProofStep(DELETE, steps[cid - n].clause))
+            (last, 1, cid, _step(DELETE, steps[cid - n].clause))
             for cid, last in self.last_use.items()
             # deleting after the final empty clause is dead weight
             if cid >= n and last < self.final_index

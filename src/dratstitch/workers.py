@@ -44,7 +44,7 @@ from functools import partial
 
 from . import checker, stitcher
 from .checker import _kept
-from .core import Clause, ProofStep
+from .core import _distinct, _step
 
 
 def _split(sizes, merges):
@@ -331,7 +331,7 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
                 walk.done[path] = (stitcher._leaf_part(counted, proof, outcome), ())
             stitched += handed
     for path, steps, hints, rat, events in stitched:
-        steps = [ProofStep(op, Clause(literals)) for op, literals in steps]
+        steps = [_step(op, _distinct(literals)) for op, literals in steps]
         walk.done[path] = (stitcher._built(steps, path, [(0, hints)], rat), events)
 
 

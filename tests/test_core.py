@@ -1,7 +1,9 @@
 """Clause, Formula, ProofStep, and Refutation behavior."""
 
+import copy
 import pickle
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -252,3 +254,80 @@ def test_pickle_round_trip():
     assert back == formula and back.multiplicity(clause) == 2
     back = pickle.loads(pickle.dumps(refutation))
     assert back == refutation and all(isinstance(s, ProofStep) for s in back)
+
+
+def test_clause_hashes_and_compares_as_a_frozenset_in_c():
+    assert Clause.__hash__ is frozenset.__hash__
+    for name in ("__eq__", "__ne__", "__contains__", "__len__"):
+        assert getattr(Clause, name) is getattr(frozenset, name), name
+    a, b = Clause((1, -2, 3)), Clause((3, 1, -2))
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        outcomes = (a == b, a != b, hash(a) == hash(b), -2 in a, len(a), bool(EMPTY_CLAUSE))
+    finally:
+        sys.setprofile(None)
+    assert outcomes == (True, False, True, True, 3, False)
+    # no Python-level function ran (a "call" event), only C code
+    assert "call" not in events, events
+
+
+def test_clause_equals_the_frozenset_of_its_literals():
+    c = Clause((2, -1, 2))
+    assert c == frozenset((-1, 2)) and frozenset((2, -1)) == c
+    assert c == {2, -1} and hash(c) == hash(frozenset((-1, 2)))
+    assert {frozenset((-1, 2)): "found"}[c] == "found"
+    assert {c: "found"}[frozenset((2, -1))] == "found"
+    assert EMPTY_CLAUSE == frozenset()
+    assert c != (2, -1) and c != [2, -1] and c != frozenset((2,))
+    # set operations give plain frozensets, without an order
+    assert type(c | {5}) is frozenset and c | {5} == {-1, 2, 5}
+
+
+def test_clause_keeps_its_order_through_copies_and_edits():
+    c = Clause((5, -3, 9, 1))
+    for copied in (
+        pickle.loads(pickle.dumps(c)),
+        pickle.loads(pickle.dumps(c, protocol=0)),
+        copy.copy(c),
+        copy.deepcopy(c),
+        copy.deepcopy([c])[0],
+    ):
+        assert type(copied) is Clause and copied.literals == (5, -3, 9, 1)
+        assert list(copied) == [5, -3, 9, 1] and copied.pivot == 5
+    assert c.with_literal(-7).literals == (5, -3, 9, 1, -7)
+    assert c.with_literals((2, 9, 2, -2)).literals == (5, -3, 9, 1, 2, -2)
+    assert c.without(9).literals == (5, -3, 1) and c.without(5).pivot == -3
+    for grown in (c.with_literal(-7), c.with_literals((2, 9, 2, -2)), c.without(9)):
+        assert type(grown) is Clause and grown == frozenset(grown.literals)
+        assert len(grown) == len(grown.literals)
+
+
+def test_clause_rejects_zero_and_drops_repeats_keeping_the_first():
+    for build in (
+        lambda: Clause((1, 0)),
+        lambda: Clause([0]),
+        lambda: Clause((1,)).with_literal(0),
+        lambda: Clause((1,)).with_literals((2, 0)),
+    ):
+        with pytest.raises(ValueError, match="0 terminates clauses"):
+            build()
+    c = Clause(iter((4, -4, 4, 2, -4)))
+    assert c.literals == (4, -4, 2) and len(c) == 3 and c.is_tautology()
+
+
+def test_formula_rejects_plain_frozensets():
+    with pytest.raises(TypeError):
+        Formula([frozenset((1, 2))])
+    with pytest.raises(TypeError):
+        Formula([Clause((1,)), {1}])
+
+
+def test_proof_step_fields_are_read_only():
+    s = ProofStep(ADD, Clause((1, 2)))
+    for name in ("op", "clause"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert (s.op, s.clause) == (ADD, Clause((2, 1)))
