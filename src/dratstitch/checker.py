@@ -234,13 +234,14 @@ class _ClauseDb:
     literal is coded as ``2 * index + (lit < 0)``, so ``code ^ 1`` is its
     negation. Assignments, reasons, watch lists and occurrence lists are
     lists indexed by code, so they grow with the number of distinct
-    variables, not with the largest variable number. Clause literal
-    lists, check assumptions and the trail hold codes; clause values stay
-    in literals. Conflict derivations are handed out as clause ids, the
-    falsified clause first, then the reason of each trail literal the
-    conflict needs, latest on the trail first (see ``_explain``); the
-    position of each root literal on the trail is recorded as the
-    closure grows, for that order.
+    variables, not with the largest variable number. Each clause keeps
+    one list of its literal codes, in no fixed order; check assumptions
+    and the trail hold codes too, and clause values stay in literals.
+    Conflict derivations are handed out as clause ids, the falsified
+    clause first, then the reason of each trail literal the conflict
+    needs, latest on the trail first (see ``_explain``); the position of
+    each root literal on the trail is recorded as the closure grows, for
+    that order.
 
     A distinct clause value gets the next id when it enters the multiset,
     and a fresh one if it is fully deleted and added again, so id order is
@@ -249,15 +250,18 @@ class _ClauseDb:
     where a and b are its other two codes, so that a visit finds the
     clause can derive nothing, neither other literal being false, in two
     reads of ``value``; it is never watched and its literal list is never
-    reordered. Entries are appended when their id is created, and
-    compaction keeps their order, so every occurrence list is in
-    increasing id order: ``_propagate`` relies on it. Entries of deleted
-    ternary clauses are skipped where they could derive something, and a
-    code's list is compacted once its stale entries outnumber its live
-    ones, so it never holds more than twice its live entries.
+    written, so copies share it. Entries are appended when their id is
+    created, and compaction keeps their order, so every occurrence list
+    is in increasing id order: ``_propagate`` relies on it. Entries of
+    deleted ternary clauses are skipped where they could derive
+    something, and a code's list is compacted once its stale entries
+    outnumber its live ones, so it never holds more than twice its live
+    entries.
     Of any other clause, positions 0 and 1 of its literal list are
-    watched; a unit clause is watched on its only literal. Watch entries
-    of deleted clauses are dropped lazily.
+    watched, and propagation reorders the list as the watches move; a
+    unit clause is watched on its only literal. Watch entries of deleted
+    clauses are dropped lazily. Nothing else reads a list's order: an
+    explanation reads a clause's literals as a set.
 
     The ids of the clauses that are the reason of a root literal are
     marked whenever the root closure grows: on a rebuild and on an
@@ -278,8 +282,7 @@ class _ClauseDb:
         self.mult = dict(formula.counts())
         self.ids = {}  # alive clause value -> id, in id order
         self.clauses = []  # id -> Clause, literals in serialization order
-        self.codes = []  # id -> literal codes in serialization order
-        self.lits = []  # id -> literal codes in watch order; None once deleted
+        self.lits = []  # id -> literal codes, any watched first; None once deleted
         self.watched = []  # ids of the clauses that are not ternary, deleted ones too
         self.short = {}  # id -> code of a live unit, None of a live empty clause; id order
         self.index = {}  # variable -> dense index
@@ -316,14 +319,14 @@ class _ClauseDb:
         put them in (a new value gets the next id, a present one a higher
         count), and the root closure is computed afresh, so the copy equals
         a build over the formula plus the units. Watch positions may
-        differ; nothing depends on them. Only the literal lists of watched
-        clauses are copied, since no replay reorders any other.
+        differ; nothing depends on them. The literal lists of watched
+        clauses are copied, so the copy's watches never move the base's;
+        a ternary clause's list is never written, so it is shared.
         """
         db = type(self)(Formula(), record)  # empty clauses, closure and counts
         db.mult = mult = self.mult.copy()
         db.ids = self.ids.copy()
         db.clauses = self.clauses.copy()
-        db.codes = self.codes.copy()  # never written to, so shared
         db.lits = lits = self.lits.copy()
         for cid in self.watched:
             lits[cid] = lits[cid].copy()
@@ -365,33 +368,28 @@ class _ClauseDb:
             out.append(i + i + (lit < 0))
         return out
 
-    def _watch(self, clause, codes, lits=None):
+    def _watch(self, clause, lits):
         """Give a new clause value the next id and index it for propagation.
 
-        codes are its literal codes in serialization order. A ternary
-        clause goes on the occurrence list of each of its codes and keeps
-        codes as its literal list. Any other clause watches lits[0] and
-        lits[1], where lits holds the same codes in watch order and
-        defaults to a copy of codes.
+        lits, its literal codes in any order, becomes its literal list. A
+        ternary clause goes on the occurrence list of each of its codes.
+        Any other clause watches lits[0] and lits[1]; propagation moves
+        its watches, so the list is the clause's own, never shared.
         """
         cid = len(self.clauses)
         self.ids[clause] = cid
         self.clauses.append(clause)
-        self.codes.append(codes)
-        if len(codes) == 3:
-            a, b, c = codes
+        self.lits.append(lits)
+        if len(lits) == 3:
+            a, b, c = lits
             occurs = self.occurs
             occurs[a].append((cid, b ^ 1, c ^ 1))
             occurs[b].append((cid, a ^ 1, c ^ 1))
             occurs[c].append((cid, a ^ 1, b ^ 1))
-            self.lits.append(codes)
             return cid
-        if lits is None:
-            lits = codes.copy()
-        self.lits.append(lits)
         self.watched.append(cid)
-        if len(codes) <= 1:
-            self.short[cid] = codes[0] if codes else None
+        if len(lits) <= 1:
+            self.short[cid] = lits[0] if lits else None
         watches = self.watches
         for c in lits[:2]:
             watches[c].append(cid)
@@ -540,7 +538,7 @@ class _ClauseDb:
         explanation costs what the check derived, not the size of the root
         closure.
         """
-        codes = self.codes
+        lits = self.lits
         reason = self.reason
         trail = self.trail
         position = self.position
@@ -550,7 +548,7 @@ class _ClauseDb:
             false = (lit,)
         else:
             used = [falsified]
-            false = codes[falsified]
+            false = lits[falsified]
         need = set()  # true codes the conflict needs
         roots = []  # the positions of the root ones
         above = 0  # needed codes above the root not yet walked past
@@ -570,7 +568,7 @@ class _ClauseDb:
                 r = reason[m]
                 if r is not None:  # else an assumption
                     used.append(r)
-                    for q in codes[r]:
+                    for q in lits[r]:
                         n = q ^ 1  # q is false but for m
                         if q != m and n not in need:
                             need.add(n)
@@ -584,7 +582,7 @@ class _ClauseDb:
                     break
         for p in roots:  # the list grows to the root codes their reasons need
             m = trail[p]
-            for q in codes[reason[m]]:  # root literals all have a reason
+            for q in lits[reason[m]]:  # root literals all have a reason
                 n = q ^ 1
                 if q != m and n not in need:
                     need.add(n)
@@ -655,7 +653,7 @@ class _ClauseDb:
                 false.append(c)
             else:
                 open_.append(c)
-        cid = self._watch(clause, codes, true + open_ + false)
+        cid = self._watch(clause, true + open_ + false)
         if self.root_conflict or true or len(open_) > 1:
             return  # nothing new to derive, or nothing propagates
         if not open_:
@@ -682,9 +680,9 @@ class _ClauseDb:
         del self.mult[clause]
         cid = self.ids.pop(clause)
         all_lits = self.lits
+        codes = all_lits[cid]
         all_lits[cid] = None
         self.short.pop(cid, None)
-        codes = self.codes[cid]
         if len(codes) == 3:
             occurs = self.occurs
             stale = self.stale
@@ -988,18 +986,18 @@ def _assumed(literals, units=()):
 
 
 def _hint_table(formula):
-    """Per distinct formula clause, in ``counts()`` order, its literals,
-    its value and its count; and each value's key, its position plus 1.
+    """The distinct formula clauses, in ``counts()`` order, as three
+    tables: their literals, by position; their counts, by key, after key
+    0, which is never live; and each value's key, its position plus 1.
 
     A hint check reads the formula from it, as kept by ``_kept``, so the
     checks of many proofs of one formula build it once.
     """
-    values = [None]
-    values += (clause for clause, _ in formula.counts())
+    counts = formula.counts()
+    literals = [clause.literals for clause, _ in counts]
     count = [0]
-    count += (k for _, k in formula.counts())
-    literals = [clause.literals for clause in values[1:]]
-    return literals, values, count, dict(zip(values[1:], range(1, len(values))))
+    count += (k for _, k in counts)
+    return literals, count, {clause: k for k, (clause, _) in enumerate(counts, 1)}
 
 
 def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record=False):
@@ -1032,19 +1030,17 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record
     if len(hints) != len(refutation):
         raise ValueError("hints must give one entry per proof step")
     start = time.perf_counter()
-    literals, values, count, keys = _kept(formula, 2)
+    literals, count, keys = _kept(formula, 2)
     literals = literals.copy()  # id -> the clause's literals
-    key = list(range(1, len(values)))  # id -> its value's key; 0 (never live) for a deletion
-    values = values.copy()  # key -> clause value
+    key = list(range(1, len(count)))  # id -> its value's key; 0 (never live) for a deletion
     count = count.copy()  # key -> live copies of the value
-    keys = keys.copy()  # clause value -> key
-    named = list(range(-1, len(values) - 1))  # key -> the id that names its live copies
+    keys = keys.copy()  # clause value -> key, in key order
+    named = list(range(-1, len(count) - 1))  # key -> the id that names its live copies
 
     def key_of(clause):
         k = keys.get(clause)
         if k is None:
-            k = keys[clause] = len(values)
-            values.append(clause)
+            k = keys[clause] = len(count)
             count.append(0)
             named.append(None)
         return k
@@ -1105,7 +1101,7 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record
             # RAT on the pivot: every resolvent with a live clause
             # holding its negation is a tautology or conflicts
             pivot = lits[0]
-            neighbours = [v for k, v in enumerate(values) if count[k] and -pivot in v]
+            neighbours = [v for v, k in keys.items() if count[k] and -pivot in v]
             used = {}  # what the resolvents' conflicts used, in order
             for value in neighbours:
                 true = _assumed(lits + tuple(m for m in value if m != -pivot), units)

@@ -400,11 +400,9 @@ def _cubes_in_manifest(path: Path):
                 raise MissingTerminatorError("cube line lacks a 0 terminator") from None
             literals = []
             for tok in tokens[1:zero]:
-                try:
-                    lit = int(tok)
-                except ValueError:
-                    lit = 0
-                if not lit:  # "00" or "-0" is no more a decision literal than "x"
+                # "00" or "-0" is no more a decision literal than "x" or "1_2"
+                lit = int(tok) if _is_integer(tok) else 0
+                if not lit:
                     raise NonIntegerTokenError("bad literal %r" % tok)
                 literals.append(lit)
             rest = tokens[zero + 1 :]

@@ -302,11 +302,11 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
     formula = walk.formula
     # built once, before the fork, for the worker too
     _kept(formula, 1)
-    if walk.cl_avg >= 0:
-        _kept(formula, 2)
-    share_of = [k for k, share in enumerate(shares) for _ in share]
     subtrees = ([], [])
-    _subtrees(tree, (), 0, share_of, subtrees)
+    if walk.cl_avg >= 0:  # else no merge is trimmed, and the shares stitch none
+        _kept(formula, 2)
+        share_of = [k for k, share in enumerate(shares) for _ in share]
+        _subtrees(tree, (), 0, share_of, subtrees)
     work = [
         (walk, [leaves[i] for i in share], [sub[1:] for sub in sorted(subs)], mode)
         for share, subs in zip(shares, subtrees)

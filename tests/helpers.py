@@ -702,13 +702,17 @@ def depth_first_explain(db, falsified, lit=None):
     from its literals, or from the code lit when no clause is falsified,
     visiting each clause's literals in serialization order. Kept so that
     the differential tests can require the same used sets of both."""
+    index = db.index
+
+    def codes(cid):  # the clause's codes in serialization order
+        return [2 * index[abs(q)] + (q < 0) for q in db.clauses[cid].literals]
+
     used = {}
-    codes = db.codes
     if falsified is None:
         stack = [lit]
     else:
         used[falsified] = None
-        stack = list(codes[falsified])
+        stack = codes(falsified)
     seen = set(stack)
     reason = db.reason
     while stack:
@@ -717,7 +721,7 @@ def depth_first_explain(db, falsified, lit=None):
         if r is None or r in used:
             continue
         used[r] = None
-        for q in codes[r]:
+        for q in codes(r):
             if q != m and q not in seen:
                 seen.add(q)
                 stack.append(q)

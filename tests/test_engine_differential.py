@@ -12,9 +12,13 @@ engine used before it listed a conflict's clauses along the trail
 so must each step's used clauses, taken as a set.
 
 Replays work on a copy of a kept database of their formula, extended by
-the units of a cube. The last section requires every such replay, in
+the units of a cube. A later section requires every such replay, in
 both engines, to equal a replay on a database built from scratch over
-the formula with the cube's units added.
+the formula with the cube's units added. The last test replays each
+case on a copy whose clause literal lists are reordered, but for their
+watched positions, and requires the same judgements and propagation
+counts: the engine keeps one literal list per clause, and nothing but
+the watches reads its order.
 """
 
 import contextlib
@@ -48,6 +52,7 @@ from helpers import (
     bundle_for,
     depth_first_explain,
     instance_at,
+    last_use_corpus,
     long_root_case,
     random_proofs,
     rat_corpus,
@@ -641,7 +646,6 @@ def _database_state(db):
         list(db.ids.items()),
         list(db.clauses),
         list(db.index.items()),
-        [[literal(c) for c in codes] for codes in db.codes],
         [[literal(c) for c in lits] for lits in db.lits],
         {literal(code): list(ws) for code, ws in enumerate(db.watches)},
         {
@@ -757,3 +761,75 @@ def test_a_swapped_engine_does_not_reuse_the_kept_base(monkeypatch):
     assert len(built) == 2  # the base, then its extension
     check_refutation(formula, proof)
     assert type(checker._base[1]) is checker._ClauseDb
+
+
+# Nothing reads the order of a clause's literal list but the watches on
+# its first two positions: a replay on a copy whose lists are reordered,
+# those of the clauses it adds too, must judge every step as one on the
+# copy as built.
+
+
+def _reorder(db):
+    """Reverse each ternary clause's literal list and positions 2 and up
+    of each longer clause's, on db now and on each clause it adds later.
+    A ternary list is replaced by a reversed copy, since the kept base
+    shares it; a longer one is db's own and reversed in place. Returns
+    the list of the lengths of the lists reordered, which grows as the
+    replay adds clauses."""
+    lengths = []
+
+    def reordered(codes):
+        if len(codes) == 3:
+            codes = codes[::-1]
+        elif len(codes) > 3:
+            codes[2:] = reversed(codes[2:])
+        if len(codes) >= 3:
+            lengths.append(len(codes))
+        return codes
+
+    lits = db.lits
+    for cid, codes in enumerate(lits):
+        if codes is not None:
+            lits[cid] = reordered(codes)
+    watch = db._watch
+    db._watch = lambda clause, codes: watch(clause, reordered(codes))
+    return lengths
+
+
+def _premise_corpus():
+    """(formula, proof, cubes) over the corpora above."""
+    for case, (formula, proof) in enumerate(HAND_CASES):
+        yield formula, proof, _cubes(formula, random.Random(case))
+    for _, formula, proof in random_proofs():
+        yield formula, proof, [()]
+    for formula, proof in rat_corpus():
+        yield formula, proof, [()]
+    rng = random.Random(53)
+    for seed in (1, 2):
+        formula, combined = stitched_instance(seed, num_vars=11, depth=3)
+        trimmed, _ = trim(formula, combined)
+        for proof in (combined, trimmed):
+            yield formula, proof, _cubes(formula, rng)
+            for mutated in _mutations(formula, proof, rng).values():
+                yield formula, mutated, [rng.choice(_cubes(formula, rng))]
+    formula, proof = long_root_case()
+    yield formula, proof, [()]
+    # solver proofs, whose lemmas are most of the lists longer than three
+    for formula, proof in last_use_corpus()[:40]:
+        yield formula, proof, [()]
+
+
+def test_replays_do_not_depend_on_the_order_of_literal_lists():
+    reordered = []
+    for formula, proof, cubes in _premise_corpus():
+        for cube in cubes:
+            for mode in MODES:
+                db = checker._database(formula, cube, True)
+                as_built = checker._pass(db, proof, mode), db.propagations
+                base_state = _database_state(checker._base[1])
+                db = checker._database(formula, cube, True)
+                lengths = _reorder(db)
+                assert (checker._pass(db, proof, mode), db.propagations) == as_built, (mode, cube, proof)
+                assert _database_state(checker._base[1]) == base_state
+                reordered += lengths
+    assert reordered.count(3) > 10000 and len(reordered) - reordered.count(3) > 500

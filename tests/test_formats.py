@@ -402,9 +402,13 @@ def test_load_bundle_manifest_cube_errors_name_the_line(tmp_path):
         ("a -0 0 ok.drat", NonIntegerTokenError, "bad literal '-0'"),
         ("a 2 +0 0 ok.drat", NonIntegerTokenError, "bad literal '+0'"),
         ("a 2 x 0 ok.drat", NonIntegerTokenError, "bad literal 'x'"),
+        # int() reads these as 12, -1 and 7; a literal is ASCII digits
+        ("a 1_2 0 ok.drat", NonIntegerTokenError, "bad literal '1_2'"),
+        ("a -\u0661 0 ok.drat", NonIntegerTokenError, "bad literal '-\u0661'"),
+        ("a \uff17 0 ok.drat", NonIntegerTokenError, "bad literal '\uff17'"),
         ("a 1 -1 0 ok.drat", DuplicateVariableInCubeError, "variable 1 decided twice in cube [1, -1]"),
     ]:
-        manifest.write_text("c a comment\na 3 0 ok.drat\n%s\n" % line)
+        manifest.write_text("c a comment\na 3 0 ok.drat\n%s\n" % line, encoding="utf-8")
         with pytest.raises(error) as info:
             load_bundle(cnf, manifest)
         assert type(info.value) is error

@@ -97,6 +97,22 @@ def parent_trims():
         yield paths
 
 
+@contextlib.contextmanager
+def subtree_walks():
+    """The cube trees walked for a share's subtrees meanwhile."""
+    walks = []
+    real = workers._subtrees
+
+    def counted(node, path, *args):
+        if not path:  # the walk's root, not one of its own recursive calls
+            walks.append(node)
+        return real(node, path, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(workers, "_subtrees", counted)
+        yield walks
+
+
 def both_paths(formula, tree, cl_avg, **kwargs):
     """outcome on the serial path, then on the forked path, and the
     number of workers the forked one started."""
@@ -121,9 +137,11 @@ def test_forked_leaf_checks_stitch_what_serial_ones_do():
     trims = {"serial": 0, "forked": 0}  # made in this process
     for formula, tree in _corpus():
         for cl_avg in (-1, 0, 2, 4):
-            with parent_trims() as paths:
+            with parent_trims() as paths, subtree_walks() as walks:
                 serial, forked, forks = both_paths(formula, tree, cl_avg)
             assert forked == serial
+            # with no merge to trim, no share stitches a subtree
+            assert len(walks) == (cl_avg >= 0)
             started += forks
             if isinstance(serial[0], str):
                 stitched += 1
