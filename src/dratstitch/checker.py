@@ -245,18 +245,19 @@ class _ClauseDb:
 
     A distinct clause value gets the next id when it enters the multiset,
     and a fresh one if it is fully deleted and added again, so id order is
-    the insertion order of ``mult``. A ternary clause is entered on the
-    occurrence list of each of its three codes as ``(id, a ^ 1, b ^ 1)``,
-    where a and b are its other two codes, so that a visit finds the
-    clause can derive nothing, neither other literal being false, in two
-    reads of ``value``; it is never watched and its literal list is never
-    written, so copies share it. Entries are appended when their id is
-    created, and compaction keeps their order, so every occurrence list
-    is in increasing id order: ``_propagate`` relies on it. Entries of
-    deleted ternary clauses are skipped where they could derive
-    something, and a code's list is compacted once its stale entries
-    outnumber its live ones, so it never holds more than twice its live
-    entries.
+    the insertion order of ``ids``, which maps each live value to its id;
+    ``count`` holds each id's live copies, 0 once its value is deleted.
+    A ternary clause is entered on the occurrence list of each of its
+    three codes as ``(id, a ^ 1, b ^ 1)``, where a and b are its other
+    two codes, so that a visit finds the clause can derive nothing,
+    neither other literal being false, in two reads of ``value``; it is
+    never watched and its literal list is never written, so copies
+    share it. Entries are appended when their id is created, and
+    compaction keeps their order, so every occurrence list is in
+    increasing id order: ``_propagate`` relies on it. Entries of deleted
+    ternary clauses are skipped where they could derive something, and a
+    code's list is compacted once its stale entries outnumber its live
+    ones, so it never holds more than twice its live entries.
     Of any other clause, positions 0 and 1 of its literal list are
     watched, and propagation reorders the list as the watches move; a
     unit clause is watched on its only literal. Watch entries of deleted
@@ -279,8 +280,8 @@ class _ClauseDb:
 
     def __init__(self, formula: Formula, record: bool = False):
         self.record = record
-        self.mult = dict(formula.counts())
-        self.ids = {}  # alive clause value -> id, in id order
+        self.ids = {}  # live clause value -> id, in id order
+        self.count = []  # id -> live copies of its value; 0 once deleted
         self.clauses = []  # id -> Clause, literals in serialization order
         self.lits = []  # id -> literal codes, any watched first; None once deleted
         self.watched = []  # ids of the clauses that are not ternary, deleted ones too
@@ -300,8 +301,8 @@ class _ClauseDb:
         self.root_used = ()
         self.propagations = 0
         self.checked = (None, None)  # the clause at_check last judged, and its codes
-        for clause in self.mult:
-            self._watch(clause, self._codes(clause.literals))
+        for clause, k in formula.counts():
+            self._watch(clause, self._codes(clause.literals), k)
         self._rebuild_closure()
 
     @property
@@ -313,19 +314,19 @@ class _ClauseDb:
     def extended(self, cube, record=False):
         """A new database over this one's clauses plus a unit per cube literal.
 
-        This database must be as built: no step applied, so its ids run in
-        the order of ``mult``. Its clauses, watches, occurrence lists and
-        variable index are copied, the units go in as ``__init__`` would
-        put them in (a new value gets the next id, a present one a higher
-        count), and the root closure is computed afresh, so the copy equals
+        This database must be as built: no step applied, so every id is
+        live. Its clauses, counts, watches, occurrence lists and variable
+        index are copied, the units go in as ``__init__`` would put them
+        in (a new value gets the next id, a present one a higher count),
+        and the root closure is computed afresh, so the copy equals
         a build over the formula plus the units. Watch positions may
         differ; nothing depends on them. The literal lists of watched
         clauses are copied, so the copy's watches never move the base's;
         a ternary clause's list is never written, so it is shared.
         """
         db = type(self)(Formula(), record)  # empty clauses, closure and counts
-        db.mult = mult = self.mult.copy()
-        db.ids = self.ids.copy()
+        db.ids = ids = self.ids.copy()
+        db.count = count = self.count.copy()
         db.clauses = self.clauses.copy()
         db.lits = lits = self.lits.copy()
         for cid in self.watched:
@@ -342,10 +343,11 @@ class _ClauseDb:
         db.position = [0] * len(self.position)
         for lit in cube:
             unit = Clause((lit,))
-            count = mult.get(unit, 0)
-            mult[unit] = count + 1
-            if not count:
+            cid = ids.get(unit)
+            if cid is None:
                 db._watch(unit, db._codes(unit.literals))
+            else:
+                count[cid] += 1
         db._rebuild_closure()
         return db
 
@@ -368,8 +370,9 @@ class _ClauseDb:
             out.append(i + i + (lit < 0))
         return out
 
-    def _watch(self, clause, lits):
-        """Give a new clause value the next id and index it for propagation.
+    def _watch(self, clause, lits, copies=1):
+        """Give a new clause value, of that many live copies, the next id
+        and index it for propagation.
 
         lits, its literal codes in any order, becomes its literal list. A
         ternary clause goes on the occurrence list of each of its codes.
@@ -378,6 +381,7 @@ class _ClauseDb:
         """
         cid = len(self.clauses)
         self.ids[clause] = cid
+        self.count.append(copies)
         self.clauses.append(clause)
         self.lits.append(lits)
         if len(lits) == 3:
@@ -614,7 +618,7 @@ class _ClauseDb:
         Callers run the plain at_check fast path first. Returns
         (ok, used, neighbors).
         """
-        neighbors = tuple(c for c in self.mult if -pivot in c)
+        neighbors = tuple(c for c in self.ids if -pivot in c)
         used_all = {} if self.record else None
         negated = [c ^ 1 for c in self._codes(clause.literals)]
         (resolved,) = self._codes((-pivot,))
@@ -633,9 +637,9 @@ class _ClauseDb:
         return True, (list(used_all) if self.record else None), neighbors
 
     def add(self, clause):
-        count = self.mult.get(clause, 0)
-        self.mult[clause] = count + 1
-        if count:
+        cid = self.ids.get(clause)
+        if cid is not None:
+            self.count[cid] += 1
             return
         # watch true literals first, then open ones, so a false watch
         # only ever sits next to a true one (ternary clauses ignore the order)
@@ -671,14 +675,14 @@ class _ClauseDb:
 
     def remove(self, clause):
         """Drop one instance; returns False when no instance is present."""
-        count = self.mult.get(clause, 0)
-        if count == 0:
+        cid = self.ids.get(clause)
+        if cid is None:
             return False
-        if count > 1:
-            self.mult[clause] = count - 1
+        count = self.count
+        count[cid] -= 1
+        if count[cid]:
             return True
-        del self.mult[clause]
-        cid = self.ids.pop(clause)
+        del self.ids[clause]
         all_lits = self.lits
         codes = all_lits[cid]
         all_lits[cid] = None
@@ -1000,7 +1004,7 @@ def _hint_table(formula):
     return literals, count, {clause: k for k, (clause, _) in enumerate(counts, 1)}
 
 
-def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record=False):
+def _check_hinted(formula, refutation, mode, hints, cube=(), fresh=None, record=False):
     """Judge every step from its hints alone; see check_refutation.
 
     Returns the report and, when record is on, (steps, needed, rat,
@@ -1018,12 +1022,14 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record
     them, and applied holds the numbers of the deletions that removed a
     clause.
 
-    judged, when given, holds the numbers of additions that an earlier
-    check has propagated to a conflict over their hints, as AT. Their
-    hints must still name older clauses with a live copy, as every
-    step's must, but they are not propagated again: each needed what
-    its hints name, in their order, renamed as above. Deletions and the
-    naming are followed over every step either way.
+    fresh, when given, is the set of the numbers of the additions that
+    no earlier check has propagated: only those are propagated here. Any
+    other addition an earlier check propagated to a conflict over its
+    hints, as AT; its hints must still name older clauses with a live
+    copy, as every step's must, and it needed what they name, in their
+    order, renamed as above. Without fresh, every addition is
+    propagated. Deletions and the naming are followed over every step
+    either way.
     """
     if mode not in (STRICT, PERMISSIVE):
         raise ValueError("mode must be %r or %r" % (STRICT, PERMISSIVE))
@@ -1089,14 +1095,14 @@ def _check_hinted(formula, refutation, mode, hints, cube=(), judged=None, record
         # the falsified one back in trail order, so reversed they are in
         # unit order and one pass suffices; other hints may take more
         hinted = hint[::-1]
-        if judged is not None and i in judged:
-            used = hinted  # the order an earlier propagation used them in
-        else:
+        if fresh is None or i in fresh:
             true = _assumed(lits, units)
             used = ()
             if true is not None:
                 used, n = _hinted_conflict(true, hinted, literals)
                 derived += n
+        else:
+            used = hinted  # the order an earlier propagation used them in
         if used is None and lits:
             # RAT on the pivot: every resolvent with a live clause
             # holding its negation is a tautology or conflicts

@@ -220,9 +220,10 @@ class DimacsCnf:
 def parse_dimacs(data) -> DimacsCnf:
     """Parse DIMACS CNF text or bytes.
 
-    The header counts are advisory and kept for diagnostics; the clause
-    list is what the token stream actually contains. Duplicate literals
-    inside a clause are dropped (and counted), tautologies are kept.
+    The header counts are advisory and kept for diagnostics, but must
+    be integers as clause tokens are (see _clauses); the clause list is
+    what the token stream actually contains. Duplicate literals inside
+    a clause are dropped (and counted), tautologies are kept.
     Clause data ends at a line that is exactly "%", the trailer of the
     SATLIB benchmark files, which is followed by a stray "0". A clause
     may span lines and a line may hold several; a line that holds one
@@ -235,10 +236,9 @@ def parse_dimacs(data) -> DimacsCnf:
     parts = line.split()
     if parts[0] != "p" or len(parts) != 4 or parts[1] != "cnf":
         raise MalformedHeaderError("expected 'p cnf <vars> <clauses>', got: %s" % line)
-    try:
-        header = (int(parts[2]), int(parts[3]))
-    except ValueError:
-        raise MalformedHeaderError("non-numeric header counts: %s" % line) from None
+    if not (_is_integer(parts[2]) and _is_integer(parts[3])):
+        raise MalformedHeaderError("non-numeric header counts: %s" % line)
+    header = (int(parts[2]), int(parts[3]))
 
     clauses = []
     dupes = 0

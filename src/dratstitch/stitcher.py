@@ -199,11 +199,12 @@ def _shares(sizes, merges=()):
     workers._split, or one where the stitch stays serial (see
     checker._share_count).
 
-    sizes holds each leaf's weight, merges the (first leaf, end, weight)
-    of each merge that will be trimmed, its leaves being first to end - 1.
-    Where to cut, each leaf weighs _LEAF_STEPS more.
+    sizes holds each leaf's weight, merges the (first leaf, end, weight,
+    ...) of each merge, its leaves being first to end - 1, as _weigh
+    lists them; a merge that will not be trimmed weighs 0. Where to cut,
+    each leaf weighs _LEAF_STEPS more.
     """
-    total = sum(sizes) + sum(w for *_, w in merges)
+    total = sum(sizes) + sum(merge[2] for merge in merges)
     if len(sizes) < 2 or _share_count(total, _SHARE_STEPS) < 2:
         return [range(len(sizes))]
     from . import workers  # see its docstring
@@ -215,9 +216,11 @@ def _weigh(node, path, counted, cl_avg, sizes, merges):
     """The part of node as counted with no merge below it trimmed.
 
     Appends to sizes the weight of each leaf below node, and to merges
-    the (first leaf, end, weight) of each merge below it that cl_avg
-    trims, as _shares takes them; counted holds every leaf's part as
-    counted before its check, in post order.
+    the (first leaf, end, weight, node, path) of each merge below it, in
+    post order, its leaves being first to end - 1: as _shares takes
+    them, weighing 0 where cl_avg does not trim, and as
+    workers._subtrees selects a share's subtrees from them. counted
+    holds every leaf's part as counted before its check, in post order.
     """
     if isinstance(node, Leaf):
         part = counted[len(sizes)]
@@ -228,16 +231,16 @@ def _weigh(node, path, counted, cl_avg, sizes, merges):
     pos = _weigh(node.pos_child, path + (x,), counted, cl_avg, sizes, merges)
     neg = _weigh(node.neg_child, path + (-x,), counted, cl_avg, sizes, merges)
     count, total, length, occ, wants_trim = _joined(pos, neg, x, path, cl_avg)
-    if wants_trim:
-        merges.append((first, len(sizes), length // 3))
-    return _Part(None, length, count, total, occ, None, ())
+    merges.append((first, len(sizes), length // 3 if wants_trim else 0, node, path))
+    return _Part(None, length, count, total, occ, ())
 
 
 def _checked_shares(walk, tree, leaves, mode):
     """Fills walk.done with each leaf's part, checked, and with the parts
     of the subtrees stitched in shares (see workers._stitched_share);
     leaves holds the (path, proof, label, counted part) of every leaf, in
-    post order. With one share, the leaves are checked here in turn."""
+    post order. With one share, the leaves are checked here in turn;
+    with two, workers._stitched_shares takes the merges _weigh listed."""
     counted = [counted for *_, counted in leaves]
     sizes, merges = [], []
     if walk.cl_avg < 0:
@@ -248,7 +251,7 @@ def _checked_shares(walk, tree, leaves, mode):
     if len(shares) > 1:
         from . import workers  # see its docstring
 
-        workers._stitched_shares(walk, tree, leaves, shares, mode)
+        workers._stitched_shares(walk, merges, leaves, shares, mode)
         return
     for path, proof, label, counted in leaves:
         outcome = _leaf_outcome(walk.formula, path, proof, label, mode)
@@ -341,12 +344,14 @@ class StitchedRefutation(Refutation):
 class _Part(NamedTuple):
     """A merged subtree whose steps may not be built yet.
 
-    Its steps are those of each run in turn, a run being (steps, suffix):
-    built steps, and the negated decisions still to append to each of
-    their clauses, deepest first. length counts its steps, count its
+    Its steps are those of each run in turn, a run being (steps, suffix,
+    shift, hints): built steps, the negated decisions still to append to
+    each of their clauses, deepest first, and their hint tuples, whose
+    ids name steps by their run's position less shift (see _shifted), or
+    None where parts carry no hints. length counts its steps, count its
     additions and total their literals, all as widened; occ maps the
     negation of each literal of its path to the number of additions
-    that hold it. hints and fresh are _merge's.
+    that hold it. fresh is _merge's.
     """
 
     runs: list
@@ -354,7 +359,6 @@ class _Part(NamedTuple):
     count: int
     total: int
     occ: dict
-    hints: Optional[list]
     fresh: tuple
 
 
@@ -375,9 +379,10 @@ def _through_empty_clause(proof):
 
 
 def _steps(runs):
-    """The refutation that (steps, suffix) runs stand for, clauses widened."""
+    """The refutation that (steps, suffix, ...) runs stand for, clauses
+    widened."""
     out = []
-    for steps, suffix in runs:
+    for steps, suffix, *_ in runs:
         if suffix:
             out += [_step(op, clause.with_literals(suffix)) for op, clause in steps]
         else:
@@ -387,7 +392,7 @@ def _steps(runs):
 
 def _built(steps, path, hints, fresh):
     """The part of built steps at path."""
-    return _Part([(steps, ())], len(steps), *_tally(steps, path), hints, fresh)
+    return _Part([(steps, (), 0, hints)], len(steps), *_tally(steps, path), fresh)
 
 
 def _leaf_part(counted, proof, outcome):
@@ -399,22 +404,17 @@ def _leaf_part(counted, proof, outcome):
     if skipped:
         skipped = set(skipped)
         proof = Refutation(step for i, step in enumerate(proof, 1) if i not in skipped)
-    return counted._replace(
-        runs=[(proof.steps, ())],
-        length=len(proof),
-        hints=None if hints is None else [(0, hints)],
-        fresh=rat,
-    )
+    return counted._replace(runs=[(proof.steps, (), 0, hints)], length=len(proof), fresh=rat)
 
 
 def _shifted(runs, n_formula):
-    """The hint tuples of (shift, hint tuples) runs, each id from
-    n_formula up moved by its run's shift."""
+    """The hint tuples of _Part runs, each id from n_formula up moved by
+    its run's shift."""
     out = []
-    for shift, run in runs:
+    for *_, shift, hints in runs:
         if shift:
-            run = [tuple(h + shift if h >= n_formula else h for h in ids) for ids in run]
-        out += run
+            hints = [tuple(h + shift if h >= n_formula else h for h in ids) for ids in hints]
+        out += hints
     return out
 
 
@@ -464,11 +464,12 @@ def _merge(walk, node, path):
     """The part of node, at path, merged bottom-up in post order: each
     inner node right after both of its children, positive child first.
 
-    Hints are (shift, hint tuples) runs: ids from n_formula up name
-    steps and move by shift, lower ids are clauses of the formula. fresh
+    Each run carries its hints: ids from n_formula up name steps and
+    move by the run's shift, lower ids are clauses of the formula. fresh
     numbers the additions that no check has propagated as AT: the RAT
     steps, whose hints name no derivation of their own, and the empty
-    clauses of untrimmed merges.
+    clauses of untrimmed merges. A trimmed merge hands the trim that set,
+    and the untrimmed root builds its one run, hints flattened.
     """
     if path in walk.done:
         part, events = walk.done.pop(path)
@@ -483,38 +484,35 @@ def _merge(walk, node, path):
     count, total, length, occ, wants_trim = _joined(pos, neg, x, path, walk.cl_avg)
     fresh = pos.fresh + tuple(i + pos.length for i in neg.fresh) + (length,)
     n_formula = walk.n_formula
-    hints = None
+    shift = pos.length
+    closing = None
     if walk.hinted:
-        shift = pos.length
         if walk.cl_avg < 0:
             # nothing is marked, and (x) is the cheapest hint
             neg_final = (n_formula + shift + neg.length - 1,)
         else:
-            last_shift, last_run = neg.hints[-1]
-            neg_final = tuple(h + shift + last_shift if h >= n_formula else h for h in last_run[-1])
-        hints = pos.hints + [(s + shift, h) for s, h in neg.hints]
+            *_, last_shift, last = neg.runs[-1]
+            neg_final = tuple(h + shift + last_shift if h >= n_formula else h for h in last[-1])
         # (-x) is unit first, then the negative side's conflict follows
-        hints.append((0, [neg_final + (n_formula + shift - 1,)]))
+        closing = [neg_final + (n_formula + shift - 1,)]
+    runs = [(steps, suffix + (-x,), s, hints) for steps, suffix, s, hints in pos.runs]
+    runs += [(steps, suffix + (x,), s + shift, hints) for steps, suffix, s, hints in neg.runs]
+    runs.append((_CLOSING, (), 0, closing))
     if wants_trim:
         merged = stitch(walk.formula, x, _steps(pos.runs), _steps(neg.runs), validate=False)
-    else:
-        runs = [(s, suffix + (-x,)) for s, suffix in pos.runs]
-        runs += [(s, suffix + (x,)) for s, suffix in neg.runs]
-        runs.append((_CLOSING, ()))
-        if not path:
-            runs = [(_steps(runs).steps, ())]  # the root builds what no trim did
+    elif not path:  # the root builds what no trim did
+        runs = [(_steps(runs).steps, (), 0, _shifted(runs, n_formula) if walk.hinted else None)]
     merge_seconds = time.perf_counter() - t0
     trim_seconds = 0.0
     if wants_trim:
         t1 = time.perf_counter()
-        judged = set(range(1, length + 1)).difference(fresh)
         out, report = trim(
-            walk.formula, merged, cube=path, hints=_shifted(hints, n_formula), _judged=judged
+            walk.formula, merged, cube=path, hints=_shifted(runs, n_formula), _fresh=set(fresh)
         )
-        part = _built(out.steps, path, [(0, report.hints)], report.rat_steps)
+        part = _built(out.steps, path, report.hints, report.rat_steps)
         trim_seconds = time.perf_counter() - t1
     else:
-        part = _Part(runs, length, count, total, occ, hints, fresh)
+        part = _Part(runs, length, count, total, occ, fresh)
     record = StitchRecord(
         depth=len(path),
         path=path,
@@ -578,11 +576,11 @@ def combine_all(
 
     A trimmed merge is trimmed from these hints against its path's cube
     and takes the trim's output hints. The trim is told which of its
-    input's additions were already propagated as AT: every leaf step and
-    every step a trim below output, except those that passed only as
-    RAT. Only those RAT steps and the empty clauses of untrimmed merges
-    since the last trim, its own included, are propagated by its input
-    check; its candidates are checked in full.
+    input's additions no check has propagated as AT: the leaf steps and
+    the steps a trim below output that passed only as RAT, and the empty
+    clauses of untrimmed merges since the last trim, its own included.
+    Only those are propagated by its input check; its candidates are
+    checked in full.
 
     A checked stitch is cut in two once its leaves and the merges cl_avg
     will trim weigh enough (see _SHARE_STEPS), on a mask of two CPUs or
@@ -613,7 +611,7 @@ def combine_all(
     leaves = []
     for leaf, path in _leaves(tree):
         proof = _through_empty_clause(leaf.refutation)
-        counted = _Part(None, len(proof), *_tally(proof.steps, path), None, ())
+        counted = _Part(None, len(proof), *_tally(proof.steps, path), ())
         leaves.append((path, proof, "cube %s" % leaf.cube.filename(), counted))
     if hinted:
         _checked_shares(walk, tree, leaves, mode)
@@ -621,7 +619,7 @@ def combine_all(
         for path, proof, _, counted in leaves:
             walk.done[path] = (_leaf_part(counted, proof, (None, (), ())), ())
     root = _merge(walk, tree, ())
-    hints = _shifted(root.hints, n_formula) if root.hints else None
+    hints = _shifted(root.runs, n_formula) if hinted else None
     return StitchedRefutation(_steps(root.runs), hints)
 
 

@@ -30,11 +30,11 @@ rather than merely shrinking.
 The hint source needs no replay, and its output need not trust the
 hints: the input is judged by the hint checker before anything is
 marked, and the output is always judged again, in full. The input is
-judged in full too, unless combine_all says which of its additions a
+judged in full too, unless combine_all says which of its additions no
 previous check (a leaf's replay, or the final check of a trim below)
-already propagated to a conflict over their hints: those are not
-propagated again, but their hints must still name live, older clauses,
-and each is charged with the clauses its hints name. That checker
+has propagated to a conflict over their hints: only those are
+propagated, and the hints of the others must still name live, older
+clauses, each being charged with the clauses its hints name. That checker
 accepts an addition only when unit propagation over the clauses its
 hints name, all live and older, reaches a conflict (from every
 resolvent, for a RAT step), so a broken hint makes a check reject,
@@ -255,10 +255,10 @@ def _replayed(formula, refutation, mode, cube):
     return _Analysis(formula, steps, used, rat, applied)
 
 
-def _hinted(formula, refutation, mode, hints, cube, judged=None):
+def _hinted(formula, refutation, mode, hints, cube, fresh=None):
     """The analysis of a hint check of refutation, judged as _check_hinted
     takes it; a check that rejects raises TrimInternalError."""
-    report, record = _check_hinted(formula, refutation, mode, hints, cube, judged, record=True)
+    report, record = _check_hinted(formula, refutation, mode, hints, cube, fresh, record=True)
     if not report.valid:
         raise TrimInternalError("hinted proof is %s" % report.failure_text())
     return _Analysis(formula, *record)
@@ -319,7 +319,7 @@ def trim(
     *,
     cube=(),
     hints=None,
-    _judged=None,
+    _fresh=None,
 ):
     """Shrink a valid refutation; returns (trimmed, report).
 
@@ -348,11 +348,11 @@ def trim(
     cube, its core is the formula clauses they name, and its rat_steps
     number the output's additions that passed only as RAT.
 
-    _judged is for combine_all alone: the numbers of the input's
-    additions that an earlier check has already propagated over their
-    hints (see _check_hinted). The input check then propagates only the
-    other additions; every candidate is still checked in full. Without
-    it, the input is judged in full.
+    _fresh is for combine_all alone: the set of the numbers of the
+    input's additions that no earlier check has propagated over their
+    hints (see _check_hinted). The input check then propagates only
+    those; every candidate is still checked in full. Without it, the
+    input is judged in full.
     """
     start = time.perf_counter()
     input_steps = len(refutation)
@@ -361,7 +361,7 @@ def trim(
 
     hinted = hints is not None
     if hinted:
-        analysis = _hinted(formula, refutation, mode, hints, cube, _judged)
+        analysis = _hinted(formula, refutation, mode, hints, cube, _fresh)
     else:
         analysis = _replayed(formula, refutation, mode, cube)
     steps, analysis = _converge(

@@ -6,11 +6,13 @@ A stitch share is a contiguous run of leaves in post order, so it covers
 a sequence of maximal subtrees. The process does the first share and a
 forked worker the second: each checks its share's leaves and, when a
 merge can be trimmed, stitches the subtrees that lie in its share
-through stitcher._merge. The process then hands both results to the one
-post-order walk of combine_all. A worker hands back nothing else, not
-the open cubes of its memo: every merge left to the parent has leaves
-of the parent's share below it, and checker._root_conflict answers the
-same whatever open cubes the memo holds.
+through stitcher._merge, selected from the merges stitcher._weigh
+listed as it weighed the tree, with no second walk of it. The process
+then hands both results to the one post-order walk of combine_all. A
+worker hands back nothing else, not the open cubes of its memo: every
+merge left to the parent has leaves of the parent's share below it,
+and checker._root_conflict answers the same whatever open cubes the
+memo holds.
 
 A replay share is every other addition of a proof, judged by
 checker._pass: both processes apply every step, but each judges only
@@ -57,7 +59,7 @@ def _split(sizes, merges):
     n = len(sizes)
     ended = [0] * (n + 1)  # weight of the merges that end at each leaf
     begun = [0] * (n + 1)  # and of those that begin there
-    for first, end, w in merges:
+    for first, end, w, *_ in merges:
         ended[end] += w
         begun[first] += w
     before = [0] * (n + 1)  # weight of the leaves and merges before each cut
@@ -70,26 +72,19 @@ def _split(sizes, merges):
     return [range(cut), range(cut, n)]
 
 
-def _subtrees(node, path, first, share_of, out):
-    """The number of leaves below node, the first of them leaf number first.
-
-    Appends to out[k] the (first leaf number, node, path) of each maximal
-    subtree below node, with a merge, whose leaves all lie in share k:
-    share_of maps each leaf number to its share.
-    """
-    if isinstance(node, stitcher.Leaf):
-        return 1
-    x = node.var
-    children = []
-    n = 0
-    for child, p in ((node.pos_child, path + (x,)), (node.neg_child, path + (-x,))):
-        children.append((first + n, child, p))
-        n += _subtrees(child, p, first + n, share_of, out)
-    if share_of[first] != share_of[first + n - 1]:
-        for (lo, child, p), end in zip(children, (children[1][0], first + n)):
-            if isinstance(child, stitcher.Inner) and share_of[lo] == share_of[end - 1]:
-                out[share_of[lo]].append((lo, child, p))
-    return n
+def _subtrees(merges, share):
+    """The (node, path) of each merge whose leaves all lie in share, a
+    range of leaf numbers, and that lies inside no other such merge, in
+    post order; merges holds the (first leaf, end, weight, node, path) of
+    every merge in post order, as stitcher._weigh lists them. The merges
+    inside one come right before it, so it replaces those selected."""
+    out = []
+    for first, end, _, node, path in merges:
+        if share.start <= first and end <= share.stop:
+            while out and out[-1][0] >= first:
+                out.pop()
+            out.append((first, node, path))
+    return [sub[1:] for sub in out]
 
 
 class _Records(logging.Handler):
@@ -174,8 +169,7 @@ def _stitched_share(walk, leaves, subtrees, mode):
                 stitcher._merge(mine, node, path)
     stitched = []
     for path, part in tops:
-        ((steps, _),) = part.runs
-        ((_, hints),) = part.hints
+        ((steps, _, _, hints),) = part.runs
         below = [(records, record) for p, records, record in events if p[: len(path)] == path]
         plain = tuple((op, clause.literals) for op, clause in steps)
         stitched.append((path, plain, hints, part.fresh, below))
@@ -286,9 +280,10 @@ def _forked(work):
             worker.stop()
 
 
-def _stitched_shares(walk, tree, leaves, shares, mode):
+def _stitched_shares(walk, merges, leaves, shares, mode):
     """stitcher._checked_shares with two shares: a forked worker does the
-    work of the second while the process does the first.
+    work of the second while the process does the first. merges lists
+    every merge as stitcher._weigh does, or nothing at cl_avg -1.
 
     The parent rebuilds each result from plain data and its own copy of
     the proofs, and emits the log records of the checks in leaf order,
@@ -302,15 +297,9 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
     formula = walk.formula
     # built once, before the fork, for the worker too
     _kept(formula, 1)
-    subtrees = ([], [])
     if walk.cl_avg >= 0:  # else no merge is trimmed, and the shares stitch none
         _kept(formula, 2)
-        share_of = [k for k, share in enumerate(shares) for _ in share]
-        _subtrees(tree, (), 0, share_of, subtrees)
-    work = [
-        (walk, [leaves[i] for i in share], [sub[1:] for sub in sorted(subs)], mode)
-        for share, subs in zip(shares, subtrees)
-    ]
+    work = [(walk, [leaves[i] for i in share], _subtrees(merges, share), mode) for share in shares]
     with _forked(partial(_share_outcomes, *work[1])) as worker:
         stitched = []
         for k, share in enumerate(shares):
@@ -332,7 +321,7 @@ def _stitched_shares(walk, tree, leaves, shares, mode):
             stitched += handed
     for path, steps, hints, rat, events in stitched:
         steps = [_step(op, _distinct(literals)) for op, literals in steps]
-        walk.done[path] = (stitcher._built(steps, path, [(0, hints)], rat), events)
+        walk.done[path] = (stitcher._built(steps, path, hints, rat), events)
 
 
 def _judged_share(db, refutation, mode):

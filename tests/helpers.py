@@ -11,6 +11,7 @@ import functools
 import importlib
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -400,10 +401,9 @@ def reference_parse_dimacs(data) -> DimacsCnf:
             parts = line.split()
             if parts[0] != "p" or len(parts) != 4 or parts[1] != "cnf":
                 raise MalformedHeaderError("expected 'p cnf <vars> <clauses>', got: %s" % line)
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise MalformedHeaderError("non-numeric header counts: %s" % line) from None
+            if not all(re.fullmatch(r"[-+]?[0-9]+", count, re.ASCII) for count in parts[2:]):
+                raise MalformedHeaderError("non-numeric header counts: %s" % line)
+            header = (int(parts[2]), int(parts[3]))
             continue
         if line == "%":
             break
@@ -1098,8 +1098,7 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
         out = merged
         if wants_trim:
             if validate:
-                judged = set(range(1, len(merged) + 1)).difference(fresh)
-                out, report = trim(formula, merged, cube=path, hints=hints, _judged=judged)
+                out, report = trim(formula, merged, cube=path, hints=hints, _fresh=set(fresh))
                 hints = list(report.hints)
             else:
                 out, report = trim(formula, merged, cube=path)
@@ -1124,3 +1123,25 @@ def eager_combine_all(formula, tree, cl_avg=-1, validate=True, mode=STRICT, on_r
 
     combined, hints, _ = merge(tree, ())
     return StitchedRefutation(combined, hints)
+
+
+def reference_subtrees(node, path, first, share_of, out):
+    """The number of leaves below node, the first of them leaf number first.
+
+    Appends to out[k] the (first leaf number, node, path) of each maximal
+    subtree below node, with a merge, whose leaves all lie in share k:
+    share_of maps each leaf number to its share.
+    """
+    if isinstance(node, stitcher.Leaf):
+        return 1
+    x = node.var
+    children = []
+    n = 0
+    for child, p in ((node.pos_child, path + (x,)), (node.neg_child, path + (-x,))):
+        children.append((first + n, child, p))
+        n += reference_subtrees(child, p, first + n, share_of, out)
+    if share_of[first] != share_of[first + n - 1]:
+        for (lo, child, p), end in zip(children, (children[1][0], first + n)):
+            if isinstance(child, stitcher.Inner) and share_of[lo] == share_of[end - 1]:
+                out[share_of[lo]].append((lo, child, p))
+    return n

@@ -313,7 +313,8 @@ def test_the_short_clause_index_is_the_live_units_and_empties_in_id_order():
                 if len(db.lits[cid]) <= 1
             ]
             assert list(db.short.items()) == scan
-            fresh = checker._ClauseDb(Formula.from_counts(db.mult.items()))
+            live = [(value, db.count[cid]) for value, cid in db.ids.items()]
+            fresh = checker._ClauseDb(Formula.from_counts(live))
             assert db.root_conflict == fresh.root_conflict
             if not db.root_conflict:
                 compared += 1
@@ -642,7 +643,7 @@ def _database_state(db):
         return -var if code & 1 else var
 
     return (
-        list(db.mult.items()),
+        list(db.count),
         list(db.ids.items()),
         list(db.clauses),
         list(db.index.items()),
@@ -833,3 +834,37 @@ def test_replays_do_not_depend_on_the_order_of_literal_lists():
                 assert _database_state(checker._base[1]) == base_state
                 reordered += lengths
     assert reordered.count(3) > 10000 and len(reordered) - reordered.count(3) > 500
+
+
+def _assert_one_live_table(db, reference):
+    """db's live clauses, its ids in id order with their counts, are the
+    reference's multiset in its order, and an id counts 0 exactly when
+    its value is no longer live."""
+    assert [(value, db.count[cid]) for value, cid in db.ids.items()] == list(reference.mult.items())
+    live = set(db.ids.values())
+    assert len(db.count) == len(db.clauses)
+    assert all((k == 0) == (cid not in live) for cid, k in enumerate(db.count))
+
+
+def test_the_live_clause_table_is_the_reference_multiset_after_every_step():
+    formula, proof = TERNARY_CHURN
+    pool = [Clause(c) for c in CHURN + [(), (1,), (-1,), (3,), (1, 2), (1, 2, 3)]]
+    rng = random.Random(61)
+    churn = [ProofStep(rng.choice((ADD, DELETE)), rng.choice(pool)) for _ in range(300)]
+    runs = [(formula, list(proof) + churn, cube) for cube in ((), (3,), (1, -2), (20, 20))]
+    runs += [(f, p, cube) for f, p, cubes in _premise_corpus() for cube in cubes]
+    steps = deleted = 0
+    for formula, proof, cube in runs:
+        db = checker._ClauseDb(formula).extended(cube)
+        reference = ReferenceClauseDb(formula).extended(cube)
+        _assert_one_live_table(db, reference)
+        for op, clause in proof:
+            if op == ADD:
+                db.add(clause)
+                reference.add(clause)
+            else:
+                assert db.remove(clause) == reference.remove(clause)
+            _assert_one_live_table(db, reference)
+            steps += 1
+        deleted += db.count.count(0)
+    assert steps > 8000 and deleted > 1000, (steps, deleted)

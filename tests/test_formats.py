@@ -97,6 +97,12 @@ def test_parse_dimacs_header_errors():
         parse_dimacs("p cnf 3\n1 0\n")
     with pytest.raises(MalformedHeaderError):
         parse_dimacs("p cnf three 2\n1 0\n")
+    # counts are integers as clause tokens are: int() would read these
+    for header in ("p cnf 2_0 4", "p cnf \u0661 2", "p cnf 2 \uff14"):
+        with pytest.raises(MalformedHeaderError) as info:
+            parse_dimacs(header + "\n1 0\n")
+        assert str(info.value) == "non-numeric header counts: %s" % header
+    assert parse_dimacs("p cnf +2 1\n1 0\n").declared_vars == 2
 
 
 def test_parse_dimacs_token_errors():

@@ -437,16 +437,17 @@ def test_a_rat_steps_needed_ids_name_the_oldest_live_copy_of_a_widened_value():
 
 @contextlib.contextmanager
 def judged_trims(monkeypatch, in_full=False):
-    """Record (proof, cube, hints, judged steps) of every trim combine_all
-    makes. With in_full, each is the public trim without the judged
-    steps, which judges its whole input."""
+    """Record (proof, cube, hints, fresh steps) of every trim combine_all
+    makes: the steps its input check propagates, the others having been
+    judged below. With in_full, each is the public trim without the
+    fresh steps, which judges its whole input."""
     calls = []
     real = stitcher.trim
 
-    def recording(formula, proof, *args, cube=(), hints=None, _judged=None, **kwargs):
-        calls.append((proof, tuple(cube), hints, _judged))
+    def recording(formula, proof, *args, cube=(), hints=None, _fresh=None, **kwargs):
+        calls.append((proof, tuple(cube), hints, _fresh))
         if not in_full:
-            kwargs["_judged"] = _judged
+            kwargs["_fresh"] = _fresh
         return real(formula, proof, *args, cube=cube, hints=hints, **kwargs)
 
     with monkeypatch.context() as m:
@@ -478,8 +479,8 @@ def test_trims_told_the_judged_steps_match_trims_that_judge_their_inputs_in_full
         told += len(text)
         in_full += len(write_drat(full))
         decisions = {r.var for r in records}
-        for proof, _, _, judged in calls:
-            fresh = set(range(1, len(proof) + 1)) - judged
+        for proof, _, _, fresh in calls:
+            assert fresh <= set(range(1, len(proof) + 1))
             assert len(proof) in fresh  # the merge's own empty clause
             if cl_avg == 0:
                 assert fresh == {len(proof)}
@@ -592,9 +593,9 @@ def test_a_broken_hint_on_an_untrimmed_merges_empty_clause_makes_the_trim_above_
     for formula, tree in _deep_splits():
         with judged_trims(monkeypatch) as calls:
             combine_all(formula, tree, cl_avg=4)
-        for k, (proof, cube, hints, judged) in enumerate(calls):
+        for k, (proof, cube, hints, fresh) in enumerate(calls):
             # the untrimmed merges' empty clauses, not the trim's own
-            fresh = sorted(set(range(1, len(proof))) - judged)
+            fresh = sorted(fresh - {len(proof)})
             for i in random.Random(k).sample(fresh, min(3, len(fresh))):
                 dropped = _needed_dropped(formula, proof, cube, hints, i)
                 if dropped is not None:
@@ -612,8 +613,8 @@ def test_a_kept_step_whose_handed_up_hints_pass_it_only_as_rat_makes_the_trim_ra
     tree = _depth_one(formula, "1 0\n0\n", "1 0\n0\n", var=3)
     with judged_trims(monkeypatch) as calls:
         combine_all(formula, tree, cl_avg=0)
-    [(proof, _, hints, judged)] = calls
-    assert proof[1].clause == Clause((-3,)) and 2 in judged and hints[1]
+    [(proof, _, hints, fresh)] = calls
+    assert proof[1].clause == Clause((-3,)) and 2 not in fresh and hints[1]
     broken = list(hints)
     broken[1] = ()
     _stitch_raises(monkeypatch, formula, tree, 0, _kth_trim(0, given=broken))

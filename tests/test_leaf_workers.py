@@ -37,9 +37,10 @@ from dratstitch import (
     gen_random_unsat,
     write_drat,
 )
-from dratstitch import checker, stitcher, workers
+import dratstitch
+from dratstitch import checker, load_bundle, stitcher, workers
 
-from helpers import bundle_for
+from helpers import bench_workloads, bundle_for, reference_subtrees
 from test_acceptance import _instances
 from test_hint_trim import _deep_splits
 from test_hints import depth_one_rat_bundles
@@ -98,10 +99,11 @@ def parent_trims():
 
 
 @contextlib.contextmanager
-def subtree_walks():
-    """The cube trees walked for a share's subtrees meanwhile."""
+def weigh_walks():
+    """The cube trees stitcher._weigh walked meanwhile, which lists the
+    merges a share's subtrees are selected from."""
     walks = []
-    real = workers._subtrees
+    real = stitcher._weigh
 
     def counted(node, path, *args):
         if not path:  # the walk's root, not one of its own recursive calls
@@ -109,7 +111,7 @@ def subtree_walks():
         return real(node, path, *args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(workers, "_subtrees", counted)
+        m.setattr(stitcher, "_weigh", counted)
         yield walks
 
 
@@ -137,11 +139,12 @@ def test_forked_leaf_checks_stitch_what_serial_ones_do():
     trims = {"serial": 0, "forked": 0}  # made in this process
     for formula, tree in _corpus():
         for cl_avg in (-1, 0, 2, 4):
-            with parent_trims() as paths, subtree_walks() as walks:
+            with parent_trims() as paths, weigh_walks() as walks:
                 serial, forked, forks = both_paths(formula, tree, cl_avg)
             assert forked == serial
-            # with no merge to trim, no share stitches a subtree
-            assert len(walks) == (cl_avg >= 0)
+            # one walk per stitch, serial and forked; with no merge to
+            # trim, none, and no share stitches a subtree
+            assert len(walks) == (2 if cl_avg >= 0 else 0)
             started += forks
             if isinstance(serial[0], str):
                 stitched += 1
@@ -156,6 +159,36 @@ def test_forked_leaf_checks_stitch_what_serial_ones_do():
     assert stitched > 400 and failed > 0
     # workers made some of the trims
     assert 0 < trims["forked"] < trims["serial"]
+
+
+def _seed_7_trees(directory):
+    """The cube trees of both stitch workloads' bench inputs at seed 7."""
+    workloads = bench_workloads()
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        if workload.stitch_args is not None:
+            inputs = workloads.build_inputs(dratstitch, workload, 7, directory / name)
+            yield build_cube_tree(load_bundle(inputs.cnf, inputs.proofs))
+
+
+def test_a_shares_subtrees_are_selected_from_the_weighed_merges_as_a_walk_finds_them(tmp_path):
+    cuts = 0
+    for tree in itertools.chain(_seed_7_trees(tmp_path), (tree for _, tree in _deep_splits())):
+        counted = [
+            stitcher._Part(None, len(leaf.refutation), *stitcher._tally(leaf.refutation, path), ())
+            for leaf, path in stitcher._leaves(tree)
+        ]
+        sizes, merges = [], []
+        stitcher._weigh(tree, (), counted, 0, sizes, merges)
+        n = len(sizes)
+        for cut in range(1, n):
+            shares = [range(cut), range(cut, n)]
+            share_of = [k for k, share in enumerate(shares) for _ in share]
+            walked = ([], [])
+            reference_subtrees(tree, (), 0, share_of, walked)
+            want = [[sub[1:] for sub in sorted(subs)] for subs in walked]
+            assert [workers._subtrees(merges, share) for share in shares] == want
+            cuts += 1
+    assert cuts > 150
 
 
 def test_leaves_fork_in_balanced_runs_only_with_enough_steps_per_cpu(monkeypatch):

@@ -5,7 +5,10 @@ The smoke inputs of each benchmark workload are drawn at one seed. A cube
 bundle is stitched at --cl-avg -1 and at --cl-avg 0; the monolithic proof,
 or the untrimmed stitch, is then checked, trimmed with --emit-core, and its
 trimmed proof checked. Every file written is pinned by its sha256, and each
-``propagations=`` value printed by its number. A change to the replay
+``propagations=`` value printed by its number. The hints combine_all carries
+at both --cl-avg values, which no file holds and which two different sets
+can give equal propagation counts from, are pinned by the sha256 of their
+repr. A change to the replay
 engine, the trimmer, the stitcher or the writers that is meant to keep
 every output must keep these; one that changes an output on purpose
 updates the pins and says why.
@@ -34,6 +37,8 @@ PINNED = {
         "stitch -1 verify propagations": 283,
         "stitched 0": "b8bfda6e52d094a49acb9ffdab9e39d13e534133e8f1134c5cd522faf2d52338",
         "stitch 0 verify propagations": 271,
+        "hints -1": "58ef338e74f0745ced0d317309c8b19de839db3128f91ee03e2462cd0ef79106",
+        "hints 0": "8689b15966c5499d460067a67bbfbc3f21145328da471b09c11a79e662f42de3",
         "check propagations": 515,
         "trimmed": "31a5db2a61294f8c9acdbc36a5c78e65aacfa46eb0b9dc9bdbcc295ce142d4ec",
         "core": "f618722fdb380af137965b1f0acb285a2223f50517987a67b7447383d175b609",
@@ -44,6 +49,8 @@ PINNED = {
         "stitch -1 verify propagations": 367,
         "stitched 0": "6154441cec87618133443d1c09c762eafc5b1e993e924765a11b125c380d6dcd",
         "stitch 0 verify propagations": 277,
+        "hints -1": "bdffeaa736439b12f52f6973749a85396aa9f3c8c2ab61f312a825f4a9384837",
+        "hints 0": "1a948de2e836dea62b5b80ee2c6240f321c69ba3495d8901334ef3dbcc9c891f",
         "check propagations": 829,
         "trimmed": "eebbafae708e9aa2868cc93b70658f8f0fb014183f94089db024dc7d7acd30e9",
         "core": "34fae38400969eb6417c54300a9b7920737d858aedf59205ba7b192dd7dcbe70",
@@ -79,11 +86,15 @@ def _outputs(directory, workload, capsys):
 
     proof = inputs.proofs
     if workload.stitch_args is not None:
+        bundle = dratstitch.load_bundle(cnf, proof)
+        tree = dratstitch.build_cube_tree(bundle)
         for cl_avg in (-1, 0):
             out = directory / ("stitched%d.drat" % cl_avg)
             text = run(["stitch", "--cl-avg", cl_avg, "--cnf", cnf, "--proofs", proof, "-o", out])
             got["stitched %d" % cl_avg] = _sha(out)
             got["stitch %d verify propagations" % cl_avg] = _propagations(text)
+            hints = dratstitch.combine_all(bundle.instance, tree, cl_avg=cl_avg).hints
+            got["hints %d" % cl_avg] = hashlib.sha256(repr(hints).encode()).hexdigest()
         proof = directory / "stitched-1.drat"
     got["check propagations"] = _propagations(run(["check", cnf, proof]))
     trimmed, core = directory / "trimmed.drat", directory / "core.cnf"
